@@ -16,13 +16,12 @@ repo root so the overhead trajectory stays diffable across revisions;
 CI reads that file for the non-gating 5% guard.
 """
 
-import json
 import time
 from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import record_rows
+from benchmarks.conftest import record_rows, write_tracked
 from repro import obs
 from repro.apisense.device import SensorRecord
 from repro.apisense.hive import Hive
@@ -200,33 +199,29 @@ def test_bench_instrumentation_overhead_and_stage_breakdown(
         overhead_pct=round(overhead_pct, 2),
     )
 
-    RESULTS.write_text(
-        json.dumps(
-            {
-                "bench": "obs-instrumentation-overhead",
-                "devices": N_DEVICES,
-                "records": N_RECORDS,
-                "windows": UPLOADS_PER_DEVICE,
-                "rounds": ROUNDS,
-                "wall_seconds_off": round(baseline["elapsed"], 3),
-                "wall_seconds_on": round(instrumented["elapsed"], 3),
-                "overhead_pct": round(overhead_pct, 2),
-                "stages": stages,
-                "tracing": {
-                    "sample_rate": TRACE_SAMPLE,
-                    "spans": log.total,
-                    "spans_dropped": log.dropped,
-                    "traces": len(log.trace_ids()),
-                    "records_reconstructed": len(paths),
-                    "exactly_once": exactly_once,
-                    "wall_seconds": round(traced["elapsed"], 3),
-                    "overhead_pct": round(tracing_overhead_pct, 2),
-                },
+    write_tracked(
+        RESULTS,
+        {
+            "bench": "obs-instrumentation-overhead",
+            "devices": N_DEVICES,
+            "records": N_RECORDS,
+            "windows": UPLOADS_PER_DEVICE,
+            "rounds": ROUNDS,
+            "wall_seconds_off": round(baseline["elapsed"], 3),
+            "wall_seconds_on": round(instrumented["elapsed"], 3),
+            "overhead_pct": round(overhead_pct, 2),
+            "stages": stages,
+            "tracing": {
+                "sample_rate": TRACE_SAMPLE,
+                "spans": log.total,
+                "spans_dropped": log.dropped,
+                "traces": len(log.trace_ids()),
+                "records_reconstructed": len(paths),
+                "exactly_once": exactly_once,
+                "wall_seconds": round(traced["elapsed"], 3),
+                "overhead_pct": round(tracing_overhead_pct, 2),
             },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+        },
     )
     # Leave the process-wide switches at their defaults for later tests.
     obs.reset()

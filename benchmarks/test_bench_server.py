@@ -12,14 +12,13 @@ repo root so the perf trajectory stays diffable across revisions.
 """
 
 import asyncio
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from benchmarks.conftest import record_rows
+from benchmarks.conftest import record_rows, write_tracked
 from repro.apisense.device import SensorRecord
 from repro.apisense.hive import Hive
 from repro.apisense.honeycomb import Honeycomb
@@ -233,23 +232,19 @@ def test_bench_dashboard_fanout_1k_sessions(benchmark, upload_batches):
         push_p99_ms=round(p99, 3),
     )
 
-    RESULTS.write_text(
-        json.dumps(
-            {
-                "bench": "server-dashboard-fanout",
-                "sessions": N_SESSIONS,
-                "devices": N_DEVICES,
-                "records": N_RECORDS,
-                "windows": len(batch),
-                "pushes_sent": result["pushes_sent"],
-                "pushes_dropped": result["pushes_dropped"],
-                "push_p50_ms": round(p50, 3),
-                "push_p99_ms": round(p99, 3),
-                "wall_seconds": round(result["elapsed"], 3),
-                "per_window": rows,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+    write_tracked(
+        RESULTS,
+        {
+            "bench": "server-dashboard-fanout",
+            "sessions": N_SESSIONS,
+            "devices": N_DEVICES,
+            "records": N_RECORDS,
+            "windows": len(batch),
+            "pushes_sent": result["pushes_sent"],
+            "pushes_dropped": result["pushes_dropped"],
+            "push_p50_ms": round(p50, 3),
+            "push_p99_ms": round(p99, 3),
+            "wall_seconds": round(result["elapsed"], 3),
+            "per_window": rows,
+        },
     )

@@ -27,6 +27,7 @@ from repro.apisense.tasks import SensingTask
 from repro.errors import PlatformError
 from repro.simulation import Simulator
 from repro.store import DatasetStore, IngestPipeline
+from repro.store.columns import RecordBatch, group_rows
 from repro.streams import StreamEngine
 
 from typing import TYPE_CHECKING
@@ -336,7 +337,7 @@ class Hive:
     #: Alias matching the paper-facing name for the upload path.
     route_upload = receive_upload
 
-    def _route_flush(self, records: list[SensorRecord]) -> None:
+    def _route_flush(self, batch: RecordBatch) -> None:
         """Deliver one pipeline flush to the owning Honeycombs.
 
         Fires as a pipeline flush listener: the flushed shard batch is
@@ -344,13 +345,13 @@ class Hive:
         datasets and hooks are driven by store flushes, not by raw
         uploads.
         """
-        by_task: dict[str, list[SensorRecord]] = {}
-        for record in records:
-            by_task.setdefault(record.task, []).append(record)
-        for task_name, batch in by_task.items():
+        for rows in group_rows(batch.task_index):
+            task_name = batch.tasks[batch.task_index[rows[0]]]
             owner = self._task_owner.get(task_name)
             if owner is not None:
-                owner.receive_dataset(task_name, batch)
+                owner.receive_dataset(
+                    task_name, [batch.records[row] for row in rows.tolist()]
+                )
 
     # ------------------------------------------------------------------
     # Privacy tier (secure aggregation)

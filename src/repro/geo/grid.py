@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import GeoError
 from repro.geo.bbox import BoundingBox
 from repro.geo.point import GeoPoint
@@ -67,6 +69,13 @@ class SpatialGrid:
             min(max(row, 0), self._rows - 1),
             min(max(col, 0), self._cols - 1),
         )
+
+    def cells_of(self, lat: np.ndarray, lon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`cell_of` over coordinate columns: ``(rows, cols)`` arrays."""
+        x, y = self._projection.to_xy_columns(lat, lon)
+        cols = np.clip(x // self.cell_size_m, 0, self._cols - 1).astype(np.int64)
+        rows = np.clip(y // self.cell_size_m, 0, self._rows - 1).astype(np.int64)
+        return rows, cols
 
     def center_of(self, cell: CellIndex) -> GeoPoint:
         """Geographic center of a cell."""

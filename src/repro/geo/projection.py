@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.geo.point import GeoPoint
 from repro.units import EARTH_RADIUS_M
 
@@ -34,6 +36,12 @@ class LocalProjection:
         """Project a geographic point to local metres."""
         x = math.radians(point.lon - self.origin.lon) * EARTH_RADIUS_M * self._cos_lat0
         y = math.radians(point.lat - self.origin.lat) * EARTH_RADIUS_M
+        return (x, y)
+
+    def to_xy_columns(self, lat: np.ndarray, lon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`to_xy` over coordinate columns, value for value."""
+        x = np.radians(lon - self.origin.lon) * EARTH_RADIUS_M * self._cos_lat0
+        y = np.radians(lat - self.origin.lat) * EARTH_RADIUS_M
         return (x, y)
 
     def to_point(self, x: float, y: float) -> GeoPoint:

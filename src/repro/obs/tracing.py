@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.errors import ObsError
 
-__all__ = ["Span", "TraceLog", "Tracer", "record_paths", "trace_tree", "traced_keys"]
+__all__ = ["Span", "TraceLog", "Tracer", "record_paths", "trace_tree"]
 
 #: Stages making up the record path, in path order.
 RECORD_PATH_STAGES = (
@@ -237,20 +237,6 @@ class Tracer:
         )
         self._next_span += 1
         return _SpanHandle(self, span)
-
-
-def traced_keys(records) -> dict[int, list[float]]:
-    """``{trace_id: [record times]}`` for the traced records of a batch.
-
-    Works on anything carrying ``trace_id``/``time`` attributes (the
-    platform's ``SensorRecord``); untraced records are skipped.
-    """
-    out: dict[int, list[float]] = {}
-    for record in records:
-        tid = getattr(record, "trace_id", None)
-        if tid is not None:
-            out.setdefault(tid, []).append(record.time)
-    return out
 
 
 def record_paths(

@@ -12,6 +12,9 @@ halves that make that scale:
   columnar segments (numpy ``time/lat/lon/value/user`` arrays) sharded
   by ``hash(task, user)``, with segment sealing, compaction, and
   O(shard) time-range / bbox / per-user scans;
+- :func:`~repro.store.columns.columnize` — one flush as a
+  :class:`~repro.store.columns.RecordBatch` of columns, built once and
+  shared by the store, the router and every flush listener;
 - :class:`~repro.store.aggregates.StoreAggregates` — streaming per-task
   views (record counts, spatial coverage cells, freshness/lag
   percentiles) maintained incrementally at flush time.
@@ -21,6 +24,7 @@ The Hive routes every upload through an ingest pipeline into its store;
 """
 
 from repro.store.aggregates import StoreAggregates, TaskAggregate
+from repro.store.columns import RecordBatch, columnize
 from repro.store.dataset_store import (
     ColumnarBatch,
     CompactionReport,
@@ -41,12 +45,14 @@ __all__ = [
     "P2Quantile",
     "PipelineStats",
     "POLICIES",
+    "RecordBatch",
     "Segment",
     "SegmentBuilder",
     "ShardStats",
     "StoreAggregates",
     "StoreStats",
     "TaskAggregate",
+    "columnize",
     "merge_segments",
     "shard_of",
 ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import StoreError
+from repro.store.columns import cells_of
 from repro.store.quantiles import P2Quantile
 
 
@@ -111,19 +112,15 @@ class TaskAggregate:
         n_fix = int(np.count_nonzero(fix))
         if n_fix:
             self.gps_records += n_fix
-            rows = np.floor(lat[fix] / self.cell_deg).astype(np.int64)
-            cols = np.floor(lon[fix] / self.cell_deg).astype(np.int64)
-            self._cells.update(zip(rows.tolist(), cols.tolist()))
+            self._cells.update(cells_of(lat[fix], lon[fix], self.cell_deg))
 
         if ingest_time is not None:
             lags = np.maximum(0.0, ingest_time - time)
             self.lag_count += n
             self.lag_sum += float(np.sum(lags))
             self.lag_max = max(self.lag_max, float(np.max(lags)))
-            for lag in lags.tolist():
-                self._lag_p50.add(lag)
-                self._lag_p95.add(lag)
-                self._lag_p99.add(lag)
+            for sketch in (self._lag_p50, self._lag_p95, self._lag_p99):
+                sketch.extend(lags)
 
     def to_text(self) -> str:
         return (

@@ -9,8 +9,10 @@ for a task lives in exactly one shard — so per-user scans touch one
 shard and time-range/bbox scans prune whole segments by metadata.
 
 Writes go through :meth:`DatasetStore.append` (typically called by the
-:class:`~repro.store.pipeline.IngestPipeline` at flush time), which also
-feeds the streaming :class:`~repro.store.aggregates.StoreAggregates`.
+:class:`~repro.store.pipeline.IngestPipeline` at flush time with the
+flush's :class:`~repro.store.columns.RecordBatch` and its shard; a plain
+record list is columnized and routed on entry), which also feeds the
+streaming :class:`~repro.store.aggregates.StoreAggregates`.
 Sealed segments are immutable; :meth:`DatasetStore.compact` merges a
 partition's sealed segments into one time-sorted run.
 """
@@ -27,9 +29,8 @@ import numpy as np
 from repro import obs
 from repro.errors import StoreError
 from repro.obs.instruments import StoreInstruments
-from repro.obs.tracing import traced_keys as _traced_keys
-from repro.geo.point import GeoPoint
 from repro.store.aggregates import StoreAggregates, TaskAggregate
+from repro.store.columns import RecordBatch, columnize, group_rows
 from repro.store.segment import Segment, SegmentBuilder, merge_segments
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -245,69 +246,62 @@ class DatasetStore:
     # ------------------------------------------------------------------
 
     def append(
-        self, records: Sequence[SensorRecord], ingest_time: float | None = None
+        self,
+        records: "Sequence[SensorRecord] | RecordBatch",
+        ingest_time: float | None = None,
+        shard: int | None = None,
     ) -> int:
-        """Append a batch of records, routing each to its shard.
+        """Append a batch of records, each to its shard's task partition.
 
-        ``ingest_time`` (the simulation clock at flush) drives the
-        freshness/lag aggregates; ``None`` (bulk loads) skips them.
+        ``shard`` is the pipeline's flush saying which shard all of the
+        batch routes to (it hashed each upload's (task, user) at
+        admission); without it every distinct (task, user) is routed
+        here.  ``ingest_time`` (the simulation clock at flush) drives
+        the freshness/lag aggregates; ``None`` (bulk loads) skips them.
         Returns the number of records appended.
         """
-        if not records:
+        batch = columnize(records)
+        if not len(batch):
             return 0
         timed = self.obs.registry.enabled
         started = _time.perf_counter() if timed else 0.0
-        with self._tracer.span("store.append", batch=len(records)) as span:
+        with self._tracer.span("store.append", batch=len(batch)) as span:
             if span.span is not None:
-                span.add_records(_traced_keys(records))
-            # Group into (shard, task) runs first so each partition
-            # receives one contiguous column batch.
-            groups: dict[tuple[int, str], list[SensorRecord]] = {}
-            for record in records:
-                key = (self.shard_of(record.task, record.user), record.task)
-                groups.setdefault(key, []).append(record)
-
-            for (shard_id, task), group in groups.items():
-                columns = self._columnize(group)
-                shard = self._shards[shard_id]
-                shard.partition(task).append_columns(*columns)
-                shard.records += len(group)
-                time, lat, lon, _value, user_id = columns
-                self.aggregates.update(task, time, lat, lon, user_id, ingest_time)
+                span.add_records(batch.traced_keys())
+            user_id = np.array(
+                [self._intern_user(user) for user in batch.users], dtype=np.int64
+            )[batch.user_index]
+            shards = self._route(batch) if shard is None else shard
+            # One contiguous column run per (shard, task) partition.
+            n_tasks = len(batch.tasks)
+            keys = shards * n_tasks + batch.task_index
+            for rows in group_rows(keys):
+                shard_id, task_code = divmod(int(keys[rows[0]]), n_tasks)
+                task = batch.tasks[task_code]
+                time, lat, lon = batch.time[rows], batch.lat[rows], batch.lon[rows]
+                users = user_id[rows]
+                target = self._shards[shard_id]
+                target.partition(task).append_columns(
+                    time, lat, lon, batch.value[rows], users
+                )
+                target.records += len(rows)
+                self.aggregates.update(task, time, lat, lon, users, ingest_time)
         if timed:
             self.obs.append_seconds.observe(_time.perf_counter() - started)
-            self.obs.records_appended.inc(len(records))
-        return len(records)
+            self.obs.records_appended.inc(len(batch))
+        return len(batch)
 
-    def _columnize(
-        self, records: list[SensorRecord]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Convert record objects into the store's five columns.
-
-        ``lat``/``lon`` come from a ``gps`` value when present; ``value``
-        is the first scalar (non-bool int/float) among the remaining
-        sensor values, NaN otherwise.
-        """
-        n = len(records)
-        time = np.empty(n, dtype=np.float64)
-        lat = np.full(n, np.nan, dtype=np.float64)
-        lon = np.full(n, np.nan, dtype=np.float64)
-        value = np.full(n, np.nan, dtype=np.float64)
-        user_id = np.empty(n, dtype=np.int64)
-        for i, record in enumerate(records):
-            time[i] = record.time
-            user_id[i] = self._intern_user(record.user)
-            gps = record.values.get("gps")
-            if isinstance(gps, GeoPoint):
-                lat[i] = gps.lat
-                lon[i] = gps.lon
-            for name, item in record.values.items():
-                if name == "gps" or isinstance(item, bool):
-                    continue
-                if isinstance(item, (int, float)):
-                    value[i] = float(item)
-                    break
-        return time, lat, lon, value, user_id
+    def _route(self, batch: RecordBatch) -> np.ndarray:
+        """Per-record shard ids, hashing each distinct (task, user) once."""
+        n_users = len(batch.users)
+        pairs, inverse = np.unique(
+            batch.task_index * n_users + batch.user_index, return_inverse=True
+        )
+        routed = [
+            self.shard_of(batch.tasks[pair // n_users], batch.users[pair % n_users])
+            for pair in pairs.tolist()
+        ]
+        return np.array(routed, dtype=np.int64)[inverse]
 
     # ------------------------------------------------------------------
     # Scan path

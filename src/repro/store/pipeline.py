@@ -20,10 +20,12 @@ decides what gives:
   drained at most one buffer-capacity per flush (lossless, trades
   memory and freshness for data).
 
-At flush time the batch is appended to the
+At flush time the batch is columnized once
+(:func:`~repro.store.columns.columnize`), appended to the
 :class:`~repro.store.dataset_store.DatasetStore` (which updates the
-streaming aggregates) and every registered listener — the Hive's
-Honeycomb routing above all — receives the flushed records.
+streaming aggregates) and handed, as the same
+:class:`~repro.store.columns.RecordBatch`, to every registered listener
+— the Hive's Honeycomb routing above all.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro import obs
 from repro.errors import StoreError
 from repro.obs.instruments import PipelineInstruments
-from repro.obs.tracing import traced_keys as _traced_keys
 from repro.simulation import Simulator
+from repro.store.columns import RecordBatch, columnize
 from repro.store.dataset_store import DatasetStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -46,7 +48,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 #: Backpressure policies, in the order the paper-style gateway offers them.
 POLICIES = ("drop-oldest", "reject", "spill")
 
-#: Listener signature: receives the records of one shard flush.
+#: Listener signature: receives one shard flush as a
+#: :class:`~repro.store.columns.RecordBatch` — a sequence of the flushed
+#: records (``len``, iteration and indexing give ``SensorRecord``\ s in
+#: record order) that also carries their ``time/lat/lon/value`` columns
+#: and task/user codes.  The pipeline columnizes a flush once
+#: (:func:`~repro.store.columns.columnize`, the one reader of
+#: ``SensorRecord.values``) and the store, the router and every
+#: listener share that batch; treat it as read-only.  Whatever a
+#: consumer folds per task, pane or user, it observes a flush's records
+#: in record order.
 #:
 #: Delivery guarantee: listeners observe **every admitted record exactly
 #: once**, in flush batches, regardless of what triggered the flush —
@@ -58,7 +69,7 @@ POLICIES = ("drop-oldest", "reject", "spill")
 #: delivered.  The streaming tier's live views rely on this guarantee:
 #: a campaign teardown ``flush_all()`` must feed the stream engine the
 #: exact same batches a slower timer-driven drain would have.
-FlushListener = Callable[[list["SensorRecord"]], None]
+FlushListener = Callable[[RecordBatch], None]
 
 
 @dataclass
@@ -207,10 +218,12 @@ class IngestPipeline:
             return 0
         self.stats.submitted += len(records)
         self.obs.submitted.inc(len(records))
+        # One hash per distinct (task, user), not per record.
+        pairs = {(record.task, record.user) for record in records}
+        route = {pair: self.store.shard_of(*pair) for pair in pairs}
         by_shard: dict[int, list[SensorRecord]] = {}
         for record in records:
-            shard_id = self.store.shard_of(record.task, record.user)
-            by_shard.setdefault(shard_id, []).append(record)
+            by_shard.setdefault(route[record.task, record.user], []).append(record)
         accepted = 0
         for shard_id, batch in by_shard.items():
             accepted += self._enqueue(shard_id, batch)
@@ -271,29 +284,30 @@ class IngestPipeline:
     def _flush(self, shard_id: int, rearm: bool = True) -> None:
         shard = self._shards[shard_id]
         shard.pending = False
-        batch = list(shard.buffer)
+        records = list(shard.buffer)
         shard.buffer.clear()
         # Drain at most one buffer-capacity of spill per flush so one
         # overloaded shard cannot stall the simulator in a single event.
         drain = min(len(shard.spill), self.buffer_capacity)
         for _ in range(drain):
-            batch.append(shard.spill.popleft())
+            records.append(shard.spill.popleft())
         if shard.spill and rearm:
             shard.pending = True
             self._sim.schedule(self.flush_delay, lambda s=shard_id: self._flush(s))
-        if not batch:
+        if not records:
             return
         self.stats.flushes += 1
-        self.stats.flushed_records += len(batch)
-        self.stats.largest_flush = max(self.stats.largest_flush, len(batch))
+        self.stats.flushed_records += len(records)
+        self.stats.largest_flush = max(self.stats.largest_flush, len(records))
         self.obs.flushes.inc()
-        self.obs.flushed.inc(len(batch))
+        self.obs.flushed.inc(len(records))
         timed = self.obs.registry.enabled
         started = time.perf_counter() if timed else 0.0
-        with self._tracer.span("ingest.flush", shard=shard_id, batch=len(batch)) as span:
+        batch = columnize(records)
+        with self._tracer.span("ingest.flush", shard=shard_id, batch=len(records)) as span:
             if span.span is not None:
-                span.add_records(_traced_keys(batch))
-            self.store.append(batch, ingest_time=self._sim.now)
+                span.add_records(batch.traced_keys())
+            self.store.append(batch, ingest_time=self._sim.now, shard=shard_id)
             if self._router is not None:
                 self._router(batch)
             for listener in self._listeners:

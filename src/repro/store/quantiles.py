@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from repro.errors import StoreError
 
 
@@ -44,56 +46,102 @@ class P2Quantile:
 
     def add(self, x: float) -> None:
         """Absorb one observation."""
-        x = float(x)
-        self._count += 1
-        if self._count <= 5:
+        self.extend((x,))
+
+    def extend(self, values) -> None:
+        """Absorb observations in order; chunking never shows in the state.
+
+        The one update path: a flush feeds thousands of values per
+        sketch, so the five markers live in locals for the whole batch.
+        """
+        xs = np.asarray(values, dtype=np.float64).tolist()
+        warmup = min(len(xs), max(0, 5 - self._count))
+        for x in xs[:warmup]:
+            self._count += 1
             self._q.append(x)
             self._q.sort()
             if self._count == 5:
+                dn = self._dn
                 self._n = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._np = [1.0, 1.0 + 4.0 * self._dn[1], 1.0 + 4.0 * self._dn[2],
-                            1.0 + 4.0 * self._dn[3], 5.0]
+                self._np = [1.0, 1.0 + 4.0 * dn[1], 1.0 + 4.0 * dn[2],
+                            1.0 + 4.0 * dn[3], 5.0]
+        if len(xs) == warmup:
             return
 
-        q, n = self._q, self._n
-        # 1. Find the cell containing x, clamping the extreme markers.
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            q[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= q[k + 1]:
-                k += 1
-        # 2. Shift marker positions above the cell.
-        for i in range(k + 1, 5):
-            n[i] += 1.0
-        for i in range(5):
-            self._np[i] += self._dn[i]
-        # 3. Nudge interior markers toward their desired positions.
-        for i in range(1, 4):
-            d = self._np[i] - n[i]
-            if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (d <= -1.0 and n[i - 1] - n[i] < -1.0):
-                d = math.copysign(1.0, d)
-                candidate = self._parabolic(i, d)
-                if not (q[i - 1] < candidate < q[i + 1]):
-                    candidate = self._linear(i, d)
-                q[i] = candidate
-                n[i] += d
-
-    def _parabolic(self, i: int, d: float) -> float:
-        q, n = self._q, self._n
-        return q[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        q, n = self._q, self._n
-        j = i + int(d)
-        return q[i] + d * (q[j] - q[i]) / (n[j] - n[i])
+        q0, q1, q2, q3, q4 = self._q
+        n0, n1, n2, n3, n4 = self._n  # n0 stays 1.0: no cell lies below it
+        _, p1, p2, p3, p4 = self._np
+        _, d1, d2, d3, _ = self._dn
+        for x in xs[warmup:]:
+            # 1. Find the cell containing x (clamping the extreme
+            #    markers) and shift the positions of the markers above it.
+            if x < q0:
+                q0 = x
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+            elif x >= q4:
+                q4 = x
+            elif x >= q1:
+                if x >= q2:
+                    if not x >= q3:
+                        n3 += 1.0
+                else:
+                    n2 += 1.0
+                    n3 += 1.0
+            else:
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+            n4 += 1.0
+            p1 += d1
+            p2 += d2
+            p3 += d3
+            p4 += 1.0
+            # 2. Nudge each interior marker toward its desired position,
+            #    in order (marker i reads the already-moved marker i-1):
+            #    parabolic prediction, linear when that would leave the
+            #    neighbours' bracket.
+            d = p1 - n1
+            if (d >= 1.0 and n2 - n1 > 1.0) or (d <= -1.0 and n0 - n1 < -1.0):
+                d = 1.0 if d > 0.0 else -1.0
+                c = q1 + d / (n2 - n0) * (
+                    (n1 - n0 + d) * (q2 - q1) / (n2 - n1)
+                    + (n2 - n1 - d) * (q1 - q0) / (n1 - n0)
+                )
+                if not (q0 < c < q2):
+                    c = (q1 + d * (q2 - q1) / (n2 - n1) if d > 0.0
+                         else q1 + d * (q0 - q1) / (n0 - n1))
+                q1 = c
+                n1 += d
+            d = p2 - n2
+            if (d >= 1.0 and n3 - n2 > 1.0) or (d <= -1.0 and n1 - n2 < -1.0):
+                d = 1.0 if d > 0.0 else -1.0
+                c = q2 + d / (n3 - n1) * (
+                    (n2 - n1 + d) * (q3 - q2) / (n3 - n2)
+                    + (n3 - n2 - d) * (q2 - q1) / (n2 - n1)
+                )
+                if not (q1 < c < q3):
+                    c = (q2 + d * (q3 - q2) / (n3 - n2) if d > 0.0
+                         else q2 + d * (q1 - q2) / (n1 - n2))
+                q2 = c
+                n2 += d
+            d = p3 - n3
+            if (d >= 1.0 and n4 - n3 > 1.0) or (d <= -1.0 and n2 - n3 < -1.0):
+                d = 1.0 if d > 0.0 else -1.0
+                c = q3 + d / (n4 - n2) * (
+                    (n3 - n2 + d) * (q4 - q3) / (n4 - n3)
+                    + (n4 - n3 - d) * (q3 - q2) / (n3 - n2)
+                )
+                if not (q2 < c < q4):
+                    c = (q3 + d * (q4 - q3) / (n4 - n3) if d > 0.0
+                         else q3 + d * (q2 - q3) / (n2 - n3))
+                q3 = c
+                n3 += d
+        self._count += len(xs) - warmup
+        self._q = [q0, q1, q2, q3, q4]
+        self._n = [n0, n1, n2, n3, n4]
+        self._np = [self._np[0], p1, p2, p3, p4]
 
     def value(self) -> float:
         """The current quantile estimate (NaN before any observation)."""
@@ -154,8 +202,7 @@ class P2Quantile:
         big = [s for s in live if s._count >= 5]
         if not big:
             for sketch in small:
-                for x in sketch._q:
-                    merged.add(x)
+                merged.extend(sketch._q)
             return merged
         total = sum(s._count for s in big)
 
@@ -193,8 +240,7 @@ class P2Quantile:
         # The merged sketch is live; absorb the small members' raw
         # samples like any other stream of observations.
         for sketch in small:
-            for x in sketch._q:
-                merged.add(x)
+            merged.extend(sketch._q)
         return merged
 
 

@@ -7,9 +7,10 @@ never re-scans the columnar store.  State lives in per-task **panes**
 (tumbling slices of event time, one per registered slide granularity's
 GCD — the engine's ``pane_seconds``):
 
-- per record the engine updates exactly one pane (count, per-user
-  activity, geo cell, P² value/lag sketches) — O(1) regardless of how
-  many windowed views are registered;
+- every record lands in exactly one pane (count, per-user activity,
+  geo cell, P² value/lag sketches): a flush's columns are bucketed by
+  (task, pane) with numpy and each group is folded in one call,
+  whatever the number of registered windowed views;
 - when the event-time watermark passes a pane boundary, every view
   whose window closes there is assembled by merging its panes into a
   :class:`~repro.streams.views.WindowSnapshot` (count-sum, cell-union,
@@ -33,11 +34,13 @@ import time as _time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
+import numpy as np
+
 from repro import obs
 from repro.errors import StreamError
 from repro.obs.instruments import StreamInstruments
 from repro.geo.grid import SpatialGrid
-from repro.geo.point import GeoPoint
+from repro.store.columns import RecordBatch, cells_of, columnize, group_rows
 from repro.streams.queries import AlertLog, ContinuousQuery, StreamAlert
 from repro.streams.views import PaneStats, WindowSnapshot, snapshot_from_panes
 from repro.streams.windows import WindowSpec
@@ -210,57 +213,61 @@ class StreamEngine:
     # Ingest path (pipeline flush listener)
     # ------------------------------------------------------------------
 
-    def on_flush(self, records: "list[SensorRecord]") -> None:
-        """Absorb one flushed batch into the open panes — O(batch)."""
+    def on_flush(self, records: "RecordBatch | Sequence[SensorRecord]") -> None:
+        """Absorb one flushed batch into the open panes — O(batch).
+
+        The pipeline hands over the flush's :class:`~repro.store.columns.
+        RecordBatch`; a plain record list is columnized on entry.  Each
+        (task, pane) group of the batch is folded into its pane in one
+        call, the group's records in record order.
+        """
         self.stats.records_seen += len(records)
         self.obs.records_seen.inc(len(records))
-        if not self._views:
+        if not self._views or not len(records):
             return  # nothing materialized; stay free for idle deployments
+        batch = columnize(records)
+        time = batch.time
+        self._max_event_time = max(self._max_event_time, float(time.max()))
+        live = np.flatnonzero(time >= self._closed_pane * self.pane_seconds)
+        late = len(time) - len(live)
+        if late:
+            self.stats.late_records += late
+            self.obs.late_records.inc(late)
+        if len(live):
+            self._fold(batch, live)
+        self._close_ready_panes()
+
+    def _fold(self, batch: RecordBatch, live: np.ndarray) -> None:
+        """Fold the batch's ``live`` rows into their (task, pane) panes."""
         pane = self.pane_seconds
-        closed_edge = self._closed_pane * pane
-        max_seen = self._max_event_time
+        pane_index = (batch.time // pane).astype(np.int64)
+        lags = None if self._sim is None else np.maximum(0.0, self._sim.now - batch.time)
+        fix = ~np.isnan(batch.lat)
+        has_value = ~np.isnan(batch.value)
         tracing = self._tracer.enabled
-        for record in records:
-            t = record.time
-            if t > max_seen:
-                max_seen = t
-            if t < closed_edge:
-                self.stats.late_records += 1
-                self.obs.late_records.inc()
-                continue
-            self._tasks.add(record.task)
-            index = int(t // pane)
-            panes = self._panes.setdefault(record.task, {})
+        keys = batch.task_index * (int(pane_index.max()) + 1) + pane_index
+        for rows in group_rows(keys[live]):
+            rows = live[rows]
+            task = batch.tasks[batch.task_index[rows[0]]]
+            index = int(pane_index[rows[0]])
+            self._tasks.add(task)
+            panes = self._panes.setdefault(task, {})
             stats = panes.get(index)
             if stats is None:
                 stats = panes[index] = PaneStats(index * pane, (index + 1) * pane)
-            cell = None
-            value = None
-            gps = record.values.get("gps")
-            if isinstance(gps, GeoPoint):
-                cell = (
-                    self.grid.cell_of(gps)
-                    if self.grid is not None
-                    else (
-                        math.floor(gps.lat / self.cell_deg),
-                        math.floor(gps.lon / self.cell_deg),
-                    )
-                )
-            for name, item in record.values.items():
-                if name == "gps" or isinstance(item, bool):
-                    continue
-                if isinstance(item, (int, float)):
-                    value = float(item)
-                    break
-            lag = None
-            if self._sim is not None:
-                lag = max(0.0, self._sim.now - t)
-            stats.update(record.user, cell, value, lag)
-            if tracing and record.trace_id is not None:
-                pane_traces = self._traced_panes.setdefault((record.task, index), {})
-                pane_traces.setdefault(record.trace_id, []).append(t)
-        self._max_event_time = max_seen
-        self._close_ready_panes()
+            counts = np.bincount(batch.user_index[rows])
+            users = np.flatnonzero(counts)
+            located = rows[fix[rows]]
+            stats.update_columns(
+                [batch.users[code] for code in users.tolist()],
+                counts[users].tolist(),
+                cells_of(batch.lat[located], batch.lon[located], self.cell_deg, self.grid),
+                batch.value[rows[has_value[rows]]],
+                None if lags is None else lags[rows],
+            )
+            for tid, times in (batch.traced_keys(rows) if tracing else {}).items():
+                pane_traces = self._traced_panes.setdefault((task, index), {})
+                pane_traces.setdefault(tid, []).extend(times)
 
     def advance_watermark(self, event_time: float) -> None:
         """Declare event time reached ``event_time`` without records.

@@ -1,7 +1,7 @@
 """Windowed materialized views: pane state and window snapshots.
 
-The engine keeps one :class:`PaneStats` per (task, pane) and updates it
-O(1) per record at flush time; every registered windowed view is
+The engine keeps one :class:`PaneStats` per (task, pane) and folds each
+flush's columns into it at flush time; every registered windowed view is
 assembled *at window close* by merging the panes it spans into a
 :class:`WindowSnapshot`.  A snapshot is therefore a real materialized
 view — record rate, geo-cell coverage, per-user activity, and P²
@@ -17,7 +17,9 @@ P²-merge; see :class:`repro.federation.streams.FederatedStreamMerger`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import StreamError
 from repro.store.quantiles import P2Quantile
@@ -45,26 +47,33 @@ class PaneStats:
         self.value_sketches = {p: P2Quantile(p) for p in VIEW_QUANTILES}
         self.lag_sketches = {p: P2Quantile(p) for p in VIEW_QUANTILES}
 
-    def update(
+    def update_columns(
         self,
-        user: str,
-        cell: CellIndex | None,
-        value: float | None,
-        lag: float | None,
+        users: Sequence[str],
+        counts: Sequence[int],
+        cells: Iterable[CellIndex],
+        values: np.ndarray,
+        lags: np.ndarray | None,
     ) -> None:
-        """Absorb one record (O(1))."""
-        self.records += 1
-        self.user_counts[user] = self.user_counts.get(user, 0) + 1
-        if cell is not None:
-            self.cells.add(cell)
-        if value is not None:
-            self.value_count += 1
-            self.value_sum += value
-            for sketch in self.value_sketches.values():
-                sketch.add(value)
-        if lag is not None:
+        """Absorb one flush's records of this pane, column by column.
+
+        ``users``/``counts`` are the distinct contributors and how many
+        records each brought, ``cells`` the cell of every record with a
+        fix, ``values`` the scalar values that are present and ``lags``
+        every record's ingest lag (``None``: untracked) — the last two
+        in record order, which is the order the sketches observe them.
+        """
+        self.records += sum(counts)
+        for user, count in zip(users, counts):
+            self.user_counts[user] = self.user_counts.get(user, 0) + count
+        self.cells.update(cells)
+        self.value_count += len(values)
+        self.value_sum += float(values.sum())
+        for sketch in self.value_sketches.values():
+            sketch.extend(values)
+        if lags is not None:
             for sketch in self.lag_sketches.values():
-                sketch.add(lag)
+                sketch.extend(lags)
 
 
 @dataclass(frozen=True)

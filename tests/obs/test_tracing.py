@@ -11,7 +11,6 @@ from repro.obs.tracing import (
     Tracer,
     record_paths,
     trace_tree,
-    traced_keys,
 )
 
 
@@ -90,17 +89,7 @@ class TestTracer:
         assert tracer.log.spans("work")[0].sim_time == 42.0
 
 
-class _FakeRecord:
-    def __init__(self, time, trace_id=None):
-        self.time = time
-        self.trace_id = trace_id
-
-
 class TestReconstruction:
-    def test_traced_keys_skips_untraced(self):
-        batch = [_FakeRecord(1.0, 7), _FakeRecord(2.0), _FakeRecord(3.0, 7)]
-        assert traced_keys(batch) == {7: [1.0, 3.0]}
-
     def test_record_paths_groups_by_stage(self):
         spans = [
             Span(name="ingest.flush", span_id=1, attrs={"records": {7: [1.0, 2.0]}}),

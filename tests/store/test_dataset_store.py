@@ -38,6 +38,42 @@ class TestShardRouting:
         with pytest.raises(StoreError):
             DatasetStore(n_shards=0)
 
+    def test_unrouted_bulk_load_lands_where_shard_of_says(self):
+        """A mixed-shard list handed to ``append`` without ``shard`` is
+        routed per (task, user), interleaved however the caller had it."""
+        records = [
+            record
+            for i in range(40)
+            for record in make_records(3, user=f"user-{i % 8}", task=f"task-{i % 3}", t0=10.0 * i)
+        ]
+        store = DatasetStore(n_shards=4, segment_capacity=16)
+        assert store.append(records, ingest_time=500.0) == store.n_records == 120
+        expected = [0, 0, 0, 0]
+        for record in records:
+            expected[shard_of(record.task, record.user, 4)] += 1
+        assert len([n for n in expected if n]) > 1  # the load really is mixed
+        assert [s.records for s in store.stats().per_shard] == expected
+        for record in records[::7]:
+            own = store.scan_user(record.task, record.user)
+            assert record.time in own.time.tolist()
+            assert set(own.user_names()) == {record.user}
+        # One append or one per record: same shards, same segments.
+        one_by_one = DatasetStore(n_shards=4, segment_capacity=16)
+        for record in records:
+            one_by_one.append([record], ingest_time=500.0)
+        assert one_by_one.stats().per_shard == store.stats().per_shard
+
+    def test_flush_names_its_shard_and_the_store_does_not_rehash(self, monkeypatch):
+        store = DatasetStore(n_shards=4)
+        home = store.shard_of("t", "alice")
+        monkeypatch.setattr(
+            store, "shard_of", lambda task, user: pytest.fail("re-hashed a routed flush")
+        )
+        store.append(make_records(10, user="alice"), shard=home)
+        assert [s.records for s in store.stats().per_shard] == [
+            10 if shard == home else 0 for shard in range(4)
+        ]
+
 
 class TestAppend:
     def test_counts(self):
@@ -69,6 +105,19 @@ class TestAppend:
         store = DatasetStore(n_shards=1)
         store.append([record])
         assert store.scan("t").value[0] == 0.25
+
+    @pytest.mark.parametrize(
+        "reading", [np.float32(0.25), np.float64(0.25), np.int64(3), np.uint8(3)]
+    )
+    def test_numpy_scalar_is_a_scalar_value(self, reading):
+        """What a vectorized custom sensor or ``ctx.save(level=arr.mean())``
+        produces is a value, not a missing one."""
+        record = make_record(time=1.0, value=None)
+        record.values["flag"] = np.bool_(True)  # type: ignore[index]
+        record.values["level"] = reading  # type: ignore[index]
+        store = DatasetStore(n_shards=1)
+        store.append([record])
+        assert store.scan("t").value[0] == float(reading)
 
 
 class TestScans:

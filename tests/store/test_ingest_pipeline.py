@@ -262,6 +262,45 @@ class TestFlushAll:
         assert seen == []  # empty flushes are never delivered
 
 
+class TestRouteOnce:
+    def test_submit_hashes_each_task_user_pair_once(self, sim, monkeypatch):
+        store, pipeline = build(sim, n_shards=4)
+        hashed = []
+        shard_of = store.shard_of
+        monkeypatch.setattr(
+            store, "shard_of", lambda task, user: hashed.append((task, user)) or shard_of(task, user)
+        )
+        batch = make_records(30, user="alice") + make_records(30, user="bob")
+        assert pipeline.submit(batch + make_records(5, user="alice", t0=9000.0)) == 65
+        assert sorted(hashed) == [("t", "alice"), ("t", "bob")]
+        sim.run()  # the flushes say which shard they write: no more hashing
+        assert sorted(hashed) == [("t", "alice"), ("t", "bob")]
+        assert store.n_records == 65
+        assert len(store.scan_user("t", "alice")) == 35
+        assert len(store.scan_user("t", "bob")) == 30
+
+    def test_flush_hands_one_columnized_batch_to_store_router_and_listeners(self, sim):
+        from repro.store.columns import RecordBatch
+
+        store, pipeline = build(sim)
+        seen = []
+        append = store.append
+        store.append = lambda batch, **kwargs: seen.append(("store", batch, kwargs)) or append(batch, **kwargs)
+        pipeline.set_router(lambda batch: seen.append(("router", batch)))
+        pipeline.add_listener(lambda batch: seen.append(("listener", batch)))
+        records = make_records(12)
+        pipeline.submit(records)
+        sim.run()
+        (store_call, router_call, listener_call) = seen
+        batch = store_call[1]
+        assert isinstance(batch, RecordBatch)
+        assert store_call[2] == {"ingest_time": sim.now, "shard": 0}
+        assert router_call[1] is batch and listener_call[1] is batch
+        # A sequence of the flushed records, in record order, plus columns.
+        assert list(batch) == records and batch[0] is records[0] and len(batch) == 12
+        assert batch.time.tolist() == [r.time for r in records]
+
+
 class TestStats:
     def test_counters_add_up(self, sim):
         _, pipeline = build(sim, policy="spill", capacity=10)

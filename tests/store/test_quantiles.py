@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import StoreError
 from repro.store.quantiles import P2Quantile
+from tests.store.reference import ReferenceP2Quantile, sketch_state
 
 
 def fill(samples, p: float) -> P2Quantile:
@@ -224,3 +225,79 @@ class TestMergeSmallMembers:
             merged.add(rng.uniform(0.0, 1.0))
         assert len(merged) == 201
         assert 0.3 < merged.value() < 0.7
+
+
+#: Any float stream: infinities, NaN, signed zeros and subnormals
+#: included (``extend`` mirrors every comparison of the reference).
+streams = st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=120)
+quantiles = st.sampled_from([0.5, 0.95, 0.99])
+
+
+def chunked(data, stream):
+    """``stream`` cut at drawn points: empty chunks and chunks that
+    straddle the first five observations both occur."""
+    cuts = sorted(
+        data.draw(st.lists(st.integers(0, len(stream)), max_size=8), label="cuts")
+    )
+    return [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)])]
+
+
+def feed(sketch, chunks, data):
+    """Each chunk through ``extend`` (as an array or a list) or, drawn
+    per chunk, value by value through ``add``."""
+    for chunk in chunks:
+        how = data.draw(st.sampled_from(["array", "list", "add"]), label="how")
+        if how == "add":
+            for x in chunk:
+                sketch.add(x)
+        else:
+            sketch.extend(np.array(chunk, dtype=np.float64) if how == "array" else chunk)
+    return sketch
+
+
+class TestExtend:
+    @given(stream=streams, p=quantiles, data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_chunking_equals_sequential_add(self, stream, p, data):
+        reference = ReferenceP2Quantile(p)
+        for x in stream:
+            reference.add(x)
+        sketch = feed(P2Quantile(p), chunked(data, stream), data)
+        assert sketch_state(sketch) == sketch_state(reference)
+
+    @given(
+        parts=st.lists(
+            st.lists(st.floats(-1e6, 1e6), max_size=60), min_size=1, max_size=4
+        ),
+        p=quantiles,
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_merge_of_extended_equals_merge_of_added(self, parts, p, data):
+        added = []
+        for part in parts:
+            member = ReferenceP2Quantile(p)
+            for x in part:
+                member.add(x)
+            added.append(member)
+        extended = [feed(P2Quantile(p), chunked(data, part), data) for part in parts]
+        assert sketch_state(P2Quantile.merge(extended)) == sketch_state(
+            ReferenceP2Quantile.merge(added)
+        )
+
+    def test_long_lognormal_stream_in_flush_sized_chunks(self):
+        stream = np.random.default_rng(3).lognormal(3.0, 1.0, size=30_000)
+        for p in (0.5, 0.95, 0.99):
+            reference = ReferenceP2Quantile(p)
+            reference.extend(stream.tolist())
+            sketch = P2Quantile(p)
+            for start in range(0, len(stream), 3000):
+                sketch.extend(stream[start : start + 3000])
+            assert sketch_state(sketch) == sketch_state(reference)
+
+    def test_extend_accepts_numpy_scalars_of_any_width(self):
+        sketch, reference = P2Quantile(0.5), ReferenceP2Quantile(0.5)
+        values = [np.float32(0.1), np.int64(3), 2, 0.5, np.float16(7.0), 1.5, -4]
+        sketch.extend(values)
+        reference.extend(values)
+        assert sketch_state(sketch) == sketch_state(reference)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.simulation import Simulator
 from repro.store import DatasetStore, IngestPipeline
-from repro.streams import StreamEngine
+from repro.streams import PaneStats, StreamEngine
 
 
 @pytest.fixture()
@@ -42,3 +43,20 @@ def replay(sim: Simulator, pipeline: IngestPipeline, records, batch: int = 20) -
         pipeline.submit(chunk)
     sim.run()
     pipeline.flush_all()
+
+
+def fill_pane(stats: PaneStats, users, cells=(), values=(), lags=None) -> PaneStats:
+    """Fold per-record rows into a pane the way the engine does: as columns.
+
+    ``cells``/``values`` may be shorter than ``users`` or hold ``None``
+    (no fix / no scalar); ``lags`` is per record or ``None`` (untracked).
+    """
+    names, counts = np.unique(list(users), return_counts=True)
+    stats.update_columns(
+        names.tolist(),
+        counts.tolist(),
+        [cell for cell in cells if cell is not None],
+        np.array([v for v in values if v is not None], dtype=np.float64),
+        None if lags is None else np.array(lags, dtype=np.float64),
+    )
+    return stats

@@ -13,14 +13,11 @@ from repro.streams import (
     snapshot_from_panes,
 )
 from repro.streams.views import PaneStats
+from tests.streams.conftest import fill_pane
 
 
 def window(start, end, users=(), cells=(), values=(), task="t", view="v"):
-    stats = PaneStats(start, end)
-    for i, user in enumerate(users):
-        cell = cells[i] if i < len(cells) else None
-        value = values[i] if i < len(values) else None
-        stats.update(user, cell, value, None)
+    stats = fill_pane(PaneStats(start, end), users, cells, values)
     return snapshot_from_panes(task, view, start, end, [stats] if users else [])
 
 
@@ -151,9 +148,7 @@ class TestPercentileAbove:
         assert percentile_above("value", 0.95, 150.0)(hot, []) is None
 
     def test_lag_metric_reads_lag_sketches(self):
-        stats = PaneStats(0.0, 60.0)
-        for _ in range(10):
-            stats.update("u", None, None, 42.0)
+        stats = fill_pane(PaneStats(0.0, 60.0), ["u"] * 10, lags=[42.0] * 10)
         snapshot = snapshot_from_panes("t", "v", 0.0, 60.0, [stats])
         assert percentile_above("lag", 0.95, 10.0)(snapshot, []) is not None
         assert percentile_above("lag", 0.95, 60.0)(snapshot, []) is None

@@ -344,3 +344,31 @@ class TestHiveIntegration:
         assert "live views" in report.to_text()
         hive.streams.alerts.acknowledge()
         assert snapshot(hive, sim.now).stream_alerts_unacked == 0
+
+
+class TestNumpyScalarValues:
+    def test_numpy_readings_count_in_store_and_windows_alike(self, sim):
+        """One definition of "the record's scalar value" for both tiers:
+        a numpy scalar used to be NaN in the store and absent from
+        ``value_count``/``value_sum`` and the value sketches."""
+        store, pipeline, engine = build_stream(sim)
+        engine.register_view("m1", WindowSpec.tumbling(60.0))
+        readings = np.linspace(10.0, 20.0, 40).astype(np.float32)
+        records = []
+        for i, reading in enumerate(readings):
+            record = make_record(time=3.0 * i, value=None)
+            record.values["level"] = reading if i % 2 else np.int64(i)  # type: ignore[index]
+            records.append(record)
+        replay(sim, pipeline, records)
+        engine.finalize()
+        expected = [float(r.values["level"]) for r in records]
+        assert store.scan("t").value.tolist() == expected
+        windows = engine.snapshots("t", "m1")
+        assert sum(w.value_count for w in windows) == len(records)
+        for window in windows:  # live == batch, values included
+            batch = store.scan_time("t", window.start, window.end)
+            assert window.records == window.value_count == len(batch)
+            assert window.value_sum == pytest.approx(float(batch.value.sum()))
+            assert window.value_quantile(0.5) == pytest.approx(
+                float(np.median(batch.value)), abs=2.0
+            )

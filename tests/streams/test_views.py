@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import StreamError
 from repro.streams import PaneStats, merge_snapshots, snapshot_from_panes
+from tests.streams.conftest import fill_pane
 
 
 def pane(start=0.0, end=60.0) -> PaneStats:
@@ -12,11 +13,7 @@ def pane(start=0.0, end=60.0) -> PaneStats:
 
 
 def filled_pane(start, end, users, cells, values, lags=None):
-    stats = pane(start, end)
-    lags = lags if lags is not None else [None] * len(users)
-    for user, cell, value, lag in zip(users, cells, values, lags):
-        stats.update(user, cell, value, lag)
-    return stats
+    return fill_pane(pane(start, end), users, cells, values, lags)
 
 
 class TestPaneStats:
@@ -35,8 +32,7 @@ class TestPaneStats:
         assert len(stats.lag_sketches[0.95]) == 3
 
     def test_optional_fields_skipped(self):
-        stats = pane()
-        stats.update("a", None, None, None)
+        stats = fill_pane(pane(), ["a"])
         assert stats.records == 1
         assert stats.cells == set()
         assert len(stats.value_sketches[0.5]) == 0
