@@ -226,7 +226,8 @@ def snapshot(
     registry is disabled (``obs.configure(metrics=False)``) the
     instruments are no-ops, so the dashboard falls back to the
     components' own counter objects; level-valued fields (buffer
-    depths, live views, sessions) always read the live objects.
+    depths, live views, sessions) always read the live objects, and the
+    serving tier's push counters its own always-on tally.
     """
     levels = [device.battery.level(time) for device in hive.devices]
     motivations = [state.motivation for state in hive.community.values()]
@@ -265,25 +266,11 @@ def snapshot(
         spilled = pipeline.stats.spilled
         store_records = store_stats.records
     if server is not None:
-        sobs = server.obs
-        if live:
-            pushes_enqueued = int(sobs.pushes_enqueued.value)
-            pushes_sent = int(sobs.pushes_sent.value)
-            pushes_dropped = int(sobs.pushes_dropped.value)
-            denials = int(
-                sobs.registry.total(
-                    "repro_server_denials_total", instance=sobs.instance
-                )
-            )
-        else:
-            pushes_enqueued = (
-                server.pushes_sent
-                + server.pushes_dropped
-                + server.pushes_queued
-            )
-            pushes_sent = server.pushes_sent
-            pushes_dropped = server.pushes_dropped
-            denials = server.stats.denials
+        totals = server.obs.push_totals  # counts with the registry on or off
+        pushes_enqueued = totals["enqueued"]
+        pushes_sent = totals["sent"]
+        pushes_dropped = totals["dropped"]
+        denials = server.stats.denials
         pushes_queued = server.pushes_queued
     else:
         pushes_enqueued = pushes_sent = pushes_dropped = 0

@@ -645,21 +645,7 @@ def cmd_obs_top(args: argparse.Namespace) -> int:
     _run_observed_replay(args, tracing=False)
     rows = obs.hot_paths()
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "stage": row.stage,
-                        "count": row.count,
-                        "total_seconds": row.total_seconds,
-                        "p50": row.p50,
-                        "p99": row.p99,
-                    }
-                    for row in rows[: args.limit]
-                ],
-                indent=2,
-            )
-        )
+        print(json.dumps([row.to_dict() for row in rows[: args.limit]], indent=2))
         return 0
     for row in rows[: args.limit]:
         print(row.to_text())
@@ -770,13 +756,11 @@ def cmd_obs_history(args: argparse.Namespace) -> int:
         f"{store.n_series} series, {store.frames_evicted} frames evicted)"
     )
     if not args.name:
-        from repro.obs.registry import _render_labels
-
         for key in sorted(store.keys()):
             series = store.series(key[0], dict(key[1]))
             latest = series.latest()
             tail = f" = {latest[1]:g} @ t={latest[0]:.0f}s" if latest else ""
-            print(f"  {key[0]}{_render_labels(key[1])}{tail}")
+            print(f"  {series.series}{tail}")
         return 0
     window = args.query_window
     print(

@@ -289,14 +289,24 @@ class ServerInstruments:
             "Dashboard pushes, by outcome (enqueued/sent/dropped).",
             ("instance", "outcome"),
         )
-        self.pushes_enqueued = pushes.labels(outcome="enqueued", **self._lbl)
-        self.pushes_sent = pushes.labels(outcome="sent", **self._lbl)
-        self.pushes_dropped = pushes.labels(outcome="dropped", **self._lbl)
+        self._push_counters = {
+            outcome: pushes.labels(outcome=outcome, **self._lbl)
+            for outcome in ("enqueued", "sent", "dropped")
+        }
+        #: The same three outcomes as plain ints: the server's own
+        #: ``pushes_sent`` / ``pushes_dropped`` must count with the
+        #: registry toggled off and outlive the sessions that pushed.
+        self.push_totals = dict.fromkeys(self._push_counters, 0)
         self.push_seconds = r.histogram(
             "repro_server_push_seconds",
             "Wall-clock time per window fan-out (snapshot build + enqueue).",
             ("instance",),
         ).labels(**self._lbl)
+
+    def count_push(self, outcome: str) -> None:
+        """One push ``enqueued`` / ``sent`` / ``dropped`` by any session."""
+        self.push_totals[outcome] += 1
+        self._push_counters[outcome].inc()
 
     def request(self, surface: str):
         return self._requests.labels(surface=surface, **self._lbl)

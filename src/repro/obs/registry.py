@@ -270,6 +270,10 @@ class StageTiming:
     def mean(self) -> float:
         return self.total_seconds / self.count if self.count else 0.0
 
+    def to_dict(self) -> dict:
+        """The JSON row (``obs top --json``, the server's ``obs top``)."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
     def to_text(self) -> str:
         return (
             f"{self.stage:<44} {self.count:>9} calls  "

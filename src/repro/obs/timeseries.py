@@ -325,6 +325,13 @@ class TimeSeriesStore:
         t0 = float("-inf") if window is None else t1 - window
         return (t0, t1)
 
+    def _pick(self, name: str, labels: Mapping[str, str] | None) -> list[Series]:
+        """The one series with ``labels``, or every label set of ``name``."""
+        picked = [self.series(name, labels)] if labels is not None else self.select(name)
+        if not picked:
+            raise ObsError(f"unknown series {name!r}")
+        return picked
+
     def delta(
         self,
         name: str,
@@ -339,11 +346,7 @@ class TimeSeriesStore:
         :meth:`MetricsRegistry.total` does for point-in-time reads.
         """
         t0, t1 = self._window_bounds(window, at)
-        picked = (
-            [self.series(name, labels)] if labels is not None else self.select(name)
-        )
-        if not picked:
-            raise ObsError(f"unknown series {name!r}")
+        picked = self._pick(name, labels)
         total = 0.0
         for series in picked:
             clip = series.clipped(t0, t1)
@@ -360,11 +363,7 @@ class TimeSeriesStore:
     ) -> float:
         """Per-second counter rate over the lookback window."""
         t0, t1 = self._window_bounds(window, at)
-        picked = (
-            [self.series(name, labels)] if labels is not None else self.select(name)
-        )
-        if not picked:
-            raise ObsError(f"unknown series {name!r}")
+        picked = self._pick(name, labels)
         total = 0.0
         for series in picked:
             clip = series.clipped(t0, t1)
@@ -373,6 +372,41 @@ class TimeSeriesStore:
                 if span > 0:
                     total += float(clip.values[-1] - clip.values[0]) / span
         return total
+
+    def history(
+        self,
+        name: str | None = None,
+        labels: Mapping[str, str] | None = None,
+        window: float | None = None,
+    ) -> dict:
+        """The JSON digest ``obs history`` serves.
+
+        Without ``name``: the listing of every series id.  With one: its
+        rate and each matching series' points over the lookback window.
+        """
+        if not name:
+            return {
+                "series": sorted(k[0] + _render_labels(k[1]) for k in self._keys),
+                "n_series": self.n_series,
+                "frames": self.n_frames,
+            }
+        labels = labels or None
+        picked = self._pick(name, labels)
+        t0, t1 = self._window_bounds(window, None)
+        return {
+            "name": name,
+            "rate": self.rate(name, labels=labels, window=window),
+            "series": [
+                {
+                    "labels": dict(series.labels),
+                    "points": [
+                        [float(t), float(v)] for t, v in zip(clip.t, clip.values)
+                    ],
+                }
+                for series in picked
+                for clip in [series.clipped(t0, t1)]
+            ],
+        }
 
     def windowed_agg(
         self,
@@ -391,11 +425,7 @@ class TimeSeriesStore:
         if agg not in ("mean", "min", "max", "sum", "last", "count"):
             raise ObsError(f"unknown windowed agg {agg!r}")
         t0, t1 = self._window_bounds(window, at)
-        picked = (
-            [self.series(name, labels)] if labels is not None else self.select(name)
-        )
-        if not picked:
-            raise ObsError(f"unknown series {name!r}")
+        picked = self._pick(name, labels)
         pooled = [series.clipped(t0, t1) for series in picked]
         values = np.concatenate([clip.values for clip in pooled]) if pooled else np.empty(0)
         if agg == "count":

@@ -76,8 +76,17 @@ class Span:
             keys.extend((tid, t) for t in times)
         return keys
 
+    def to_dict(self) -> dict:
+        """The JSON form: what the span did, without the record keys it carried."""
+        return {
+            "name": self.name,
+            "duration": self.duration,
+            "sim_time": self.sim_time,
+            "attrs": {k: v for k, v in self.attrs.items() if k != "records"},
+        }
+
     def to_text(self) -> str:
-        extra = {k: v for k, v in self.attrs.items() if k != "records"}
+        extra = self.to_dict()["attrs"]
         bits = [f"{self.name:<20} {self.duration * 1e6:>9.1f}us"]
         if self.sim_time is not None:
             bits.append(f"sim={self.sim_time:g}")

@@ -35,6 +35,7 @@ token bucket over the server clock), and :class:`MetricsMiddleware`
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Mapping, Sequence, TYPE_CHECKING
 
@@ -204,16 +205,16 @@ class MiddlewareChain:
         """
         if hook not in HOOKS:
             raise ServerError(f"unknown middleware hook {hook!r}; one of {HOOKS}")
-        handlers = [getattr(m, hook) for m in self._middlewares]
-
-        async def call(index: int) -> ChainResult:
-            if index == len(handlers):
-                return await terminal()
-            return await handlers[index](
-                **payload, session=session, next=lambda: call(index + 1)
+        # Nested innermost-first out of partials: a closure that calls
+        # itself would be a reference cycle per request, and everything
+        # it holds would wait for the cyclic collector instead of being
+        # freed when the reply is sent.
+        proceed = terminal
+        for middleware in reversed(self._middlewares):
+            proceed = functools.partial(
+                getattr(middleware, hook), **payload, session=session, next=proceed
             )
-
-        result = await call(0)
+        result = await proceed()
         if not isinstance(result, (Ok, Deny, Redirect)):
             raise ServerError(
                 f"middleware hook {hook!r} returned {type(result).__name__}; "

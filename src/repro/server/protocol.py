@@ -33,6 +33,34 @@ from repro.streams.queries import StreamAlert
 from repro.streams.views import WindowSnapshot
 
 
+#: JSON numbers, for :func:`wire_field`.
+NUMBER = (int, float)
+
+
+def wire_field(
+    message: Mapping[str, Any],
+    name: str,
+    kind: "type | tuple[type, ...]",
+    default: Any = None,
+    of: "type | tuple[type, ...] | None" = None,
+) -> Any:
+    """``message[name]``, checked to be of JSON type ``kind`` (``default`` if absent).
+
+    Inbound frames are outside input: a field of the wrong type (or a
+    list whose items are not ``of`` the right type) is the sender's
+    error — a :class:`ServerError` naming the field, which the server
+    answers on the same connection — never an exception that ends it.
+    """
+    value = message.get(name)
+    if value is None:
+        return default
+    if not isinstance(value, kind):
+        raise ServerError(f"field {name!r} must not be a {type(value).__name__}")
+    if of is not None and not all(isinstance(item, of) for item in value):
+        raise ServerError(f"field {name!r} holds an item of the wrong type")
+    return value
+
+
 def _num(value: float) -> float:
     """JSON-stable float: fixed precision, no negative zero."""
     rounded = round(float(value), 9)
@@ -67,10 +95,16 @@ def decode_record(
     A two-element list/tuple under ``gps`` (or any ``*gps*`` key)
     becomes a :class:`GeoPoint`; everything else passes through.
     """
-    if "time" not in row:
-        raise ServerError(f"upload row lacks a 'time' field: {row!r}")
+    # Checked inline, not through wire_field: this runs once per record.
+    if not isinstance(row, dict):
+        raise ServerError(f"upload records must be objects, not {row!r}")
+    time, raw = row.get("time"), row.get("values", {})
+    if not isinstance(time, NUMBER) or not isinstance(raw, dict):
+        raise ServerError(
+            f"upload row needs a numeric 'time' and an object 'values': {row!r}"
+        )
     values: dict[str, Any] = {}
-    for name, item in dict(row.get("values", {})).items():
+    for name, item in raw.items():
         if (
             isinstance(item, (list, tuple))
             and len(item) == 2
@@ -83,7 +117,7 @@ def decode_record(
         device_id=device_id,
         user=user,
         task=task,
-        time=float(row["time"]),
+        time=float(time),
         values=values,
     )
 

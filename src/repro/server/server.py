@@ -22,6 +22,14 @@ API.  Three surfaces, all gated by the same
   Per-subscriber send queues are bounded; a slow consumer loses the
   *oldest* queued pushes, counted per subscription — never silently.
 
+Every inbound frame — handshake, request, channel message — is answered
+by :meth:`ReproServer._answer` (validate, run the chain, map the outcome
+to the reply).  Every push — window, alert, alert gap, metrics frame,
+SLO transition — takes one path: subscription -> its cursor (is this
+event new to it?) -> :meth:`~repro.server.sessions.Session.push` (the
+envelope) -> queue -> pump.  An event's body is built once and shared by
+all its subscribers, read-only.
+
 The platform itself stays on the deterministic simulator clock: window
 closes happen synchronously inside simulator events and only *enqueue*
 pushes; the asyncio side (sender tasks, client readers) drains between
@@ -37,7 +45,7 @@ import asyncio
 import random
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro import obs as _obs
 from repro.errors import ReproError, ServerError
@@ -54,13 +62,15 @@ from repro.server.middleware import (
     ServerRequest,
 )
 from repro.server.protocol import (
+    NUMBER,
     aggregate_digest,
     alert_digest,
     decode_record,
     secure_aggregate_digest,
     snapshot_digest,
+    wire_field,
 )
-from repro.server.sessions import ObsWatch, Session, Subscription
+from repro.server.sessions import Session, Subscription
 from repro.server.transport import (
     Endpoint,
     InProcessTransport,
@@ -75,9 +85,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.federation.router import FederationRouter
     from repro.federation.streams import FederatedStreamMerger
     from repro.federation.timeseries import FederationScraper
-    from repro.obs.slo import ObsAlert, SLODefinition, SLOTracker
+    from repro.obs.slo import SLODefinition, SLOTracker
     from repro.obs.timeseries import MetricsScraper, ScrapeFrame
     from repro.simulation import Simulator
+
+#: ``parse`` of :meth:`ReproServer._answer`: -> (hook payload, terminal handler).
+_Parse = Callable[[], "tuple[dict[str, Any], Callable[[], Any]]"]
 
 #: The request surfaces the middleware chain's ``request`` hook gates.
 #: ``obs`` is the observability surface: registry exposition, hot-path
@@ -100,6 +113,8 @@ class ServerStats:
     requests_obs: int = 0
     channel_messages: int = 0
     subscriptions_total: int = 0
+    #: Window-snapshot + metrics-frame pushes enqueued.  Alert, gap and SLO
+    #: pushes have their own fields; the registry's ``enqueued`` has them all.
     pushes_enqueued: int = 0
     catchup_snapshots: int = 0
     alerts_pushed: int = 0
@@ -197,8 +212,6 @@ class ReproServer:
         self._sessions: dict[int, Session] = {}
         #: Federated dedup: newest merged window end pushed per (task, view).
         self._merged_done: dict[tuple[str, str], float] = {}
-        self._retired_pushes_sent = 0
-        self._retired_pushes_dropped = 0
         for name, eng in self._engines.items():
             eng.on_window(lambda s, member=name: self._on_member_window(member, s))
         #: Metrics-over-time feed: a scraper (single-hive MetricsScraper
@@ -239,16 +252,12 @@ class ReproServer:
     @property
     def pushes_sent(self) -> int:
         """Pushes that reached a transport (live sessions + closed ones)."""
-        return self._retired_pushes_sent + sum(
-            s.pushes_sent for s in self._sessions.values()
-        )
+        return self.obs.push_totals["sent"]
 
     @property
     def pushes_dropped(self) -> int:
-        """Pushes evicted by slow-consumer drop-oldest, platform-wide."""
-        return self._retired_pushes_dropped + sum(
-            s.pushes_dropped for s in self._sessions.values()
-        )
+        """Pushes that never will: slow-consumer evictions and teardown losses."""
+        return self.obs.push_totals["dropped"]
 
     @property
     def pushes_queued(self) -> int:
@@ -259,7 +268,7 @@ class ReproServer:
         """The serving-tier reading ``monitoring.snapshot`` surfaces."""
         return ServerMetrics(
             sessions_active=self.sessions_active,
-            sessions_total=self.stats.connections - self.stats.denials_connect,
+            sessions_total=self.stats.sessions_closed + self.sessions_active,
             subscriptions_active=self.subscriptions_active,
             subscriptions_total=self.stats.subscriptions_total,
             pushes_sent=self.pushes_sent,
@@ -315,134 +324,125 @@ class ReproServer:
                 self.stats.sessions_closed += 1
         finally:
             await session.close()
-            self._retired_pushes_sent += session.pushes_sent
-            self._retired_pushes_dropped += session.pushes_dropped
+
+    async def _answer(self, session: Session, hook: str, parse: _Parse) -> Message:
+        """Run one interaction through the middleware chain; map its outcome.
+
+        The one place ``Ok`` / ``Deny`` / ``Redirect`` / ``ReproError``
+        become reply fields — handshake, request and channel message
+        alike — and the one place a denial or redirect is counted.
+        ``parse`` validates the inbound frame (a malformed one is
+        answered, it never ends the session) and returns the hook's
+        payload and the terminal handler.
+        """
+        try:
+            payload, handle = parse()
+
+            async def terminal() -> ChainResult:
+                return Ok(handle())
+
+            result = await self.chain.run(hook, session, terminal, **payload)
+        except ReproError as error:
+            return {"status": "error", "error": str(error)}
+        if isinstance(result, Deny):
+            where = hook.removesuffix("_message")
+            counter = f"denials_{where}"
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+            self.obs.denial(where).inc()
+            return {"status": "deny", "reason": result.reason}
+        if isinstance(result, Redirect):
+            self.stats.redirects += 1
+            return {"status": "redirect", "target": result.target}
+        return {"status": "ok", "payload": result.payload}
 
     async def _handshake(self, session: Session, endpoint: Endpoint) -> bool:
         first = await endpoint.recv()
         if first is None:
             return False
-        if first.get("type") != "connect":
-            await endpoint.send(
-                {"type": "deny", "reason": "handshake must be a connect message"}
-            )
-            self.stats.denials_connect += 1
-            return False
-        request = ConnectRequest(
-            headers=dict(first.get("headers", {})), remote=endpoint.remote
-        )
 
-        async def terminal() -> ChainResult:
-            return Ok()
+        def parse():
+            if not isinstance(first, dict) or first.get("type") != "connect":
+                raise ServerError("handshake must be a connect message")
+            headers = wire_field(first, "headers", dict, {})
+            return {"request": ConnectRequest(headers, endpoint.remote)}, lambda: None
 
-        result = await self.chain.run(
-            "connect", session, terminal, request=request
-        )
-        if isinstance(result, Deny):
-            self.stats.denials_connect += 1
-            self.obs.denial("connect").inc()
-            await endpoint.send({"type": "deny", "reason": result.reason})
-            return False
-        if isinstance(result, Redirect):
-            self.stats.redirects += 1
-            await endpoint.send({"type": "redirect", "target": result.target})
-            return False
-        await endpoint.send(
-            {"type": "connected", "session_id": session.session_id}
-        )
-        return True
+        reply = await self._answer(session, "connect", parse)
+        status = reply.pop("status")
+        if status == "ok":
+            reply = {"type": "connected", "session_id": session.session_id}
+        elif status == "error":  # a malformed handshake is refused too
+            reply = {"type": "deny", "reason": reply["error"]}
+        else:
+            reply = {"type": status, **reply}
+        await endpoint.send(reply)
+        return status == "ok"
 
     async def _serve_session(self, session: Session, endpoint: Endpoint) -> None:
         while True:
-            message = await endpoint.recv()
-            if message is None:
+            frame = await endpoint.recv()
+            if frame is None:
                 return
-            kind = message.get("type")
-            if kind == "request":
-                await self._on_request(session, endpoint, message)
-            elif kind == "channel":
-                await self._on_channel(session, endpoint, message)
-            elif kind == "close":
+            if not isinstance(frame, dict):  # no type: _on_request answers it
+                frame = {"type": f"{type(frame).__name__} (a frame is a JSON object)"}
+            kind = frame.get("type")
+            if kind == "close":
                 return
-            else:
-                await endpoint.send(
-                    {
-                        "type": "response",
-                        "id": message.get("id"),
-                        "status": "error",
-                        "error": f"unknown message type {kind!r}",
-                    }
-                )
+            on_frame = self._on_channel if kind == "channel" else self._on_request
+            await endpoint.send(await on_frame(session, frame))
 
     # ------------------------------------------------------------------
-    # Request surfaces (ingest / query)
+    # Request surfaces (ingest / query / obs)
     # ------------------------------------------------------------------
 
-    async def _on_request(
-        self, session: Session, endpoint: Endpoint, message: Message
-    ) -> None:
-        request = ServerRequest(
-            surface=message.get("surface", ""),
-            action=message.get("action", ""),
-            payload=dict(message.get("payload", {})),
-        )
-        reply: Message = {"type": "response", "id": message.get("id")}
-        if request.surface not in SURFACES:
-            reply.update(
-                status="error", error=f"unknown surface {request.surface!r}"
-            )
-            await endpoint.send(reply)
-            return
-
-        async def terminal() -> ChainResult:
-            if request.surface == "ingest":
-                self.stats.requests_ingest += 1
-                return Ok(self._handle_ingest(session, request))
-            if request.surface == "obs":
-                self.stats.requests_obs += 1
-                return Ok(self._handle_obs(request))
-            self.stats.requests_query += 1
-            return Ok(self._handle_query(request))
-
-        timed = self.obs.registry.enabled
+    async def _on_request(self, session: Session, frame: Message) -> Message:
+        kind, surface = frame.get("type"), frame.get("surface", "")
+        known = kind == "request" and surface in SURFACES
+        timed = known and self.obs.registry.enabled
         started = time.perf_counter() if timed else 0.0
-        try:
-            result = await self.chain.run(
-                "request", session, terminal, request=request
+
+        def parse():
+            if kind != "request":
+                raise ServerError(f"unknown message type {kind!r}")
+            if not known:
+                raise ServerError(f"unknown surface {surface!r}")
+            request = ServerRequest(
+                surface=surface,
+                action=wire_field(frame, "action", str, ""),
+                payload=wire_field(frame, "payload", dict, {}),
             )
-        except ReproError as error:
-            reply.update(status="error", error=str(error))
-            await endpoint.send(reply)
-            return
-        finally:
-            self.obs.request(request.surface).inc()
+
+            def handle() -> Message:
+                if surface == "ingest":
+                    self.stats.requests_ingest += 1
+                    return self._handle_ingest(session, request)
+                if surface == "obs":
+                    self.stats.requests_obs += 1
+                    return self._handle_obs(request)
+                self.stats.requests_query += 1
+                return self._handle_query(request)
+
+            return {"request": request}, handle
+
+        reply = await self._answer(session, "request", parse)
+        if known:
+            self.obs.request(surface).inc()
             if timed:
-                self.obs.request_seconds(request.surface).observe(
+                self.obs.request_seconds(surface).observe(
                     time.perf_counter() - started
                 )
-        if isinstance(result, Deny):
-            self.stats.denials_request += 1
-            self.obs.denial("request").inc()
-            reply.update(status="deny", reason=result.reason)
-        elif isinstance(result, Redirect):
-            self.stats.redirects += 1
-            reply.update(status="redirect", target=result.target)
-        else:
-            reply.update(status="ok", payload=result.payload)
-        await endpoint.send(reply)
+        return {"type": "response", "id": frame.get("id"), **reply}
 
     def _handle_ingest(self, session: Session, request: ServerRequest) -> Message:
         """Upload surface: decode, submit, map backpressure to the reply."""
         if self._hive is None and self._router is None:
             raise ServerError("this server exposes no ingest surface")
         payload = request.payload
-        try:
-            device_id = payload["device_id"]
-            user = payload["user"]
-            task = payload["task"]
-            rows = payload["records"]
-        except KeyError as missing:
-            raise ServerError(f"upload payload lacks {missing}")
+        device_id = wire_field(payload, "device_id", str)
+        user = wire_field(payload, "user", str)
+        task = wire_field(payload, "task", str)
+        rows = wire_field(payload, "records", list)  # decode_record checks each row
+        if None in (device_id, user, task, rows):
+            raise ServerError("upload payload lacks device_id, user, task or records")
         records = [decode_record(row, device_id, user, task) for row in rows]
 
         pipelines = (
@@ -502,15 +502,16 @@ class ReproServer:
         payload = request.payload
         if request.action == "tasks":
             return {"tasks": federated.tasks}
-        task = payload.get("task")
+        task = wire_field(payload, "task", str)
         if not task:
             raise ServerError(f"query action {request.action!r} needs a 'task'")
         if request.action == "aggregate":
             return aggregate_digest(federated.aggregate(task))
         if request.action == "secure_aggregate":
             kwargs = {"rng": random.Random(task)}
-            if payload.get("bin_edges") is not None:
-                kwargs["bin_edges"] = [float(e) for e in payload["bin_edges"]]
+            bin_edges = wire_field(payload, "bin_edges", list, of=NUMBER)
+            if bin_edges is not None:
+                kwargs["bin_edges"] = [float(e) for e in bin_edges]
             if self._hive is not None:
                 kwargs["profiles"] = self._hive.secure_participants(task)
             return secure_aggregate_digest(
@@ -529,23 +530,11 @@ class ReproServer:
         if request.action == "dump":
             return {"format": "prometheus", "text": _obs.render_prometheus()}
         if request.action == "top":
-            limit = int(payload.get("limit", 10))
-            timings = _obs.hot_paths()[:limit]
-            return {
-                "stages": [
-                    {
-                        "stage": t.stage,
-                        "count": t.count,
-                        "total_seconds": t.total_seconds,
-                        "p50": t.p50,
-                        "p99": t.p99,
-                    }
-                    for t in timings
-                ]
-            }
+            limit = wire_field(payload, "limit", int, 10)
+            return {"stages": [t.to_dict() for t in _obs.hot_paths()[:limit]]}
         if request.action == "trace":
             log = _obs.tracer().log
-            trace_id = payload.get("trace_id")
+            trace_id = wire_field(payload, "trace_id", int)
             if trace_id is None:
                 return {
                     "trace_ids": log.trace_ids(),
@@ -554,66 +543,21 @@ class ReproServer:
                 }
             from repro.obs.tracing import trace_tree
 
-            rows = trace_tree(log, int(trace_id))
             return {
-                "trace_id": int(trace_id),
+                "trace_id": trace_id,
                 "spans": [
-                    {
-                        "depth": depth,
-                        "name": span.name,
-                        "duration": span.duration,
-                        "sim_time": span.sim_time,
-                        "attrs": {
-                            k: v
-                            for k, v in span.attrs.items()
-                            if k != "records"
-                        },
-                    }
-                    for depth, span in rows
+                    {"depth": depth, **span.to_dict()}
+                    for depth, span in trace_tree(log, trace_id)
                 ],
             }
         if request.action == "history":
             if self._scraper is None:
                 raise ServerError("this server has no metrics scraper")
-            store = self._scraper.store
-            name = payload.get("name")
-            if not name:
-                from repro.obs.registry import _render_labels
-
-                return {
-                    "series": sorted(
-                        key[0] + _render_labels(key[1]) for key in store.keys()
-                    ),
-                    "n_series": store.n_series,
-                    "frames": store.n_frames,
-                }
-            window = payload.get("window")
-            labels = payload.get("labels")
-            picked = (
-                [store.series(name, dict(labels))]
-                if labels
-                else store.select(name)
+            return self._scraper.store.history(
+                wire_field(payload, "name", str),
+                labels=wire_field(payload, "labels", dict),
+                window=wire_field(payload, "window", NUMBER),
             )
-            if not picked:
-                raise ServerError(f"unknown series {name!r}")
-            t1 = store.frame_times()[-1] if store.n_frames else 0.0
-            t0 = float("-inf") if window is None else t1 - float(window)
-            return {
-                "name": name,
-                "rate": store.rate(name, labels=dict(labels) if labels else None,
-                                   window=None if window is None else float(window)),
-                "series": [
-                    {
-                        "labels": dict(s.labels),
-                        "points": [
-                            [float(t), float(v)]
-                            for t, v in zip(clip.t, clip.values)
-                        ],
-                    }
-                    for s in picked
-                    for clip in [s.clipped(t0, t1)]
-                ],
-            }
         if request.action == "slo":
             if self._slo_tracker is None:
                 raise ServerError("this server tracks no SLOs")
@@ -624,53 +568,26 @@ class ReproServer:
     # Channel surface (streaming dashboard)
     # ------------------------------------------------------------------
 
-    async def _on_channel(
-        self, session: Session, endpoint: Endpoint, message: Message
-    ) -> None:
+    async def _on_channel(self, session: Session, frame: Message) -> Message:
         self.stats.channel_messages += 1
-        channel_message = ChannelMessage(
-            action=message.get("action", ""),
-            payload=dict(message.get("payload", {})),
-        )
-        reply: Message = {"type": "channel_reply", "id": message.get("id")}
 
-        async def terminal() -> ChainResult:
-            return Ok(self._handle_channel(session, channel_message))
-
-        try:
-            result = await self.chain.run(
-                "channel_message", session, terminal, message=channel_message
+        def parse():
+            message = ChannelMessage(
+                action=wire_field(frame, "action", str, ""),
+                payload=wire_field(frame, "payload", dict, {}),
             )
-        except ReproError as error:
-            reply.update(status="error", error=str(error))
-            await endpoint.send(reply)
-            return
-        if isinstance(result, Deny):
-            self.stats.denials_channel += 1
-            self.obs.denial("channel").inc()
-            reply.update(status="deny", reason=result.reason)
-        elif isinstance(result, Redirect):
-            self.stats.redirects += 1
-            reply.update(status="redirect", target=result.target)
-        else:
-            reply.update(status="ok", payload=result.payload)
-        await endpoint.send(reply)
+            return {"message": message}, lambda: self._handle_channel(session, message)
 
-    def _known_views(self) -> set[str]:
-        views: set[str] = set()
-        for engine in self._engines.values():
-            views.update(engine.views)
-        return views
+        reply = await self._answer(session, "channel_message", parse)
+        return {"type": "channel_reply", "id": frame.get("id"), **reply}
 
-    def _handle_channel(
-        self, session: Session, message: ChannelMessage
-    ) -> Message:
+    def _handle_channel(self, session: Session, message: ChannelMessage) -> Message:
         payload = message.payload
         if message.action == "subscribe":
-            view = payload.get("view")
-            if not view or view not in self._known_views():
+            view = wire_field(payload, "view", str)
+            if not any(view in engine.views for engine in self._engines.values()):
                 raise ServerError(f"cannot subscribe to unknown view {view!r}")
-            tasks = payload.get("tasks")
+            tasks = wire_field(payload, "tasks", list, of=str)
             subscription = session.subscribe(
                 view,
                 tasks=frozenset(tasks) if tasks is not None else None,
@@ -688,20 +605,21 @@ class ReproServer:
         if message.action == "watch":
             if self._scraper is None:
                 raise ServerError("this server has no metrics scraper to watch")
-            watch = session.watch_obs(
-                names=tuple(payload.get("names", ())),
-                slo=bool(payload.get("slo", True)),
+            watch = session.subscribe(
+                None,
+                alerts=bool(payload.get("slo", True)),
+                names=tuple(wire_field(payload, "names", list, (), of=str)),
             )
             self.stats.subscriptions_total += 1
             self.stats.watches_total += 1
             return {
                 "subscription": watch.subscription_id,
                 "names": list(watch.names),
-                "slo": watch.slo,
+                "slo": watch.alerts,
             }
         if message.action == "unsubscribe":
-            subscription_id = payload.get("subscription")
-            session.unsubscribe(int(subscription_id or 0))
+            subscription_id = wire_field(payload, "subscription", int, 0)
+            session.unsubscribe(subscription_id)
             return {"unsubscribed": subscription_id}
         raise ServerError(f"unknown channel action {message.action!r}")
 
@@ -724,43 +642,48 @@ class ReproServer:
     def _catch_up(self, session: Session, subscription: Subscription) -> int:
         """Replay the retained history into a late subscription.
 
-        Marks every replayed window as delivered, so the live path's
-        exactly-once guard (:meth:`Subscription.should_push`) will skip
-        them — a late subscriber sees each window once, not twice.
+        Through the live path's own cursor, so a replayed window is
+        skipped when it closes again: each window once, not twice.
         """
-        caught_up = 0
-        for snapshot in self._retained_snapshots(subscription.view):
-            if not subscription.matches(snapshot.task, snapshot.view):
-                continue
-            if not subscription.should_push(snapshot.task, snapshot.end):
-                continue
-            self._push_snapshot(session, subscription, snapshot, catchup=True)
-            caught_up += 1
+        caught_up = sum(
+            self._push_window(snapshot, [(session, subscription)], catchup=True)
+            for snapshot in self._retained_snapshots(subscription.view)
+        )
         self.stats.catchup_snapshots += caught_up
         return caught_up
 
     # ------------------------------------------------------------------
-    # Push path (window-close fan-out; synchronous, inside sim events)
+    # Push path (every fan-out is synchronous, inside sim events)
     # ------------------------------------------------------------------
 
-    def _push_snapshot(
+    def _subscribers(self) -> Iterator[tuple[Session, Subscription]]:
+        """Every live (session, subscription) pair."""
+        for session in self._sessions.values():
+            for subscription in session.subscriptions.values():
+                yield session, subscription
+
+    def _push_window(
         self,
-        session: Session,
-        subscription: Subscription,
         snapshot: WindowSnapshot,
+        subscribers: Iterable[tuple[Session, Subscription]],
         catchup: bool = False,
-    ) -> None:
-        message: Message = {
-            "type": "push",
-            "kind": "snapshot",
-            "subscription": subscription.subscription_id,
-            "catchup": catchup,
-            "sent_at": time.perf_counter(),
-            "snapshot": snapshot_digest(snapshot),
-        }
-        if session.push(message, subscription):
-            subscription.snapshots_pushed += 1
-            self.stats.pushes_enqueued += 1
+    ) -> int:
+        """Push one closed window to those of ``subscribers`` it is new to."""
+        key = ("window", snapshot.task)
+        body = None
+        pushed = 0
+        for session, subscription in subscribers:
+            if not subscription.matches(snapshot.task, snapshot.view):
+                continue
+            if not subscription.advance(key, snapshot.end):
+                continue
+            if body is None:
+                body = snapshot_digest(snapshot)
+            if session.push(subscription, "snapshot", body, catchup=catchup):
+                subscription.snapshots_pushed += 1
+                pushed += 1
+        self.stats.pushes_enqueued += pushed
+        return pushed
 
     def _on_member_window(self, member: str, snapshot: WindowSnapshot) -> None:
         """Engine window-close callback: fan out to matching subscribers."""
@@ -780,16 +703,7 @@ class ReproServer:
             start=snapshot.start,
             end=snapshot.end,
         ) as handle:
-            fanned = 0
-            for session in self._sessions.values():
-                for subscription in session.subscriptions.values():
-                    if not subscription.matches(snapshot.task, snapshot.view):
-                        continue
-                    if not subscription.should_push(snapshot.task, snapshot.end):
-                        continue
-                    self._push_snapshot(session, subscription, snapshot)
-                    fanned += 1
-            handle.set(subscribers=fanned)
+            handle.set(subscribers=self._push_window(snapshot, self._subscribers()))
         if timed:
             self.obs.push_seconds.observe(time.perf_counter() - started)
 
@@ -821,109 +735,57 @@ class ReproServer:
         """Deliver fresh alerts; evicted-before-delivery ones become gaps."""
         log = engine.alerts
         total = log.total
+        key = ("alerts", member)
         retained = None  # fetched lazily, once per call
-        for session in self._sessions.values():
-            for subscription in session.subscriptions.values():
-                if not subscription.alerts:
+        bodies: dict[int, Message] = {}  # one digest per alert, not per subscriber
+        for session, subscription in self._subscribers():
+            if subscription.view is None or not subscription.alerts:
+                continue
+            seen = subscription.cursor.get(key, 0)
+            if not subscription.advance(key, total):
+                continue
+            if retained is None:
+                retained = log.alerts()
+            fresh = min(total - seen, len(retained))
+            missed = total - seen - fresh
+            if missed > 0:
+                # The bounded log evicted alerts this subscriber
+                # never saw: the gap is pushed, not swallowed.
+                self.stats.alert_gaps += missed
+                session.push(subscription, "alert_gap", source=member, missed=missed)
+            for index in range(len(retained) - fresh, len(retained)):
+                alert = retained[index]
+                if not subscription.matches(alert.task, alert.view):
                     continue
-                seen = subscription.alerts_seen.get(member, 0)
-                fresh = total - seen
-                if fresh <= 0:
-                    continue
-                if retained is None:
-                    retained = log.alerts()
-                deliverable = retained[-min(fresh, len(retained)):] if retained else []
-                missed = fresh - len(deliverable)
-                if missed > 0:
-                    # The bounded log evicted alerts this subscriber
-                    # never saw: the gap is pushed, not swallowed.
-                    self.stats.alert_gaps += missed
-                    session.push(
-                        {
-                            "type": "push",
-                            "kind": "alert_gap",
-                            "subscription": subscription.subscription_id,
-                            "source": member,
-                            "missed": missed,
-                        },
-                        subscription,
-                    )
-                for alert in deliverable:
-                    if not subscription.matches(alert.task, alert.view):
-                        continue
-                    if session.push(
-                        {
-                            "type": "push",
-                            "kind": "alert",
-                            "subscription": subscription.subscription_id,
-                            "source": member,
-                            "sent_at": time.perf_counter(),
-                            "alert": alert_digest(alert),
-                        },
-                        subscription,
-                    ):
-                        self.stats.alerts_pushed += 1
-                subscription.alerts_seen[member] = total
-
-    # ------------------------------------------------------------------
-    # Metrics watch fan-out (scrape-frame path; synchronous, sim events)
-    # ------------------------------------------------------------------
+                if index not in bodies:
+                    bodies[index] = alert_digest(alert)
+                if session.push(subscription, "alert", bodies[index], source=member):
+                    self.stats.alerts_pushed += 1
 
     def _on_scrape_frame(self, frame: "ScrapeFrame") -> None:
-        """Scraper frame callback: push to watchers, evaluate SLOs.
+        """Scraper frame callback: evaluate SLOs, push to the metrics feed.
 
-        Mirrors the window fan-out's exactly-once discipline: one frame
-        push per (watch, scrape time), one alert push per (watch,
-        tracker sequence) — dedup lives in :class:`ObsWatch`, the same
-        place :class:`Subscription` keeps its window guard.
+        Exactly once, as for windows: one frame push per scrape time,
+        one alert push per tracker sequence number, per subscription.
         """
-        transitions: "list[ObsAlert]" = []
-        if self._slo_tracker is not None:
-            transitions = self._slo_tracker.evaluate(frame.t)
-        if not self._sessions:
-            return
-        digest = None  # built lazily, once, only if a watcher wants it
-        for session in self._sessions.values():
-            for watch in list(session.subscriptions.values()):
-                if not isinstance(watch, ObsWatch):
-                    continue
-                if watch.should_push_frame(frame.t):
-                    if watch.names:
-                        frame_digest = frame.digest(watch.names)
-                    else:
-                        if digest is None:
-                            digest = frame.digest(())
-                        frame_digest = digest
-                    if session.push(
-                        {
-                            "type": "push",
-                            "kind": "obs_frame",
-                            "subscription": watch.subscription_id,
-                            "sent_at": time.perf_counter(),
-                            "frame": frame_digest,
-                        },
-                        watch,
-                    ):
-                        watch.frames_pushed += 1
-                        self.stats.pushes_enqueued += 1
-                        self.stats.obs_frames_pushed += 1
-                if not watch.slo:
-                    continue
-                for alert in transitions:
-                    if not watch.should_push_alert(alert.seq):
-                        continue
-                    if session.push(
-                        {
-                            "type": "push",
-                            "kind": "obs_alert",
-                            "subscription": watch.subscription_id,
-                            "sent_at": time.perf_counter(),
-                            "alert": alert.to_dict(),
-                        },
-                        watch,
-                    ):
-                        watch.alerts_pushed += 1
-                        self.stats.obs_alerts_pushed += 1
+        tracker = self._slo_tracker
+        transitions = tracker.evaluate(frame.t) if tracker is not None else []
+        frames: dict[tuple[str, ...], Message] = {}  # one digest per names filter
+        alerts = [(alert.seq, alert.to_dict()) for alert in transitions]
+        for session, watch in self._subscribers():
+            if watch.view is not None:
+                continue
+            if watch.advance("frame", frame.t):
+                if watch.names not in frames:
+                    frames[watch.names] = frame.digest(watch.names)
+                if session.push(watch, "obs_frame", frames[watch.names]):
+                    self.stats.pushes_enqueued += 1
+                    self.stats.obs_frames_pushed += 1
+            if not watch.alerts:
+                continue
+            for seq, body in alerts:
+                if watch.advance("slo", seq) and session.push(watch, "obs_alert", body):
+                    self.stats.obs_alerts_pushed += 1
 
     # ------------------------------------------------------------------
     # Driving a simulated deployment

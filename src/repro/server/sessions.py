@@ -1,28 +1,37 @@
-"""Server sessions: per-connection state, subscriptions, bounded pushes.
+"""Server sessions: per-connection state, subscriptions, the one push path.
 
 One :class:`Session` lives for one authenticated connection.  It owns
 
 - the middleware-visible mutable ``state`` dict (auth principal, rate
   windows... private to the connection);
-- the connection's channel :class:`Subscription`\\ s;
-- a bounded **push queue** between the window-close path and the
-  connection's sender task.
+- the connection's :class:`Subscription`\\ s — streaming views and the
+  metrics feed are the same type in the same map;
+- a bounded **push queue** between the event path and the connection's
+  sender task.
 
-The push queue is the slow-consumer valve: window closes enqueue
-instantly (the simulation must never block on a laggard dashboard), the
-sender task drains toward the transport, and when a subscriber cannot
-keep up the **oldest queued push is evicted** — counted per session and
-per subscription (``pushes_dropped``), never silent, so every consumer
-can reconcile ``received + dropped == emitted``.
+Every push takes one path: the subscription's cursor
+(:meth:`Subscription.advance`) says whether the event is new to it,
+:meth:`Session.push` builds the envelope and enqueues it, the pump sends
+it.  An event's body is built once and **shared between all its
+subscribers** — read-only once pushed (in-process clients receive the
+same object).
+
+The push queue is the slow-consumer valve: events enqueue instantly
+(the simulation must never block on a laggard dashboard), the sender
+task drains toward the transport, and when a subscriber cannot keep up
+the **oldest queued push is evicted** — counted per session and per
+subscription (``pushes_dropped``), never silent, so every consumer can
+reconcile ``received + dropped == emitted``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
+import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Optional
 
 from repro.errors import ServerError
 from repro.server.transport import Endpoint, Message
@@ -33,73 +42,45 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _session_ids = itertools.count(1)
 _subscription_ids = itertools.count(1)
 
+#: Push kinds that carry a body, and the envelope key it travels under.
+#: (``alert_gap`` is a bare notice: no body, no ``sent_at``.)
+_BODY_KEY = {
+    "snapshot": "snapshot",
+    "alert": "alert",
+    "obs_frame": "frame",
+    "obs_alert": "alert",
+}
+
+#: Queued behind the last push to stop the pump once it has sent them.
+_CLOSE: Message = {"type": "_close"}
+
 
 @dataclass
 class Subscription:
-    """One session's standing subscription to a streaming view."""
+    """One session's standing subscription: a streaming view or the metrics feed."""
 
     subscription_id: int
-    view: str
-    tasks: frozenset[str] | None  #: None = every task the view tracks
-    alerts: bool
-    #: Exactly-once guard: newest window end already pushed, per task.
-    last_end: dict[str, float] = field(default_factory=dict)
-    #: Alerts already delivered (index into the engine log's ``total``),
-    #: per alert source (member name).
-    alerts_seen: dict[str, int] = field(default_factory=dict)
+    view: str | None  #: None = the metrics feed (``obs watch``)
+    tasks: frozenset[str] | None = None  #: None = every task the view tracks
+    #: Also push alerts: the view's StreamAlerts / the feed's SLO transitions.
+    alerts: bool = False
+    #: Metrics feed only: series-name prefixes to include (() = all).
+    names: tuple[str, ...] = ()
+    #: Exactly-once guard, one monotone position per event stream: newest
+    #: window end per task, scrape time, SLO sequence number, alert-log
+    #: total per member.
+    cursor: dict[Hashable, float] = field(default_factory=dict)
     snapshots_pushed: int = 0
     pushes_dropped: int = 0
 
     def matches(self, task: str, view: str) -> bool:
         return view == self.view and (self.tasks is None or task in self.tasks)
 
-    def should_push(self, task: str, end: float) -> bool:
-        """True exactly once per (task, window end) — dedup guard."""
-        last = self.last_end.get(task)
-        if last is not None and end <= last:
+    def advance(self, key: Hashable, position: float) -> bool:
+        """True exactly once per ``key`` as ``position`` grows — the dedup guard."""
+        if position <= self.cursor.get(key, float("-inf")):
             return False
-        self.last_end[task] = end
-        return True
-
-
-@dataclass
-class ObsWatch:
-    """One session's standing subscription to the metrics feed.
-
-    Lives in the same ``session.subscriptions`` map as the streaming
-    :class:`Subscription`\\ s (one unsubscribe path, one eviction
-    accounting), but matches no streaming view — the server's scrape
-    fan-out drives it instead.  The exactly-once guards mirror the
-    window dedup: a frame is pushed once per scrape time, an SLO alert
-    once per tracker sequence number.
-    """
-
-    subscription_id: int
-    #: Series-name prefixes to include in pushed frames ("" = all).
-    names: tuple[str, ...]
-    slo: bool  #: push SLO state transitions too
-    #: Exactly-once guards.
-    last_frame_t: float = float("-inf")
-    last_alert_seq: int = 0
-    frames_pushed: int = 0
-    alerts_pushed: int = 0
-    pushes_dropped: int = 0
-    alerts = False  #: never matched by the stream alert fan-out
-
-    def matches(self, task: str, view: str) -> bool:
-        """Never matched by the window fan-out (duck-typing guard)."""
-        return False
-
-    def should_push_frame(self, t: float) -> bool:
-        if t <= self.last_frame_t:
-            return False
-        self.last_frame_t = t
-        return True
-
-    def should_push_alert(self, seq: int) -> bool:
-        if seq <= self.last_alert_seq:
-            return False
-        self.last_alert_seq = seq
+        self.cursor[key] = position
         return True
 
 
@@ -157,9 +138,11 @@ class Session:
         self.session_id = next(_session_ids)
         self.endpoint = endpoint
         self._clock = clock
-        #: The owning server's registry instruments; push accounting is
-        #: mirrored there so the dashboard reads one source of truth.
-        self._instruments = instruments
+        #: The owning server's tally, where every push outcome is counted
+        #: beside the session's own (a bare session counts only on itself).
+        self._count_on_server: Callable[[str], None] = (
+            instruments.count_push if instruments is not None else lambda outcome: None
+        )
         #: Middleware-visible mutable state, private to this connection.
         self.state: dict[str, Any] = {}
         self.subscriptions: dict[int, Subscription] = {}
@@ -185,30 +168,17 @@ class Session:
 
     def subscribe(
         self,
-        view: str,
+        view: str | None,
         tasks: frozenset[str] | None = None,
         alerts: bool = False,
+        names: tuple[str, ...] = (),
     ) -> Subscription:
+        """Subscribe to a streaming view, or (``view=None``) the metrics feed."""
         subscription = Subscription(
-            subscription_id=next(_subscription_ids),
-            view=view,
-            tasks=tasks,
-            alerts=alerts,
+            next(_subscription_ids), view, tasks=tasks, alerts=alerts, names=names
         )
         self.subscriptions[subscription.subscription_id] = subscription
         return subscription
-
-    def watch_obs(
-        self, names: tuple[str, ...] = (), slo: bool = True
-    ) -> ObsWatch:
-        """Subscribe this session to the live metrics/SLO feed."""
-        watch = ObsWatch(
-            subscription_id=next(_subscription_ids),
-            names=tuple(names),
-            slo=slo,
-        )
-        self.subscriptions[watch.subscription_id] = watch
-        return watch
 
     def unsubscribe(self, subscription_id: int) -> Subscription:
         if subscription_id not in self.subscriptions:
@@ -219,27 +189,47 @@ class Session:
     # Push path
     # ------------------------------------------------------------------
 
-    def push(self, message: Message, subscription: Subscription | None = None) -> bool:
+    def push(
+        self, subscription: Subscription, kind: str, body: Any = None, **header: Any
+    ) -> bool:
         """Enqueue one push toward this session (never blocks).
 
-        Returns False when the session is closed.  On overflow the
-        oldest queued push is evicted and counted against the session
-        and against the subscription it belonged to.
+        The only place a push envelope is built: ``header`` fields, then
+        — for the kinds that carry one — the ``sent_at`` stamp and the
+        ``body``, which every subscriber of the event shares and none
+        may mutate.  Returns False when the session is closed.  On
+        overflow the oldest queued push is evicted and counted dropped.
         """
         if self.closed:
             return False
+        message: Message = {
+            "type": "push",
+            "kind": kind,
+            "subscription": subscription.subscription_id,
+            **header,
+        }
+        if body is not None:
+            message["sent_at"] = time.perf_counter()
+            message[_BODY_KEY[kind]] = body
         evicted = self.queue.put(message)
-        if self._instruments is not None:
-            self._instruments.pushes_enqueued.inc()
+        self._count_on_server("enqueued")
         if evicted is not None:
-            self.pushes_dropped += 1
-            if self._instruments is not None:
-                self._instruments.pushes_dropped.inc()
-            victim_id = evicted.get("subscription")
-            victim = self.subscriptions.get(victim_id) if victim_id else None
-            if victim is not None:
-                victim.pushes_dropped += 1
+            self._dropped(evicted)
         return True
+
+    def _dropped(self, message: Message) -> None:
+        """Count one push that will never reach the transport.
+
+        Every way to lose one ends here (eviction, a transport closed
+        under the pump, teardown with pushes queued), on the session,
+        its subscription while still subscribed, and the server
+        together — so ``enqueued = sent + dropped + queued`` stays exact.
+        """
+        self.pushes_dropped += 1
+        victim = self.subscriptions.get(message["subscription"])
+        if victim is not None:
+            victim.pushes_dropped += 1
+        self._count_on_server("dropped")
 
     def start_sender(self) -> asyncio.Task:
         """Start the drain task: push queue -> transport endpoint."""
@@ -250,21 +240,15 @@ class Session:
     async def _pump(self) -> None:
         while True:
             message = await self.queue.get()
-            if message.get("type") == "_close":
+            if message is _CLOSE:
                 return
             try:
                 await self.endpoint.send(message)
-            except ServerError:
-                # Endpoint closed under us; the dequeued push never
-                # reached a transport — count it dropped so the push
-                # accounting (enqueued = sent + dropped + queued) holds.
-                self.pushes_dropped += 1
-                if self._instruments is not None:
-                    self._instruments.pushes_dropped.inc()
+            except ServerError:  # the endpoint closed under us
+                self._dropped(message)
                 return
             self.pushes_sent += 1
-            if self._instruments is not None:
-                self._instruments.pushes_sent.inc()
+            self._count_on_server("sent")
 
     async def close(self) -> None:
         """Tear the session down: stop the sender, drop subscriptions."""
@@ -273,24 +257,18 @@ class Session:
         self.closed = True
         self.subscriptions.clear()
         if self._sender is not None:
-            # The sentinel bypasses push() (it must reach a closed
-            # session's pump), so an eviction here is counted by hand.
-            evicted = self.queue.put({"type": "_close"})
-            if evicted is not None and evicted.get("type") != "_close":
-                self.pushes_dropped += 1
-                if self._instruments is not None:
-                    self._instruments.pushes_dropped.inc()
+            # The pump sends what is queued ahead of the sentinel; on a
+            # full queue the sentinel itself evicts the oldest push.
+            evicted = self.queue.put(_CLOSE)
+            if evicted is not None:
+                self._dropped(evicted)
             try:
                 await asyncio.wait_for(self._sender, timeout=1.0)
             except (asyncio.TimeoutError, asyncio.CancelledError):
                 self._sender.cancel()
-        # Whatever is still queued never reached a transport: count it
-        # dropped so enqueued = sent + dropped + queued stays exact.
         for message in self.queue.clear():
-            if message.get("type") != "_close":
-                self.pushes_dropped += 1
-                if self._instruments is not None:
-                    self._instruments.pushes_dropped.inc()
+            if message is not _CLOSE:
+                self._dropped(message)
         self.endpoint.close()
 
     async def drain(self) -> None:

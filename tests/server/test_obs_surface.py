@@ -8,6 +8,7 @@ import pytest
 from repro import obs
 from repro.apisense.monitoring import snapshot
 from repro.errors import ServerError
+from repro.obs import BurnRateRule, MetricsScraper, SLODefinition
 from repro.server import (
     Deny,
     MetricsMiddleware,
@@ -15,7 +16,9 @@ from repro.server import (
     ServerDenied,
     ServerMiddleware,
 )
+from repro.streams import ContinuousQuery, rate_below
 from tests.server.conftest import VIEW, WINDOW, connect, make_hive, run, settle
+from tests.server.test_channel import close_windows, upload_window
 from tests.server.test_server import drive_and_flush
 from tests.store.conftest import make_records
 
@@ -255,3 +258,84 @@ class TestPushReconciliation:
             assert enqueued == sent + dropped + server.pushes_queued
 
         run(scenario())
+
+    def test_identity_holds_under_mixed_kinds(self, sim):
+        """Snapshots, alerts, an alert gap, metrics frames and an SLO
+        transition through 1-deep queues while one client leaves
+        mid-stream: every level of the push accounting still agrees."""
+        hive = make_hive(sim, lateness=0.0, alert_capacity=1)
+        hive.streams.register_query(VIEW, ContinuousQuery("quiet", rate_below(1.0)))
+        scraper = MetricsScraper(capacity=16)
+        good_ratio = [1.0]
+        slo = SLODefinition(
+            name="dial",
+            objective=0.9,
+            probe=lambda store, t0, t1: good_ratio[0],
+            rules=(BurnRateRule(window=10.0, factor=1.0),),
+        )
+        server = ReproServer(
+            hive, sim=sim, queue_capacity=1, scraper=scraper, slos=[slo]
+        )
+
+        async def scenario():
+            # Alerts fire into a log retaining one before anyone
+            # listens: every late alerts subscriber is owed a gap.
+            for index in range(3):
+                upload_window(hive, index, n=10)
+                await close_windows(server, hive, index + 1)
+            listener = await connect(server)
+            await listener.subscribe(VIEW, alerts=True)
+            watcher = await connect(server)
+            await watcher.watch_obs()
+            quitter = await connect(server)
+            await quitter.subscribe(VIEW, alerts=True)
+            # Keep the objects: a closed session leaves the server's map.
+            sessions = list(server._sessions.values())
+            subscriptions = {
+                s.session_id: list(s.subscriptions.values()) for s in sessions
+            }
+            for index in range(3, 9):
+                # One close enqueues a snapshot, a gap and an alert on a
+                # 1-deep queue before any pump runs: the slow consumer.
+                upload_window(hive, index, n=10)
+                await close_windows(server, hive, index + 1)
+                good_ratio[0] = 0.0 if index >= 5 else 1.0
+                scraper.scrape(float(index))
+                if index == 5:
+                    upload_window(hive, 6, n=10)
+                    hive.pipeline.flush_all()  # pushes queued, not yet pumped
+                    await quitter.close()
+            hive.streams.finalize()
+            await server.drain()
+            for client in (listener, watcher):
+                await settle(client)
+            return sessions, subscriptions
+
+        sessions, subscriptions = run(scenario())
+        registry = obs.metrics_registry()
+
+        def counted(outcome: str) -> int:
+            return registry.value(
+                "repro_server_pushes_total",
+                {"instance": server.obs.instance, "outcome": outcome},
+            )
+
+        stats = server.stats
+        assert stats.alerts_pushed and stats.alert_gaps and stats.pushes_enqueued
+        assert stats.obs_frames_pushed and stats.obs_alerts_pushed == 1
+        assert counted("enqueued") == (
+            counted("sent") + counted("dropped") + server.pushes_queued
+        )
+        assert server.pushes_sent == counted("sent")
+        assert server.pushes_dropped == counted("dropped") > 0
+        # Every drop belongs to a session, and — while the session lives
+        # — to the subscription whose push it was.
+        assert sum(s.pushes_dropped for s in sessions) == server.pushes_dropped
+        for session in sessions:
+            attributed = sum(
+                sub.pushes_dropped for sub in subscriptions[session.session_id]
+            )
+            if session.closed:  # teardown drops outlive the subscriptions
+                assert attributed <= session.pushes_dropped
+            else:
+                assert attributed == session.pushes_dropped

@@ -14,8 +14,10 @@ from repro.apisense.honeycomb import Honeycomb
 from repro.apisense.hive import Hive
 from repro.apisense.monitoring import snapshot
 from repro.errors import ServerError
+from repro.obs import BurnRateRule, MetricsScraper, SLODefinition
 from repro.server import (
     AuthTokenMiddleware,
+    Deny,
     Redirect,
     ReproServer,
     ServerClient,
@@ -26,7 +28,7 @@ from repro.server import (
 )
 from repro.simulation import Simulator
 from repro.store import DatasetStore, IngestPipeline
-from repro.streams import StreamEngine, WindowSpec
+from repro.streams import ContinuousQuery, StreamEngine, WindowSpec, rate_below
 from tests.server.conftest import (
     VIEW,
     WINDOW,
@@ -116,6 +118,23 @@ class TestHandshake:
                 await client.connect()
             assert redirected.value.target == "partner-hive:9999"
             assert server.stats.redirects == 1
+            # A redirected handshake never became a session.
+            assert server.metrics().sessions_total == 0
+
+        run(scenario())
+
+    def test_hang_up_before_connect_is_not_a_session(self, sim):
+        server = ReproServer(make_hive(sim))
+
+        async def scenario():
+            server.connect_in_process().close()  # never says connect
+            client = await connect(server)
+            await client.close()
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
+            assert server.stats.connections == 2
+            metrics = server.metrics()
+            assert (metrics.sessions_total, metrics.sessions_active) == (1, 0)
 
         run(scenario())
 
@@ -261,6 +280,98 @@ class TestIngestSurface:
         run(scenario())
 
 
+    @pytest.mark.parametrize(
+        "frame, names",
+        [
+            (
+                {"type": "channel", "action": "unsubscribe",
+                 "payload": {"subscription": "abc"}},
+                "subscription",
+            ),
+            (
+                {"type": "channel", "action": "subscribe",
+                 "payload": {"view": VIEW, "tasks": 5}},
+                "tasks",
+            ),
+            (
+                {"type": "channel", "action": "subscribe",
+                 "payload": {"view": VIEW, "tasks": [["t"]]}},
+                "tasks",
+            ),
+            (
+                {"type": "channel", "action": "watch", "payload": {"names": "repro"}},
+                "names",
+            ),
+            (
+                {"type": "request", "surface": "obs", "action": "top",
+                 "payload": {"limit": "many"}},
+                "limit",
+            ),
+            (
+                {"type": "request", "surface": "obs", "action": "history",
+                 "payload": {"name": "x", "window": "long"}},
+                "window",
+            ),
+            (
+                {"type": "request", "surface": "obs", "action": "history",
+                 "payload": {"name": "x", "labels": [1, 2]}},
+                "labels",
+            ),
+            (
+                {"type": "request", "surface": "query", "action": "secure_aggregate",
+                 "payload": {"task": "t", "bin_edges": ["a"]}},
+                "bin_edges",
+            ),
+            (
+                {"type": "request", "surface": "ingest", "action": "upload",
+                 "payload": {"device_id": "d", "user": "u", "task": "t",
+                             "records": 5}},
+                "records",
+            ),
+            (
+                {"type": "request", "surface": "ingest", "action": "upload",
+                 "payload": {"device_id": "d", "user": "u", "task": "t",
+                             "records": [{"time": "noon"}]}},
+                "time",
+            ),
+            (
+                {"type": "request", "surface": "query", "action": "tasks",
+                 "payload": [1, 2]},
+                "payload",
+            ),
+            ([1, 2], "JSON object"),
+        ],
+    )
+    def test_wrong_typed_field_is_an_error_not_a_crash(self, sim, frame, names):
+        """A field of the wrong JSON type is answered with an error that
+        names it, and the session keeps serving."""
+        server = ReproServer(
+            make_hive(sim), sim=sim, scraper=MetricsScraper(capacity=8)
+        )
+
+        async def scenario():
+            endpoint = server.connect_in_process()
+            await endpoint.send({"type": "connect", "headers": {}})
+            assert (await endpoint.recv())["type"] == "connected"
+            await endpoint.send(
+                {**frame, "id": 1} if isinstance(frame, dict) else frame
+            )
+            reply = await asyncio.wait_for(endpoint.recv(), timeout=1.0)
+            assert reply is not None, "the server hung up instead of answering"
+            assert reply["status"] == "error"
+            assert names in reply["error"]
+            # ...and a following valid request on the same connection works.
+            await endpoint.send(
+                {"type": "request", "id": 2, "surface": "query", "action": "tasks"}
+            )
+            reply = await asyncio.wait_for(endpoint.recv(), timeout=1.0)
+            assert reply["status"] == "ok" and reply["id"] == 2
+            assert server.sessions_active == 1
+            endpoint.close()
+
+        run(scenario())
+
+
 class TestFederatedServer:
     def test_router_mode_routes_and_aggregates_across_members(self, sim):
         from tests.federation.conftest import build_router, gps_task
@@ -363,3 +474,164 @@ class TestTcpTransport:
             await listener.wait_closed()
 
         run(scenario())
+
+    def test_json_array_line_is_answered_and_the_connection_survives(self, sim):
+        import json
+
+        server = ReproServer(make_hive(sim))
+
+        async def scenario():
+            try:
+                listener = await server.serve_tcp(port=0)
+            except OSError as error:  # pragma: no cover - sandboxed CI
+                pytest.skip(f"cannot bind sockets here: {error}")
+            port = listener.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+            async def exchange(line: bytes) -> dict:
+                writer.write(line + b"\n")
+                await writer.drain()
+                answer = await asyncio.wait_for(reader.readline(), timeout=2.0)
+                assert answer, "the server hung up instead of answering"
+                return json.loads(answer)
+
+            assert (await exchange(b'{"type":"connect"}'))["type"] == "connected"
+            reply = await exchange(b"[1, 2, 3]")
+            assert reply["status"] == "error" and "JSON object" in reply["error"]
+            reply = await exchange(
+                b'{"type":"request","id":7,"surface":"query","action":"tasks"}'
+            )
+            assert reply == {
+                "type": "response", "id": 7, "status": "ok", "payload": {"tasks": []},
+            }
+            writer.close()
+            await writer.wait_closed()
+            listener.close()
+            await listener.wait_closed()
+
+        run(scenario())
+
+
+#: The exact key set of every message kind a client can receive
+#: (``payload.*`` = the keys of a channel reply's payload).  A change
+#: here is a wire change.
+REPLY_OK = {"type", "id", "status", "payload"}
+WIRE_SHAPES = {
+    "connected": {"type", "session_id"},
+    "deny": {"type", "reason"},
+    "redirect": {"type", "target"},
+    "response/ok": REPLY_OK,
+    "response/error": {"type", "id", "status", "error"},
+    "response/deny": {"type", "id", "status", "reason"},
+    "response/redirect": {"type", "id", "status", "target"},
+    "channel_reply/subscribe": REPLY_OK
+    | {"payload.subscription", "payload.view", "payload.catchup"},
+    "channel_reply/watch": REPLY_OK
+    | {"payload.subscription", "payload.names", "payload.slo"},
+    "channel_reply/unsubscribe": REPLY_OK | {"payload.unsubscribed"},
+    "push/snapshot": {
+        "type", "kind", "subscription", "catchup", "sent_at", "snapshot",
+    },
+    "push/alert": {"type", "kind", "subscription", "source", "sent_at", "alert"},
+    "push/alert_gap": {"type", "kind", "subscription", "source", "missed"},
+    "push/obs_frame": {"type", "kind", "subscription", "sent_at", "frame"},
+    "push/obs_alert": {"type", "kind", "subscription", "sent_at", "alert"},
+}
+
+
+class TestWireShapes:
+    def test_every_message_kind_keeps_its_exact_key_set(self, sim):
+        from tests.server.test_channel import close_windows, upload_window
+
+        class Gate(ServerMiddleware):
+            """Denies or redirects on demand so every status occurs."""
+
+            @staticmethod
+            async def verdict(asked, next):
+                if asked == "deny":
+                    return Deny("gated")
+                if asked == "redirect":
+                    return Redirect("elsewhere:1")
+                return await next()
+
+            async def connect(self, *, request, session, next):
+                return await self.verdict(request.headers.get("verdict"), next)
+
+            async def request(self, *, request, session, next):
+                return await self.verdict(request.action, next)
+
+        hive = make_hive(sim, lateness=0.0, alert_capacity=1)
+        hive.streams.register_query(VIEW, ContinuousQuery("quiet", rate_below(1.0)))
+        scraper = MetricsScraper(capacity=8)
+        slo = SLODefinition(
+            name="dial",
+            objective=0.9,
+            probe=lambda store, t0, t1: 0.0,  # burning from the first frame
+            rules=(BurnRateRule(window=10.0, factor=1.0),),
+        )
+        server = ReproServer(
+            hive, sim=sim, middlewares=[Gate()], scraper=scraper, slos=[slo]
+        )
+        seen: dict[str, set[str]] = {}
+
+        def note(label: str, message: dict) -> None:
+            keys = set(message)
+            if label.startswith("channel_reply"):
+                keys |= {f"payload.{key}" for key in message["payload"]}
+            assert seen.setdefault(label, keys) == keys, label
+
+        async def handshake(verdict: str):
+            endpoint = server.connect_in_process()
+            await endpoint.send({"type": "connect", "headers": {"verdict": verdict}})
+            reply = await endpoint.recv()
+            note(reply["type"], reply)
+            return endpoint
+
+        async def scenario():
+            (await handshake("deny")).close()
+            (await handshake("redirect")).close()
+            endpoint = await handshake("ok")
+            ids = iter(range(1, 100))
+
+            async def ask(kind: str, **fields) -> dict:
+                call = next(ids)
+                await endpoint.send({"type": kind, "id": call, **fields})
+                while True:  # pushes share the pipe with the replies
+                    message = await endpoint.recv()
+                    if message["type"] == "push":
+                        note(f"push/{message['kind']}", message)
+                    elif message["id"] == call:
+                        return message
+
+            for action in ("tasks", "nosuch", "deny", "redirect"):
+                reply = await ask(
+                    "request", surface="query", action=action, payload={"task": "t"}
+                )
+                note(f"response/{reply['status']}", reply)
+
+            # Three alerts into a log retaining one, before anyone
+            # subscribes: the late subscriber is owed a gap.
+            for index in range(4):
+                upload_window(hive, index, n=10)
+                await close_windows(server, hive, index + 1)
+            replies = {}
+            for action, payload in (
+                ("subscribe", {"view": VIEW, "alerts": True}),
+                ("watch", {}),
+            ):
+                replies[action] = await ask("channel", action=action, payload=payload)
+                note(f"channel_reply/{action}", replies[action])
+            upload_window(hive, 4, n=10)
+            await close_windows(server, hive, 5)
+            scraper.scrape(1.0)
+            await server.drain()
+            reply = await ask(
+                "channel",
+                action="unsubscribe",
+                payload={"subscription": replies["watch"]["payload"]["subscription"]},
+            )
+            note("channel_reply/unsubscribe", reply)
+            endpoint.close()
+
+        run(scenario())
+        assert seen == WIRE_SHAPES
