@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.geo.point import GeoPoint
 from repro.units import EARTH_RADIUS_M
 
@@ -21,6 +23,20 @@ def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
     dlon = math.radians(b.lon - a.lon)
     h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+
+
+def haversine_m_columns(
+    lat1: np.ndarray, lon1: np.ndarray, lat2: np.ndarray, lon2: np.ndarray
+) -> np.ndarray:
+    """:func:`haversine_m` over coordinate columns (broadcasting), in metres."""
+    lat1 = np.radians(lat1)
+    lat2 = np.radians(lat2)
+    dlon = np.radians(lon2 - lon1)
+    h = (
+        np.sin((lat2 - lat1) / 2.0) ** 2
+        + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
+    )
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
 def path_length_m(points: Sequence[GeoPoint] | Iterable[GeoPoint]) -> float:

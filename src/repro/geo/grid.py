@@ -86,6 +86,17 @@ class SpatialGrid:
         y = (row + 0.5) * self.cell_size_m
         return self._projection.to_point(x, y)
 
+    def centers_of(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`center_of` over cell-index columns: ``(lat, lon)`` arrays."""
+        if rows.size and not (
+            0 <= rows.min() and rows.max() < self._rows
+            and 0 <= cols.min() and cols.max() < self._cols
+        ):
+            raise GeoError(f"cells outside grid {self._rows}x{self._cols}")
+        return self._projection.to_point_columns(
+            (cols + 0.5) * self.cell_size_m, (rows + 0.5) * self.cell_size_m
+        )
+
     def snap(self, point: GeoPoint) -> GeoPoint:
         """Snap a point to the center of its cell (spatial cloaking)."""
         return self.center_of(self.cell_of(point))

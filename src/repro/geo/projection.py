@@ -50,6 +50,12 @@ class LocalProjection:
         lon = self.origin.lon + math.degrees(x / (EARTH_RADIUS_M * self._cos_lat0))
         return GeoPoint(lat=lat, lon=lon)
 
+    def to_point_columns(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`to_point` over metre columns: ``(lat, lon)``, value for value."""
+        lat = self.origin.lat + np.degrees(y / EARTH_RADIUS_M)
+        lon = self.origin.lon + np.degrees(x / (EARTH_RADIUS_M * self._cos_lat0))
+        return (lat, lon)
+
     def translate(self, point: GeoPoint, dx: float, dy: float) -> GeoPoint:
         """Shift ``point`` by (dx, dy) metres in the local frame."""
         x, y = self.to_xy(point)

@@ -1,16 +1,53 @@
-"""Trajectories: ordered sequences of timestamped location records."""
+"""Trajectories: ordered sequences of timestamped location records.
+
+A trajectory is a tuple of :class:`Record` objects — what devices,
+mechanisms and CSV files exchange — plus one lazily built column view
+(:class:`TraceColumns`: ``time``/``lat``/``lon`` float64 arrays) that the
+audit's array kernels read.  The view is built on first use, cached for
+the life of the trajectory and read-only; trajectories are immutable, so
+nothing ever invalidates it.  Code that only interpolates one instant at
+a time (a simulated device asking where it is) never builds it.
+"""
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from functools import cached_property
+from typing import Callable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.errors import TrajectoryError
 from repro.geo.bbox import BoundingBox
 from repro.geo.distance import haversine_m, interpolate
 from repro.geo.point import GeoPoint, Record
 from repro.units import DAY
+
+
+def _read_only(values) -> np.ndarray:
+    """A private float64 copy of ``values`` that refuses writes."""
+    column = np.array(values, dtype=np.float64)
+    column.flags.writeable = False
+    return column
+
+
+class TraceColumns(NamedTuple):
+    """Row-aligned float64 columns of one location trace.
+
+    The array form of a trajectory, or of a piece of one (a day, a
+    filtered day): fix ``i`` is ``(time[i], lat[i], lon[i])``.  Kernels
+    that read fixes take anything exposing these three names, so a
+    :class:`Trajectory` and a bare column slice are interchangeable.
+    """
+
+    time: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+
+    def with_positions(self, lat: np.ndarray, lon: np.ndarray) -> "TraceColumns":
+        """The same instants at new coordinates."""
+        return self._replace(lat=lat, lon=lon)
 
 
 @dataclass(frozen=True)
@@ -57,6 +94,51 @@ class Trajectory:
             deduped.append(record)
         return cls(user=user, records=tuple(deduped))
 
+    @classmethod
+    def from_columns(
+        cls, user: str, time: np.ndarray, lat: np.ndarray, lon: np.ndarray
+    ) -> "Trajectory":
+        """Build a trajectory from row-aligned columns.
+
+        Every fix goes through the :class:`GeoPoint` and trajectory
+        invariants as usual; the columns become the new trajectory's
+        column view, so a kernel's output is not taken apart again.
+        """
+        columns = TraceColumns(*(_read_only(column) for column in (time, lat, lon)))
+        records = map(
+            Record, map(GeoPoint, columns.lat.tolist(), columns.lon.tolist()),
+            columns.time.tolist(),
+        )
+        trajectory = cls(user=user, records=tuple(records))
+        trajectory.__dict__["columns"] = columns
+        return trajectory
+
+    # ------------------------------------------------------------------
+    # Column view
+    # ------------------------------------------------------------------
+
+    @cached_property
+    def columns(self) -> TraceColumns:
+        """The trajectory as read-only arrays, built once on first use."""
+        points = [r.point for r in self.records]
+        return TraceColumns(
+            _read_only(self._times),
+            _read_only([p.lat for p in points]),
+            _read_only([p.lon for p in points]),
+        )
+
+    @property
+    def time(self) -> np.ndarray:
+        return self.columns.time
+
+    @property
+    def lat(self) -> np.ndarray:
+        return self.columns.lat
+
+    @property
+    def lon(self) -> np.ndarray:
+        return self.columns.lon
+
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
@@ -97,7 +179,13 @@ class Trajectory:
 
     @property
     def bounding_box(self) -> BoundingBox:
-        return BoundingBox.around(self.points)
+        _, lat, lon = self.columns
+        return BoundingBox(
+            south=float(lat.min()),
+            west=float(lon.min()),
+            north=float(lat.max()),
+            east=float(lon.max()),
+        )
 
     def speeds(self) -> list[float]:
         """Per-segment speeds in m/s (length n-1)."""
@@ -124,6 +212,10 @@ class Trajectory:
             records=tuple(r.moved(transform(r)) for r in self.records),
         )
 
+    def with_positions(self, lat: np.ndarray, lon: np.ndarray) -> "Trajectory":
+        """:meth:`map_points` over columns: fix ``i`` moves to ``(lat[i], lon[i])``."""
+        return Trajectory.from_columns(self.user, self.time, lat, lon)
+
     def renamed(self, user: str) -> "Trajectory":
         """A copy attributed to a different (e.g. pseudonymous) user id."""
         return Trajectory(user=user, records=self.records)
@@ -142,16 +234,30 @@ class Trajectory:
         Day ``k`` covers ``[k * day_length, (k + 1) * day_length)``.  Days
         without records produce no entry.
         """
+        return [
+            Trajectory(user=self.user, records=self.records[lo:hi])
+            for lo, hi in self._day_bounds(day_length)
+        ]
+
+    def day_columns(self, day_length: float = DAY) -> list[TraceColumns]:
+        """:meth:`split_by_day` over the column view: one slice per day."""
+        time, lat, lon = self.columns
+        return [
+            TraceColumns(time[lo:hi], lat[lo:hi], lon[lo:hi])
+            for lo, hi in self._day_bounds(day_length)
+        ]
+
+    def _day_bounds(self, day_length: float) -> list[tuple[int, int]]:
+        """Record index range ``[lo, hi)`` of every non-empty day."""
         if day_length <= 0:
             raise TrajectoryError(f"day length must be positive: {day_length}")
         first_day = int(self.start_time // day_length)
         last_day = int(self.end_time // day_length)
-        days = []
-        for day in range(first_day, last_day + 1):
-            piece = self.slice_time(day * day_length, (day + 1) * day_length)
-            if piece is not None:
-                days.append(piece)
-        return days
+        edges = [
+            bisect.bisect_left(self._times, day * day_length)
+            for day in range(first_day, last_day + 2)
+        ]
+        return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
 
     def resample_uniform_distance(self, step_m: float) -> list[GeoPoint]:
         """Points at uniform curvilinear spacing ``step_m`` along the path.
@@ -217,7 +323,8 @@ class Trajectory:
         from repro.geo.projection import LocalProjection
 
         projection = LocalProjection(self.bounding_box.center)
-        xy = [projection.to_xy(p) for p in self.points]
+        x, y = projection.to_xy_columns(self.lat, self.lon)
+        xy = list(zip(x.tolist(), y.tolist()))
         emitted = [xy[0]]
         ex, ey = xy[0]
         for (ax, ay), (bx, by) in zip(xy, xy[1:]):
@@ -256,3 +363,22 @@ class Trajectory:
         after = self.records[index]
         fraction = (time - before.time) / (after.time - before.time)
         return interpolate(before.point, after.point, fraction)
+
+    def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`point_at_time` over an array of instants: ``(lat, lon)``.
+
+        Same clamping and the same ``a + (b - a) * fraction`` per element,
+        so every sample equals the scalar call bit for bit.
+        """
+        time, lat, lon = self.columns
+        times = np.asarray(times, dtype=np.float64)
+        early = times <= time[0]
+        sampled_lat = np.where(early, lat[0], lat[-1])
+        sampled_lon = np.where(early, lon[0], lon[-1])
+        inside = np.flatnonzero(~early & (times < time[-1]))
+        after = np.searchsorted(time, times[inside], side="right")
+        before = after - 1
+        fraction = (times[inside] - time[before]) / (time[after] - time[before])
+        sampled_lat[inside] = lat[before] + (lat[after] - lat[before]) * fraction
+        sampled_lon[inside] = lon[before] + (lon[after] - lon[before]) * fraction
+        return sampled_lat, sampled_lon

@@ -41,7 +41,7 @@ class PoiAttack:
 
     def run_trajectory(self, trajectory: Trajectory) -> list[Poi]:
         """Candidate POIs of a single multi-day trajectory."""
-        days = trajectory.split_by_day(DAY)
+        days = trajectory.day_columns(DAY)
         if self.denoise_window > 1:
             days = [rolling_median(day, self.denoise_window) for day in days]
         pois = self.extractor.extract_many(days)

@@ -12,6 +12,7 @@ home/work pairs are near-unique.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.mobility.dataset import MobilityDataset
 from repro.geo.distance import haversine_m
@@ -56,7 +57,9 @@ class ReidentificationAttack:
         self._attack = PoiAttack(config, denoise_window=denoise_window)
         self.profile_size = profile_size
         self.max_match_distance_m = max_match_distance_m
-        self._profiles: dict[str, list[Poi]] = {}
+        #: ``None`` until fitted; an empty dict is a fitted attacker whose
+        #: background knowledge yielded no profile at all.
+        self._profiles: dict[str, list[Poi]] | None = None
 
     # ------------------------------------------------------------------
     # Phase 1: background knowledge
@@ -64,15 +67,23 @@ class ReidentificationAttack:
 
     def fit(self, background: MobilityDataset) -> "ReidentificationAttack":
         """Build per-user POI profiles from the attacker's side knowledge."""
-        profiles = self._attack.run(background)
+        return self.fit_profiles(self._attack.run(background))
+
+    def fit_profiles(self, pois: Mapping[str, list[Poi]]) -> "ReidentificationAttack":
+        """:meth:`fit` from per-user POIs that were already extracted.
+
+        ``pois`` must be what this attacker's own :class:`PoiAttack` finds
+        (same thresholds, same denoising) — e.g. the sensitive places an
+        audit computed once for the whole registry.
+        """
         self._profiles = {
-            user: pois[: self.profile_size] for user, pois in profiles.items() if pois
+            user: found[: self.profile_size] for user, found in pois.items() if found
         }
         return self
 
     @property
     def known_users(self) -> list[str]:
-        return list(self._profiles)
+        return list(self._profiles or ())
 
     # ------------------------------------------------------------------
     # Phase 2: linkage
@@ -92,20 +103,34 @@ class ReidentificationAttack:
             total_weight += poi.total_dwell
         return total / total_weight if total_weight > 0 else float("inf")
 
+    def _fitted_profiles(self) -> dict[str, list[Poi]]:
+        if self._profiles is None:
+            raise RuntimeError("call fit() with background knowledge before link()")
+        return self._profiles
+
     def link(self, protected: MobilityDataset) -> dict[str, LinkageResult]:
         """Best-profile linkage for every pseudonym of ``protected``."""
-        if not self._profiles:
-            raise RuntimeError("call fit() with background knowledge before link()")
-        observed_profiles = self._attack.run(protected)
+        self._fitted_profiles()  # fail before the extraction, not after it
+        return self.link_profiles(self._attack.run(protected))
+
+    def link_profiles(
+        self, observed_pois: Mapping[str, list[Poi]]
+    ) -> dict[str, LinkageResult]:
+        """:meth:`link` from per-pseudonym POIs that were already extracted.
+
+        A pseudonym with no POI, and every pseudonym when the background
+        yielded no profile, is an abstention (``guessed_user=None``).
+        """
+        profiles = self._fitted_profiles()
         results: dict[str, LinkageResult] = {}
-        for pseudonym, observed in observed_profiles.items():
+        for pseudonym, observed in observed_pois.items():
             observed = observed[: self.profile_size]
             if not observed:
                 results[pseudonym] = LinkageResult(pseudonym, None, float("inf"))
                 continue
             best_user: str | None = None
             best_score = float("inf")
-            for user, profile in self._profiles.items():
+            for user, profile in profiles.items():
                 score = self._profile_distance(observed, profile)
                 if score < best_score:
                     best_user = user

@@ -59,10 +59,9 @@ class GeoIndistinguishabilityMechanism(LocationPrivacyMechanism):
         n = len(trajectory)
         radii = rng.gamma(shape=2.0, scale=1.0 / self.epsilon, size=n)
         angles = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        dxs = radii * np.cos(angles)
-        dys = radii * np.sin(angles)
-        records = tuple(
-            record.moved(projection.translate(record.point, float(dx), float(dy)))
-            for record, dx, dy in zip(trajectory.records, dxs, dys)
+        x, y = projection.to_xy_columns(trajectory.lat, trajectory.lon)
+        return trajectory.with_positions(
+            *projection.to_point_columns(
+                x + radii * np.cos(angles), y + radii * np.sin(angles)
+            )
         )
-        return Trajectory(user=trajectory.user, records=records)

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.errors import MechanismError
 from repro.geo.grid import SpatialGrid
-from repro.geo.point import GeoPoint
 from repro.geo.trajectory import Trajectory
 from repro.mobility.dataset import MobilityDataset
 from repro.privacy.mechanisms.base import LocationPrivacyMechanism
@@ -49,7 +48,8 @@ class KAnonymityCloakingMechanism(LocationPrivacyMechanism):
         self.base_cell_m = base_cell_m
         self.max_levels = max_levels
         self._grids: list[SpatialGrid] | None = None
-        self._user_counts: list[dict[tuple[int, int], int]] | None = None
+        #: Per level, the number of distinct visitors of every cell.
+        self._user_counts: list[np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Dataset-level pass: build the anonymity-set index
@@ -63,12 +63,12 @@ class KAnonymityCloakingMechanism(LocationPrivacyMechanism):
         ]
         self._user_counts = []
         for grid in self._grids:
-            visitors: dict[tuple[int, int], set[str]] = {}
-            for user, record in dataset.all_records():
-                visitors.setdefault(grid.cell_of(record.point), set()).add(user)
-            self._user_counts.append(
-                {cell: len(users) for cell, users in visitors.items()}
-            )
+            visitors = np.zeros((grid.rows, grid.cols), dtype=np.int64)
+            for trajectory in dataset:
+                visited = np.zeros(visitors.shape, dtype=bool)
+                visited[grid.cells_of(trajectory.lat, trajectory.lon)] = True
+                visitors += visited
+            self._user_counts.append(visitors)
         try:
             return super().protect(dataset, seed)
         finally:
@@ -76,30 +76,30 @@ class KAnonymityCloakingMechanism(LocationPrivacyMechanism):
             self._user_counts = None
 
     # ------------------------------------------------------------------
-    # Per-record generalization
+    # Per-trajectory generalization
     # ------------------------------------------------------------------
-
-    def _generalize(self, point: GeoPoint) -> GeoPoint | None:
-        assert self._grids is not None and self._user_counts is not None
-        for grid, counts in zip(self._grids, self._user_counts):
-            cell = grid.cell_of(point)
-            if counts.get(cell, 0) >= self.k:
-                return grid.center_of(cell)
-        return None
 
     def protect_trajectory(
         self, trajectory: Trajectory, rng: np.random.Generator
     ) -> Trajectory | None:
-        if self._grids is None:
+        if self._grids is None or self._user_counts is None:
             raise MechanismError(
                 "k-anonymity cloaking needs the whole dataset; call protect() "
                 "rather than protect_trajectory()"
             )
-        kept = []
-        for record in trajectory.records:
-            generalized = self._generalize(record.point)
-            if generalized is not None:
-                kept.append(record.moved(generalized))
-        if len(kept) < 2:
+        # Coarsest level first, so each fix ends on the finest grid whose
+        # cell holds at least k users; fixes no level covers stay NaN.
+        lat = np.full(len(trajectory), np.nan)
+        lon = np.full(len(trajectory), np.nan)
+        for grid, visitors in zip(reversed(self._grids), reversed(self._user_counts)):
+            rows, cols = grid.cells_of(trajectory.lat, trajectory.lon)
+            anonymous = visitors[rows, cols] >= self.k
+            lat[anonymous], lon[anonymous] = grid.centers_of(
+                rows[anonymous], cols[anonymous]
+            )
+        kept = ~np.isnan(lat)
+        if kept.sum() < 2:
             return None
-        return Trajectory(user=trajectory.user, records=tuple(kept))
+        return Trajectory.from_columns(
+            trajectory.user, trajectory.time[kept], lat[kept], lon[kept]
+        )

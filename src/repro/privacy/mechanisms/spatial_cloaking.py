@@ -44,4 +44,5 @@ class SpatialCloakingMechanism(LocationPrivacyMechanism):
         grid = self._grid or SpatialGrid(
             bbox=trajectory.bounding_box.expanded(0.01), cell_size_m=self.cell_size_m
         )
-        return trajectory.map_points(lambda record: grid.snap(record.point))
+        cells = grid.cells_of(trajectory.lat, trajectory.lon)
+        return trajectory.with_positions(*grid.centers_of(*cells))

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.geo.distance import haversine_m
+import numpy as np
+
+from repro.geo.distance import haversine_m, haversine_m_columns
 from repro.geo.point import GeoPoint
 from repro.geo.trajectory import Trajectory
 from repro.mobility.dataset import MobilityDataset
@@ -86,6 +88,16 @@ def reidentification_rate(
     return correct / len(secret_mapping)
 
 
+def _distortions_m(raw: Trajectory, protected: Trajectory) -> np.ndarray:
+    """Distance from each raw fix inside the protected trace's time span
+    to the protected path's (interpolated) position at that instant."""
+    time, lat, lon = raw.columns
+    covered = (protected.start_time <= time) & (time <= protected.end_time)
+    return haversine_m_columns(
+        lat[covered], lon[covered], *protected.sample(time[covered])
+    )
+
+
 def mean_spatial_distortion_m(raw: Trajectory, protected: Trajectory) -> float:
     """Mean distance between the raw fix and the protected path at the
     same instant.
@@ -94,16 +106,10 @@ def mean_spatial_distortion_m(raw: Trajectory, protected: Trajectory) -> float:
     record inside the protected trace's time span, measure the distance to
     the protected trajectory's (interpolated) position at that time.
     """
-    distances = []
-    for record in raw.records:
-        if not (protected.start_time <= record.time <= protected.end_time):
-            continue
-        distances.append(
-            haversine_m(record.point, protected.point_at_time(record.time))
-        )
-    if not distances:
+    distances = _distortions_m(raw, protected)
+    if not distances.size:
         return float("inf")
-    return sum(distances) / len(distances)
+    return float(distances.sum()) / distances.size
 
 
 def dataset_distortion_m(raw: MobilityDataset, protected: MobilityDataset) -> float:
@@ -117,12 +123,9 @@ def dataset_distortion_m(raw: MobilityDataset, protected: MobilityDataset) -> fl
     for trajectory in raw:
         if trajectory.user not in protected:
             continue
-        shielded = protected.get(trajectory.user)
-        for record in trajectory.records:
-            if not (shielded.start_time <= record.time <= shielded.end_time):
-                continue
-            total += haversine_m(record.point, shielded.point_at_time(record.time))
-            count += 1
+        distances = _distortions_m(trajectory, protected.get(trajectory.user))
+        total += float(distances.sum())
+        count += distances.size
     if count == 0:
         return float("inf")
     return total / count

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geo.grid import CellIndex, SpatialGrid
+from repro.geo.trajectory import Trajectory
 from repro.mobility.dataset import MobilityDataset
 
 
@@ -41,6 +42,21 @@ class DensityGrid:
         return self.counts / total
 
 
+def sampled_cells(
+    trajectory: Trajectory, grid: SpatialGrid, time_step: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where a trajectory is every ``time_step`` seconds of its span.
+
+    Returns the sampling instants and the flat (row-major) index of the
+    cell occupied at each — the time-uniform view every density and flow
+    measure below is built on.  A single-instant trace has no span and
+    yields no sample.
+    """
+    times = np.arange(trajectory.start_time, trajectory.end_time, time_step)
+    rows, cols = grid.cells_of(*trajectory.sample(times))
+    return times, rows * grid.cols + cols
+
+
 def presence_density(
     dataset: MobilityDataset,
     grid: SpatialGrid,
@@ -54,15 +70,11 @@ def presence_density(
     measured is where users *spend time*, not how often their device
     reported.
     """
-    counts = np.zeros((grid.rows, grid.cols), dtype=float)
+    counts = np.zeros(grid.n_cells, dtype=float)
     for trajectory in dataset:
-        if trajectory.duration <= 0:
-            continue
-        times = np.arange(trajectory.start_time, trajectory.end_time, time_step)
-        for time in times:
-            row, col = grid.cell_of(trajectory.point_at_time(float(time)))
-            counts[row, col] += 1.0
-    return DensityGrid(grid=grid, counts=counts)
+        _, cells = sampled_cells(trajectory, grid, time_step)
+        counts += np.bincount(cells, minlength=grid.n_cells)
+    return DensityGrid(grid=grid, counts=counts.reshape(grid.rows, grid.cols))
 
 
 def footfall_density(
@@ -78,18 +90,15 @@ def footfall_density(
     preserves shape, so footfall survives it (experiment E4); per-fix
     noise scatters shape, so footfall degrades under strong Laplace noise.
     """
-    counts = np.zeros((grid.rows, grid.cols), dtype=float)
+    counts = np.zeros(grid.n_cells, dtype=float)
     for trajectory in dataset:
-        visited: set[CellIndex] = set()
         if trajectory.duration <= 0:
-            visited.add(grid.cell_of(trajectory.records[0].point))
+            rows, cols = grid.cells_of(trajectory.lat[:1], trajectory.lon[:1])
+            cells = rows * grid.cols + cols
         else:
-            times = np.arange(trajectory.start_time, trajectory.end_time, time_step)
-            for time in times:
-                visited.add(grid.cell_of(trajectory.point_at_time(float(time))))
-        for row, col in visited:
-            counts[row, col] += 1.0
-    return DensityGrid(grid=grid, counts=counts)
+            _, cells = sampled_cells(trajectory, grid, time_step)
+        counts[np.unique(cells)] += 1.0
+    return DensityGrid(grid=grid, counts=counts.reshape(grid.rows, grid.cols))
 
 
 def hotspot_overlap(

@@ -21,6 +21,7 @@ import numpy as np
 from repro.geo.grid import SpatialGrid
 from repro.mobility.dataset import MobilityDataset
 from repro.units import DAY
+from repro.utility.heatmap import sampled_cells
 
 
 def traffic_matrix(
@@ -38,15 +39,11 @@ def traffic_matrix(
     start = min(t.start_time for t in dataset)
     end = max(t.end_time for t in dataset)
     n_windows = max(1, int(np.ceil((end - start) / window)))
-    matrix = np.zeros((grid.rows * grid.cols, n_windows), dtype=float)
+    matrix = np.zeros((grid.n_cells, n_windows), dtype=float)
     for trajectory in dataset:
-        if trajectory.duration <= 0:
-            continue
-        times = np.arange(trajectory.start_time, trajectory.end_time, time_step)
-        for time in times:
-            row, col = grid.cell_of(trajectory.point_at_time(float(time)))
-            window_index = min(int((time - start) // window), n_windows - 1)
-            matrix[row * grid.cols + col, window_index] += 1.0
+        times, cells = sampled_cells(trajectory, grid, time_step)
+        windows = np.minimum(((times - start) // window).astype(np.int64), n_windows - 1)
+        np.add.at(matrix, (cells, windows), 1.0)
     return matrix
 
 
@@ -66,18 +63,12 @@ def transit_counts(
 
     Returns a flat array of length ``grid.n_cells``.
     """
-    counts = np.zeros(grid.rows * grid.cols, dtype=float)
+    counts = np.zeros(grid.n_cells, dtype=float)
     for trajectory in dataset:
-        if trajectory.duration <= 0:
-            continue
-        times = np.arange(trajectory.start_time, trajectory.end_time, time_step)
-        previous: tuple[int, int] | None = None
-        for time in times:
-            cell = grid.cell_of(trajectory.point_at_time(float(time)))
-            if cell != previous:
-                row, col = cell
-                counts[row * grid.cols + col] += 1.0
-                previous = cell
+        _, cells = sampled_cells(trajectory, grid, time_step)
+        entered = np.ones(cells.size, dtype=bool)
+        entered[1:] = cells[1:] != cells[:-1]
+        counts += np.bincount(cells[entered], minlength=grid.n_cells)
     return counts
 
 

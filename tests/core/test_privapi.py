@@ -11,11 +11,18 @@ from repro.core.requirements import (
     TrafficFlowObjective,
 )
 from repro.errors import PrivacyRequirementError
+from repro.geo.point import GeoPoint, Record
+from repro.geo.trajectory import Trajectory
+from repro.mobility.dataset import MobilityDataset
+from repro.mobility.generator import GeneratorConfig, MobilityGenerator
+from repro.privacy.attacks import PoiAttack
 from repro.privacy.mechanisms import (
     GeoIndistinguishabilityMechanism,
     IdentityMechanism,
+    LocationPrivacyMechanism,
     SpeedSmoothingMechanism,
 )
+from repro.privacy.pois import PoiExtractor
 
 
 class TestConstruction:
@@ -168,3 +175,85 @@ class TestPublish:
         chosen = result.report.chosen_evaluation()
         assert chosen is not None
         assert chosen.satisfies_privacy
+
+
+class TestDataWithoutPois:
+    def test_reidentification_audit_on_users_who_never_dwell(self):
+        """Both bars on a dataset with no sensitive place at all: nothing
+        to recover, nobody to link, and the audit says so instead of
+        crashing in the linker."""
+        dataset = MobilityDataset(
+            Trajectory(
+                user=user,
+                records=tuple(
+                    Record(GeoPoint(lat0 + 0.001 * i, -0.58), 60.0 * i)
+                    for i in range(60)
+                ),
+            )
+            for user, lat0 in (("a", 44.80), ("b", 44.70))
+        )
+        privapi = PrivApi(seed=3)
+        requirement = PrivacyRequirement(max_reidentification=0.5)
+        assert privapi.sensitive_places(dataset, requirement) == {"a": [], "b": []}
+        result = privapi.publish(dataset, requirement)
+        assert result.dataset is not None
+        assert len(result.report.evaluations) == len(privapi.mechanisms)
+        for evaluation in result.report.evaluations:
+            assert evaluation.poi_recall == 0.0
+            assert evaluation.reidentification == 0.0
+            assert evaluation.satisfies_privacy
+
+
+class TestAuditCostModel:
+    """One publication attacks each dataset once: the raw data once, each
+    protected dataset once, and the linker reuses both results."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        config = GeneratorConfig(n_users=6, n_days=3, sampling_period=120.0)
+        return MobilityGenerator(config).generate(seed=2014).dataset
+
+    def test_one_extraction_per_dataset_and_user(self, dataset, monkeypatch):
+        extractions, attack_runs, released = [], [], []
+        extract_many, run = PoiExtractor.extract_many, PoiAttack.run
+        protect = LocationPrivacyMechanism.protect
+
+        def counted_extract_many(self, traces):
+            extractions.append(len(traces))
+            return extract_many(self, traces)
+
+        def counted_run(self, data):
+            attack_runs.append(len(data))
+            return run(self, data)
+
+        def counted_protect(self, data, seed=0):
+            result = protect(self, data, seed)
+            released.append(len(result))
+            return result
+
+        monkeypatch.setattr(PoiExtractor, "extract_many", counted_extract_many)
+        monkeypatch.setattr(PoiAttack, "run", counted_run)
+        monkeypatch.setattr(LocationPrivacyMechanism, "protect", counted_protect)
+
+        privapi = PrivApi(default_registry(), seed=2014)
+        requirement = PrivacyRequirement(max_poi_recall=0.25, max_reidentification=0.5)
+        result = privapi.publish(dataset, requirement, CrowdedPlacesObjective())
+        assert result.dataset is not None
+
+        n_mechanisms = len(privapi.mechanisms)
+        assert len(released) == n_mechanisms + 1  # every audit, then the release
+        assert len(attack_runs) == n_mechanisms + 1  # raw once, each release once
+        surviving = sum(released[:n_mechanisms])
+        assert len(extractions) == len(dataset) + surviving
+
+    def test_audit_without_sensitive_places_is_the_same_audit(self, dataset):
+        privapi = PrivApi(seed=2014)
+        requirement = PrivacyRequirement(max_poi_recall=0.25, max_reidentification=0.5)
+        objective = CrowdedPlacesObjective()
+        sensitive = privapi.sensitive_places(dataset, requirement)
+        for mechanism in (SpeedSmoothingMechanism(250.0), GeoIndistinguishabilityMechanism(0.01)):
+            assert privapi.audit_mechanism(
+                mechanism, dataset, requirement, objective
+            ) == privapi.audit_mechanism(
+                mechanism, dataset, requirement, objective, sensitive
+            )

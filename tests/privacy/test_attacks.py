@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.geo.point import GeoPoint, Record
+from repro.geo.trajectory import Trajectory
 from repro.mobility.dataset import MobilityDataset
 from repro.privacy.attacks import PoiAttack, ReidentificationAttack
 from repro.privacy.mechanisms import (
@@ -108,3 +110,55 @@ class TestReidentificationAttack:
         attack = ReidentificationAttack().fit(background)
         assert set(attack.known_users) <= set(background.users)
         assert len(attack.known_users) >= len(background.users) - 1
+
+    def test_profile_level_fit_and_link_match_the_dataset_level(self, split):
+        """``fit``/``link`` are ``fit_profiles``/``link_profiles`` over
+        this attacker's own POI extraction, so an audit that already
+        holds the POIs gets the same linkage without extracting again."""
+        background, target = split
+        pseudo, _ = target.pseudonymized()
+        extraction = PoiAttack(denoise_window=9)
+        from_datasets = ReidentificationAttack(denoise_window=9).fit(background)
+        from_profiles = ReidentificationAttack(denoise_window=9).fit_profiles(
+            extraction.run(background)
+        )
+        assert from_profiles.known_users == from_datasets.known_users
+        assert from_profiles.link_profiles(extraction.run(pseudo)) == from_datasets.link(pseudo)
+
+
+def walkers(n_fixes: int = 60) -> MobilityDataset:
+    """Two users who never dwell: 60 fixes, 60 s and ~110 m apart."""
+    return MobilityDataset(
+        Trajectory(
+            user=user,
+            records=tuple(
+                Record(GeoPoint(lat0 + 0.001 * i, -0.58), 60.0 * i) for i in range(n_fixes)
+            ),
+        )
+        for user, lat0 in (("a", 44.80), ("b", 44.70))
+    )
+
+
+class TestBackgroundWithoutPois:
+    def test_attacker_with_no_profile_abstains(self):
+        """Empty background knowledge is not "never fitted": the attacker
+        abstains on every pseudonym instead of raising."""
+        dataset = walkers()
+        attack = ReidentificationAttack().fit(dataset)
+        assert attack.known_users == []
+        pseudo, secret = dataset.pseudonymized()
+        results = attack.link(pseudo)
+        assert set(results) == set(secret)
+        assert all(r.guessed_user is None for r in results.values())
+        guesses = {p: r.guessed_user for p, r in results.items()}
+        assert reidentification_rate(secret, guesses) == 0.0
+
+    def test_abstains_on_observed_pois_too(self, medium_population):
+        attack = ReidentificationAttack().fit(walkers())
+        pseudo, _ = medium_population.dataset.slice_time(0, 2 * DAY).pseudonymized()
+        results = attack.link(pseudo)
+        assert results and all(r.guessed_user is None for r in results.values())
+
+    def test_never_fitted_still_raises(self):
+        with pytest.raises(RuntimeError):
+            ReidentificationAttack().link_profiles({})
