@@ -59,6 +59,9 @@ class Battery:
         self.model = model
         self._level = level
         self._last_update = time
+        #: Energy cost per sensor tuple: a task asks for the same tuple
+        #: on every sample, so the sum is taken once per tuple.
+        self._costs: dict[tuple[str, ...], float] = {}
 
     def _advance(self, time: float) -> None:
         """Apply baseline drain / charging between the last update and now.
@@ -67,19 +70,21 @@ class Battery:
         approximation of applying the dominant regime over each sub-span
         is fine at the sampling periods the platform uses (<= minutes).
         """
-        if time < self._last_update:
-            raise PlatformError(
-                f"battery time went backwards: {self._last_update} -> {time}"
-            )
         cursor = self._last_update
+        if time == cursor:
+            return  # a second reading within one tick
+        if time < cursor:
+            raise PlatformError(f"battery time went backwards: {cursor} -> {time}")
+        model = self.model
+        level = self._level
         while cursor < time:
             span = min(time - cursor, 15 * 60.0)  # integrate in <= 15 min slabs
-            if self.model.is_charging_time(cursor):
-                self._level += self.model.charge_per_hour * span / HOUR
+            if model.is_charging_time(cursor):
+                level += model.charge_per_hour * span / HOUR
             else:
-                self._level -= self.model.baseline_drain_per_hour * span / HOUR
+                level -= model.baseline_drain_per_hour * span / HOUR
             cursor += span
-        self._level = min(1.0, max(0.0, self._level))
+        self._level = min(1.0, max(0.0, level))
         self._last_update = time
 
     def level(self, time: float) -> float:
@@ -97,7 +102,9 @@ class Battery:
         until the next charge window).
         """
         self._advance(time)
-        cost = self.model.cost_of(sensors)
+        cost = self._costs.get(sensors)
+        if cost is None:
+            cost = self._costs[sensors] = self.model.cost_of(sensors)
         if self._level <= cost:
             self._level = 0.0
             return False

@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["MobileDevice", "SensorRecord", "TaskRuntimeStats", "DeviceScriptRuntime"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensorRecord:
     """One collected sample as it travels device -> Hive -> Honeycomb.
 
@@ -70,7 +70,12 @@ class DeviceScriptRuntime(ScriptRuntime):
         self.sim = device._sim
         self.stats = device.stats[task.name]
         self._device = device
-        self._task = task
+        # What no sample changes, resolved once: the task's sensors (the
+        # offer was declined unless the device has them all), its
+        # store-and-forward buffer and a record's constant fields.
+        self._sensors = {name: device.sensors.get(name) for name in task.sensors}
+        self._buffer = device._buffers[task.name]
+        self._record_head = (device.device_id, device.user, task.name)
 
     def position(self, time: float) -> GeoPoint:
         return self._device.position(time)
@@ -86,24 +91,19 @@ class DeviceScriptRuntime(ScriptRuntime):
 
     def read_sensor(self, name: str, time: float) -> object:
         device = self._device
-        return device.sensors.get(name).read(device, time, device._rng)
+        return self._sensors[name].read(device, time, device._rng)
 
     def emit(self, values: Mapping[str, object], time: float) -> bool:
-        device = self._device
-        filtered = device._filters.apply(dict(values), time)
+        # ``values`` is the copy ``TaskContext.save`` took at the script
+        # boundary: the filters never write to it (one that rewrites
+        # builds its own mapping) and the record keeps whichever mapping
+        # comes out of the chain.
+        filtered = self._device._filters.apply(values, time)
         if filtered is None:
             self.stats.samples_filtered += 1
             return False
         self.stats.samples_taken += 1
-        device._buffers[self._task.name].append(
-            SensorRecord(
-                device_id=device.device_id,
-                user=device.user,
-                task=self._task.name,
-                time=time,
-                values=dict(filtered),
-            )
-        )
+        self._buffer.append(SensorRecord(*self._record_head, time, filtered))
         return True
 
 

@@ -92,7 +92,7 @@ class HandlerStats:
     saves: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriggerEvent:
     """Why a handler is firing: event kind, time, and trigger payload."""
 
@@ -144,7 +144,9 @@ class ScriptRuntime(ABC):
 
         The device runtime routes this through the user's privacy filter
         chain and the store-and-forward buffer; the vetting runtime just
-        counts it.
+        counts it.  ``values`` is the runtime's to keep: :meth:`TaskContext.
+        save` has already copied the script's mapping, so an
+        implementation stores it as it is and never writes to it.
         """
 
 
@@ -212,6 +214,8 @@ class TimerHandle:
     def __init__(self, dispatcher: "TaskDispatcher", period: float, stats: HandlerStats, fn: Handler):
         self.period = period
         self._dispatcher = dispatcher
+        self._sim = dispatcher.sim
+        self._end = dispatcher.task.end
         self._stats = stats
         self._fn = fn
         self._pending: CancelToken | None = None
@@ -230,16 +234,13 @@ class TimerHandle:
         pending firing is moved to ``now + period``.  The platform's
         1 Hz sampling floor applies, as it does to task validation.
         """
-        if period < 1.0:
-            raise PlatformError(
-                f"timer period {period} below the platform's 1 s sampling floor"
-            )
+        _check_period(period)
         self.period = period
         if self._cancelled or self._in_fire:
             return
         if self._pending is not None:
             self._pending.cancel()
-        self._schedule_next(self._dispatcher.sim.now + period)
+        self._schedule_next(self._sim.now + period)
 
     def cancel(self) -> None:
         """Stop the timer; a cancelled timer never fires again."""
@@ -250,20 +251,29 @@ class TimerHandle:
     # -- internal ------------------------------------------------------
 
     def _schedule_next(self, at: float) -> None:
-        if self._cancelled or at > self._dispatcher.task.end:
+        if self._cancelled or at > self._end:
             self._pending = None
             return
-        self._pending = self._dispatcher.sim.schedule_at(at, self._fire)
+        self._pending = self._sim.schedule_at(at, self._fire)
 
     def _fire(self) -> None:
         if self._cancelled:
             return
+        now = self._sim.now  # a callback runs at one instant
         self._in_fire = True
         try:
-            self._dispatcher._dispatch_timer(self._stats, self._fn)
+            self._dispatcher._dispatch_timer(self._stats, self._fn, now)
         finally:
             self._in_fire = False
-        self._schedule_next(self._dispatcher.sim.now + self.period)
+        self._schedule_next(now + self.period)
+
+
+def _check_period(period: float) -> None:
+    """The platform's 1 Hz sampling floor (NaN is below every floor)."""
+    if not (period >= 1.0):
+        raise PlatformError(
+            f"timer period {period} below the platform's 1 s sampling floor"
+        )
 
 
 class _Trigger:
@@ -409,10 +419,7 @@ class TaskContext:
         The first firing is one period out.  The returned handle can be
         re-scheduled at runtime (adaptive sampling) or cancelled.
         """
-        if period < 1.0:
-            raise PlatformError(
-                f"timer period {period} below the platform's 1 s sampling floor"
-            )
+        _check_period(period)
         stats = self._dispatcher._register("timer", fn)
         timer = TimerHandle(self._dispatcher, period, stats, fn)
         self._dispatcher.timers.append(timer)
@@ -490,12 +497,15 @@ class TaskContext:
     def read_all(self) -> dict[str, object]:
         """Read every declared sensor in one acquisition (v1 semantics):
         the energy cost of the full sensor tuple is paid at once."""
-        runtime = self._dispatcher.runtime
-        now = self.now
-        if not runtime.acquire(self.task.sensors, now):
+        dispatcher = self._dispatcher
+        runtime = dispatcher.runtime
+        sensors = dispatcher.task.sensors
+        now = dispatcher.sim.now
+        if not runtime.acquire(sensors, now):
             runtime.stats.samples_battery_refused += 1
             raise SensorReadRefused("battery refused the sample")
-        return {name: runtime.read_sensor(name, now) for name in self.task.sensors}
+        read = runtime.read_sensor
+        return {name: read(name, now) for name in sensors}
 
     # -- emission ------------------------------------------------------
 
@@ -507,15 +517,19 @@ class TaskContext:
         triggered — geofence and sensor-change handlers may fire outside
         the task region (that is their job), but the task still only
         collects inside it, exactly as v1 did.
+
+        ``values`` is copied here, once: the script may go on mutating
+        or re-using its mapping, and nothing downstream copies again.
         """
-        region = self.task.region
-        if region is not None and not region.contains(
-            self._dispatcher.runtime.position(self.now)
-        ):
+        dispatcher = self._dispatcher
+        runtime = dispatcher.runtime
+        now = dispatcher.sim.now
+        region = dispatcher.task.region
+        if region is not None and not region.contains(runtime.position(now)):
             return False
-        kept = self._dispatcher.runtime.emit(dict(values), self.now)
+        kept = runtime.emit(dict(values), now)
         if kept:
-            current = self._dispatcher._current
+            current = dispatcher._current
             if current is not None:
                 current.saves += 1
         return kept
@@ -675,13 +689,13 @@ class TaskDispatcher:
 
     # -- dispatch ------------------------------------------------------
 
-    def _dispatch_timer(self, stats: HandlerStats, fn: Handler) -> None:
-        now = self.sim.now
-        if self.runtime.in_quiet_hours(now):
-            self.runtime.stats.samples_filtered += 1
+    def _dispatch_timer(self, stats: HandlerStats, fn: Handler, now: float) -> None:
+        runtime = self.runtime
+        if runtime.in_quiet_hours(now):
+            runtime.stats.samples_filtered += 1
             return
         region = self.task.region
-        if region is not None and not region.contains(self.runtime.position(now)):
+        if region is not None and not region.contains(runtime.position(now)):
             return
         self._dispatch(stats, TriggerEvent("timer", now), fn)
 

@@ -1,31 +1,38 @@
-"""The event loop: a time-ordered heap of callbacks."""
+"""The event loop: a time-ordered heap of callbacks.
+
+Every sample of every device, every upload and every pipeline flush is
+one event here, so an event costs what it must and no more.  A heap
+entry is a plain ``(time, seq, callback, token)`` tuple: ``seq`` is
+unique, so tuple comparison is decided by ``(time, seq)`` in C and never
+reaches the callback — same-time events fire in insertion order and two
+un-orderable callbacks at one instant are never compared.  The only
+object allocated per event besides the tuple is its slotted
+:class:`CancelToken`.
+
+Times must be real numbers: a NaN would compare false against
+everything, sit at the heap's root and starve every later event, so the
+``schedule*`` guards are written to refuse it (``not (time >= now)``).
+"""
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable
 
 from repro.errors import SimulationError
 
 
-@dataclass
 class CancelToken:
     """Handle returned by ``schedule*``; call :meth:`cancel` to revoke."""
 
-    cancelled: bool = False
+    __slots__ = ("cancelled",)
+
+    def __init__(self, cancelled: bool = False):
+        self.cancelled = cancelled
 
     def cancel(self) -> None:
         self.cancelled = True
-
-
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    token: CancelToken = field(compare=False)
 
 
 class Simulator:
@@ -39,7 +46,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = start_time
-        self._heap: list[_Event] = []
+        self._heap: list[tuple[float, int, Callable[[], None], CancelToken]] = []
         self._counter = itertools.count()
         self._processed = 0
 
@@ -63,17 +70,17 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> CancelToken:
         """Run ``callback`` at absolute simulation ``time``."""
-        if time < self._now:
+        if not (time >= self._now):  # also refuses NaN
             raise SimulationError(
                 f"cannot schedule at {time}; simulation time is already {self._now}"
             )
         token = CancelToken()
-        heapq.heappush(self._heap, _Event(time, next(self._counter), callback, token))
+        heappush(self._heap, (time, next(self._counter), callback, token))
         return token
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> CancelToken:
         """Run ``callback`` after ``delay`` seconds of simulated time."""
-        if delay < 0:
+        if not (delay >= 0):  # also refuses NaN
             raise SimulationError(f"negative delay: {delay}")
         return self.schedule_at(self._now + delay, callback)
 
@@ -89,22 +96,25 @@ class Simulator:
         Cancellation via the returned token stops future firings.  The
         callback may itself cancel the token to stop the series.
         """
-        if period <= 0:
+        if not (period > 0):  # also refuses NaN
             raise SimulationError(f"period must be positive: {period}")
-        token = CancelToken()
         start = self._now + period if first_at is None else first_at
+        if not (start >= self._now):  # also refuses NaN
+            raise SimulationError(
+                f"cannot schedule at {start}; simulation time is already {self._now}"
+            )
+        token = CancelToken()
+        heap, counter = self._heap, self._counter
 
-        def fire() -> None:
-            if token.cancelled:
-                return
+        def arm(time: float) -> None:
+            if until is None or time <= until:
+                heappush(heap, (time, next(counter), fire, token))
+
+        def fire() -> None:  # popped only while the token is live
             callback()
-            next_time = self._now + period
-            if until is None or next_time <= until:
-                event = _Event(next_time, next(self._counter), fire, token)
-                heapq.heappush(self._heap, event)
+            arm(self._now + period)
 
-        if until is None or start <= until:
-            heapq.heappush(self._heap, _Event(start, next(self._counter), fire, token))
+        arm(start)
         return token
 
     # ------------------------------------------------------------------
@@ -113,12 +123,13 @@ class Simulator:
 
     def step(self) -> bool:
         """Process one event; returns False when the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.token.cancelled:
+        heap = self._heap
+        while heap:
+            time, _, callback, token = heappop(heap)
+            if token.cancelled:
                 continue
-            self._now = event.time
-            event.callback()
+            self._now = time
+            callback()
             self._processed += 1
             return True
         return False
@@ -129,12 +140,18 @@ class Simulator:
         Simulation time ends at exactly ``end_time`` even if the queue
         drains earlier, so periodic reports align across runs.
         """
-        if end_time < self._now:
+        if not (end_time >= self._now):  # also refuses NaN
             raise SimulationError(
                 f"cannot run to {end_time}; simulation time is already {self._now}"
             )
-        while self._heap and self._heap[0].time <= end_time:
-            self.step()
+        heap = self._heap
+        while heap and heap[0][0] <= end_time:
+            time, _, callback, token = heappop(heap)
+            if token.cancelled:
+                continue
+            self._now = time
+            callback()
+            self._processed += 1
         self._now = end_time
 
     def run(self, max_events: int = 10_000_000) -> None:

@@ -14,6 +14,17 @@ is approximate (P² does not compose exactly) but its error stays on the
 order of the per-sketch error — good enough for the streaming tier's
 pane windows and the federation's cross-hive dashboard, both of which
 fold many partial sketches into one estimate.
+
+The feed is *lazy*.  A flush hands each sketch a handful of values —
+often none — and the per-call cost of the marker loop (unpacking and
+re-packing fifteen floats) then outweighs the values themselves.  So
+:meth:`P2Quantile.extend` validates the chunk, parks it on a pending
+list and returns; every reader (:meth:`~P2Quantile.value`,
+:meth:`~P2Quantile.state`, :meth:`~P2Quantile.merge`) first absorbs what
+is pending, in arrival order, through the one marker loop.  ``extend``
+is bit-identical under any chunking, so deferring it changes no state a
+reader can see; :data:`PENDING_LIMIT` bounds what a sketch nobody reads
+may hold.
 """
 
 from __future__ import annotations
@@ -24,6 +35,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import StoreError
+
+#: Pending observations at which a sketch absorbs them unasked: a sketch
+#: nobody reads holds fewer than this many values beside its markers.
+PENDING_LIMIT = 4096
 
 
 class P2Quantile:
@@ -40,21 +55,51 @@ class P2Quantile:
         self._n: list[float] = [0.0] * 5
         self._np: list[float] = [0.0] * 5
         self._dn = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
+        # Chunks handed to extend() and not yet run through the markers.
+        self._pending: list[np.ndarray] = []
+        self._pending_len = 0
 
     def __len__(self) -> int:
-        return self._count
+        return self._count + self._pending_len
 
     def add(self, x: float) -> None:
-        """Absorb one observation."""
+        """Observe one value."""
         self.extend((x,))
 
     def extend(self, values) -> None:
-        """Absorb observations in order; chunking never shows in the state.
+        """Observe values in order; chunking never shows in the state.
 
-        The one update path: a flush feeds thousands of values per
-        sketch, so the five markers live in locals for the whole batch.
+        The chunk is only parked: the next reader — or the chunk that
+        brings the backlog to :data:`PENDING_LIMIT` — runs everything
+        pending through the markers in one pass.
         """
-        xs = np.asarray(values, dtype=np.float64).tolist()
+        if not len(values):
+            return
+        chunk = np.asarray(values, dtype=np.float64)
+        if chunk.ndim != 1:  # checked here: the marker loop runs later
+            raise StoreError(f"observations must be one-dimensional: {chunk.shape}")
+        self._pending.append(chunk)
+        self._pending_len += len(chunk)
+        if self._pending_len >= PENDING_LIMIT:
+            self._absorb()
+
+    def state(self) -> tuple[int, tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+        """``(count, marker heights, positions, desired positions)`` with
+        nothing pending — what two sketches fed the same stream share."""
+        self._absorb()
+        return self._count, tuple(self._q), tuple(self._n), tuple(self._np)
+
+    def _absorb(self) -> None:
+        """Run the pending chunks through the markers, in arrival order.
+
+        The one update path: the five markers live in locals for the
+        whole backlog.
+        """
+        if not self._pending:
+            return
+        xs = np.concatenate(self._pending).tolist()
+        self._pending = []
+        self._pending_len = 0
         warmup = min(len(xs), max(0, 5 - self._count))
         for x in xs[:warmup]:
             self._count += 1
@@ -145,6 +190,7 @@ class P2Quantile:
 
     def value(self) -> float:
         """The current quantile estimate (NaN before any observation)."""
+        self._absorb()
         if self._count == 0:
             return float("nan")
         if self._count <= 5:
@@ -169,6 +215,7 @@ class P2Quantile:
         exactly the fifth); smaller sketches still hold their raw sorted
         sample and are pooled directly by :meth:`merge`.
         """
+        self._absorb()
         span = self._count - 1
         return list(self._q), [(n - 1.0) / span for n in self._n]
 
@@ -191,6 +238,8 @@ class P2Quantile:
                 f"cannot merge sketches tracking different quantiles: {sorted(ps)}"
             )
         merged = cls(sketches[0].p)
+        for sketch in sketches:
+            sketch._absorb()
         live = [s for s in sketches if s._count]
         if not live:
             return merged
@@ -203,6 +252,7 @@ class P2Quantile:
         if not big:
             for sketch in small:
                 merged.extend(sketch._q)
+            merged._absorb()
             return merged
         total = sum(s._count for s in big)
 
@@ -241,6 +291,7 @@ class P2Quantile:
         # samples like any other stream of observations.
         for sketch in small:
             merged.extend(sketch._q)
+        merged._absorb()
         return merged
 
 

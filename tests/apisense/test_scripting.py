@@ -677,3 +677,166 @@ class TestGating:
         sim.run_until(task.end)
         assert fired  # the device moved, the trigger fired...
         assert bound_device.stats[task.name].samples_taken == 0  # ...fenced
+
+
+# ----------------------------------------------------------------------
+# NaN periods: a script's 0/0 may not starve the simulation
+# ----------------------------------------------------------------------
+
+
+class TestNanPeriods:
+    """``nan < 1.0`` is false, so a NaN period used to pass the sampling
+    floor, reach ``Simulator.schedule_at`` and sit at the heap's root for
+    ever after: every later event of every device silently never fired."""
+
+    def test_every_nan_is_a_contained_setup_error(self, sim, bound_device):
+        elsewhere = []
+
+        def setup(ctx):
+            ctx.every(float("nan"), lambda c: None)
+
+        task = v2_task(setup, end=2 * HOUR)
+        bound_device.offer_task(task, 1.0)
+        sim.schedule_at(600.0, lambda: elsewhere.append(sim.now))
+        sim.run_until(task.end)
+        dispatcher = bound_device.dispatcher(task.name)
+        assert dispatcher.setup_error.startswith("PlatformError")
+        assert bound_device.stats[task.name].script_errors == 1
+        assert elsewhere == [600.0]
+
+    def test_reschedule_nan_is_a_counted_script_error(self, sim, bound_device):
+        fired = []
+
+        def setup(ctx):
+            def tick(c):
+                fired.append(c.now)
+                timer.reschedule(0.0 * float("inf"))  # an adaptive 0/0
+
+            timer = ctx.every(300.0, tick)
+
+        task = v2_task(setup, end=HOUR)
+        bound_device.offer_task(task, 1.0)
+        sim.run_until(task.end)
+        assert fired == [300.0 * k for k in range(1, 13)]  # the period stands
+        assert bound_device.stats[task.name].script_errors == 12
+
+    def test_reschedule_nan_from_outside_leaves_the_pending_firing(self, sim, bound_device):
+        fired, handles = [], {}
+
+        def setup(ctx):
+            handles["timer"] = ctx.every(300.0, lambda c: fired.append(c.now))
+
+        task = v2_task(setup, end=HOUR)
+        bound_device.offer_task(task, 1.0)
+        with pytest.raises(PlatformError):
+            handles["timer"].reschedule(float("nan"))
+        sim.run_until(900.0)
+        assert fired == [300.0, 600.0, 900.0]
+
+
+# ----------------------------------------------------------------------
+# One copy per record, and it is save()'s
+# ----------------------------------------------------------------------
+
+
+class TestOneCopyPerRecord:
+    def test_a_mapping_mutated_and_saved_again_is_stored_as_saved(
+        self, sim, fake_hive, bound_device
+    ):
+        def setup(ctx):
+            sample = {}
+
+            def tick(c):
+                sample["battery"] = c.now  # one dict, re-used every tick
+                c.save(sample)
+
+            ctx.every(300.0, tick)
+
+        task = v2_task(setup, end=HOUR, upload_period=HOUR)
+        bound_device.offer_task(task, 1.0)
+        sim.run_until(task.end + task.upload_period)
+        records = [r for *_, batch in fake_hive.uploads for r in batch]
+        assert [r.values["battery"] for r in records] == [r.time for r in records]
+        assert len({id(r.values) for r in records}) == len(records) == 12
+
+    @pytest.mark.parametrize("chain", ["blur", "field-drop"])
+    def test_filters_never_write_to_the_scripts_mapping(
+        self, chain, sim, fake_hive, small_population, sensor_suite
+    ):
+        from repro.apisense.filters import FieldDropFilter, PrivacyFilterChain
+        from repro.apisense.preferences import UserPreferences
+
+        device = build_device(
+            small_population, sensor_suite, preferences=UserPreferences(blur_cell_m=400.0)
+        )
+        if chain == "field-drop":
+            device._filters = PrivacyFilterChain([FieldDropFilter(frozenset({"battery"}))])
+        device.bind(sim, fake_hive)
+        saved = []
+
+        def setup(ctx):
+            def tick(c):
+                sample = {"gps": c.location.current, "battery": c.battery.level}
+                saved.append((sample, dict(sample)))
+                c.save(sample)
+
+            ctx.every(300.0, tick)
+
+        task = v2_task(setup, end=HOUR, upload_period=HOUR)
+        device.offer_task(task, 1.0)
+        sim.run_until(task.end + task.upload_period)
+        records = [r for *_, batch in fake_hive.uploads for r in batch]
+        assert len(records) == len(saved) == 12
+        assert all(sample == as_saved for sample, as_saved in saved)
+        for record, (sample, _) in zip(records, saved):
+            assert record.values is not sample
+            if chain == "blur":
+                assert record.values["gps"] != sample["gps"]
+                assert record.values["battery"] == sample["battery"]
+            else:
+                assert record.values == {"gps": sample["gps"]}
+
+
+class TestSensorRecordIsAValue:
+    """``SensorRecord`` is frozen and slotted; what the tiers do to one
+    must keep working without an instance ``__dict__``."""
+
+    def record(self, values):
+        from repro.apisense.device import SensorRecord
+
+        return SensorRecord("dev-0", "alice", "t", 12.5, values)
+
+    def test_replace_equality_and_no_instance_dict(self):
+        import dataclasses
+
+        from repro.geo.point import GeoPoint
+
+        record = self.record({"gps": GeoPoint(1.0, 2.0), "rssi": -70.0})
+        traced = dataclasses.replace(record, trace_id=7)  # the gateway's stamp
+        assert traced.trace_id == 7 and record.trace_id is None
+        assert traced.values is record.values
+        assert traced != record
+        assert dataclasses.replace(traced, trace_id=None) == record
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.time = 0.0
+
+    def test_hashable_when_its_values_are(self):
+        class FrozenValues(dict):
+            def __hash__(self):
+                return hash(frozenset(self.items()))
+
+        one = self.record(FrozenValues(rssi=-70.0))
+        assert hash(one) == hash(self.record(FrozenValues(rssi=-70.0)))
+        assert len({one, self.record(FrozenValues(rssi=-70.0))}) == 1
+        with pytest.raises(TypeError):
+            hash(self.record({"rssi": -70.0}))
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        from repro.geo.point import GeoPoint
+
+        record = self.record({"gps": GeoPoint(1.0, 2.0), "rssi": -70.0})
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(record, protocol)) == record

@@ -73,10 +73,5 @@ class ReferenceP2Quantile(P2Quantile):
 
 def sketch_state(sketch: P2Quantile) -> tuple:
     """Every field of a sketch, NaN-safe to compare (bit patterns)."""
-    return (
-        sketch.p,
-        sketch._count,
-        np.array(sketch._q, dtype=np.float64).tobytes(),
-        np.array(sketch._n, dtype=np.float64).tobytes(),
-        np.array(sketch._np, dtype=np.float64).tobytes(),
-    )
+    count, *markers = sketch.state()
+    return (sketch.p, count, *(np.array(m, dtype=np.float64).tobytes() for m in markers))

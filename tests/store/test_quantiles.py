@@ -301,3 +301,113 @@ class TestExtend:
         sketch.extend(values)
         reference.extend(values)
         assert sketch_state(sketch) == sketch_state(reference)
+
+
+# ``extend`` only parks its chunk; the markers move when somebody reads.
+# A program of feeds and reads on the lazy sketch must be
+# indistinguishable, step by step, from the eagerly fed reference.
+_values = st.floats(allow_nan=True, allow_infinity=True)
+_steps = st.one_of(
+    st.tuples(
+        st.just("extend"),
+        st.sampled_from(["list", "tuple", "float64", "float32", "int"]),
+        st.lists(_values, max_size=12),
+    ),
+    st.tuples(st.just("add"), _values),
+    st.tuples(st.just("len")),
+    st.tuples(st.just("value")),
+    st.tuples(st.just("merge"), st.lists(st.floats(-1e6, 1e6), max_size=9)),
+)
+
+
+def as_chunk(kind, values):
+    """One chunk in the container and width a caller might hand over,
+    and the float64 values the sketch must observe for it."""
+    if kind == "int":
+        values = [int(x) % 1000 for x in values if x == x and abs(x) != float("inf")]
+        return np.array(values, dtype=np.int64), [float(x) for x in values]
+    if kind == "float32":
+        with np.errstate(over="ignore"):
+            chunk = np.array(values, dtype=np.float32)
+        return chunk, chunk.astype(np.float64).tolist()
+    if kind == "float64":
+        return np.array(values, dtype=np.float64), values
+    return (tuple(values) if kind == "tuple" else list(values)), values
+
+
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestLazyFeed:
+    @given(steps=st.lists(_steps, max_size=30), p=quantiles)
+    @settings(max_examples=300, deadline=None)
+    def test_any_interleaving_of_feeds_and_reads_equals_the_eager_sketch(self, steps, p):
+        from repro.store import quantiles as module
+
+        # A bound small enough for a drawn program to reach it.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, "PENDING_LIMIT", 16)
+            self.run_program(steps, p, module)
+
+    @staticmethod
+    def run_program(steps, p, module):
+        import copy
+
+        lazy, eager = P2Quantile(p), ReferenceP2Quantile(p)
+        finite = True  # merge sorts a set of marker heights: no NaN there
+        for step in steps:
+            if step[0] == "extend":
+                chunk, observed = as_chunk(step[1], step[2])
+                finite = finite and bool(np.isfinite(observed).all())
+                lazy.extend(chunk)
+                eager.extend(observed)
+            elif step[0] == "add":
+                finite = finite and bool(np.isfinite(step[1]))
+                lazy.add(step[1])
+                eager.add(step[1])
+            elif step[0] == "len":
+                pending = lazy._pending_len
+                assert len(lazy) == len(eager)
+                assert lazy._pending_len == pending  # answered without absorbing
+            elif step[0] == "value":
+                assert bits(lazy.value()) == bits(eager.value())
+            else:
+                other_lazy, other_eager = P2Quantile(p), ReferenceP2Quantile(p)
+                other_lazy.extend(step[1])
+                other_eager.extend(step[1])
+                before = sketch_state(copy.deepcopy(lazy)), sketch_state(copy.deepcopy(other_lazy))
+                merged = P2Quantile.merge([lazy, other_lazy])
+                assert merged._pending_len == 0  # tests read merged._q directly
+                if finite:
+                    assert sketch_state(merged) == sketch_state(
+                        ReferenceP2Quantile.merge([eager, other_eager])
+                    )
+                assert (sketch_state(lazy), sketch_state(other_lazy)) == before
+            assert lazy._pending_len < module.PENDING_LIMIT
+            assert len(lazy) == len(eager)
+            # Read a copy: the sketch under test keeps what it has pending.
+            assert sketch_state(copy.deepcopy(lazy)) == sketch_state(eager)
+
+    def test_an_unread_sketch_holds_less_than_the_bound(self):
+        from repro.store.quantiles import PENDING_LIMIT
+
+        stream = np.random.default_rng(5).lognormal(3.0, 1.0, size=3 * PENDING_LIMIT)
+        sketch, reference = P2Quantile(0.95), ReferenceP2Quantile(0.95)
+        reference.extend(stream.tolist())
+        held = []
+        for start in range(0, len(stream), 57):  # a device-campaign flush
+            sketch.extend(stream[start : start + 57])
+            held.append(sketch._pending_len)
+            assert len(sketch) == min(start + 57, len(stream))
+        assert 0 < max(held) < PENDING_LIMIT and held.count(0) == 2  # absorbed unasked
+        assert sketch_state(sketch) == sketch_state(reference)
+
+    def test_a_chunk_is_validated_when_it_is_handed_over(self):
+        sketch = P2Quantile(0.5)
+        with pytest.raises(ValueError):
+            sketch.extend(["not a number"])
+        with pytest.raises(StoreError):
+            sketch.extend(np.zeros((2, 2)))
+        sketch.extend(())
+        assert len(sketch) == 0 and np.isnan(sketch.value())
