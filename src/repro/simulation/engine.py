@@ -145,7 +145,7 @@ class Simulator:
                 f"cannot run to {end_time}; simulation time is already {self._now}"
             )
         heap = self._heap
-        while heap and heap[0][0] <= end_time:
+        while heap and heap[0][0] <= end_time:  # step(), inlined per event
             time, _, callback, token = heappop(heap)
             if token.cancelled:
                 continue

@@ -5,10 +5,10 @@ task context, device runtime, battery) and the per-flush sketch feed are
 performance-critical and therefore rewritten from time to time.  This
 file pins what a small campaign of the e2e benchmark's ``device_campaign``
 shape *computes* at seeds 2014 and 7919: a sha256 over the store's
-columns and user names, every closed window's counts, cells and lag
-and value percentiles, every device's runtime counters and final battery level,
-and the simulator's event and message counts.  Floats are hashed by
-their IEEE-754 bytes, so one ulp of battery drift or one reordered
+columns and user names, every closed window's counts, cells and lag and
+value percentiles, every device's runtime counters and final battery
+level, and the simulator's event and message counts.  Floats are hashed
+by their IEEE-754 bytes, so one ulp of battery drift or one reordered
 same-instant event moves the digest.  A digest that moves is a finding
 to report, not a constant to update.
 

@@ -208,7 +208,12 @@ class TestOrderingContract:
     def test_an_event_scheduled_at_the_current_instant_fires_last_of_it(self):
         sim = Simulator()
         fired = []
-        sim.schedule_at(4.0, lambda: (fired.append("a"), sim.schedule(0.0, lambda: fired.append("a+"))))
+
+        def first():
+            fired.append("a")
+            sim.schedule(0.0, lambda: fired.append("a+"))
+
+        sim.schedule_at(4.0, first)
         sim.schedule_at(4.0, lambda: fired.append("b"))
         sim.run_until(4.0)
         assert fired == ["a", "b", "a+"]
@@ -316,7 +321,8 @@ def run_program(sim, phases):
         for index, operation in enumerate(operations):
             label, kind = (phase, index), operation[0]
             if kind == "at":
-                tokens.append(sim.schedule_at(sim.now + operation[1], callback_for(label, operation[2])))
+                callback = callback_for(label, operation[2])
+                tokens.append(sim.schedule_at(sim.now + operation[1], callback))
             elif kind == "after":
                 tokens.append(sim.schedule(operation[1], callback_for(label, operation[2])))
             elif kind == "periodic":
