@@ -7,29 +7,10 @@ scale equivalent of the paper's deployment data.
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
 import pytest
 
 from repro.mobility.generator import GeneratorConfig, MobilityGenerator, PopulationData
 from repro.units import DAY
-
-
-#: ``REPRO_BENCH_ENFORCE=1`` makes a bench run a *measurement*: the
-#: wall-clock budgets are asserted and the tracked ``BENCH_*.json`` are
-#: rewritten.  The CI ``metrics-overhead`` and ``benchmarks`` jobs set
-#: it on a runner of their own; tier-1 does not, so it checks what the
-#: benches compute (counts, exactly-once, live == batch), never how
-#: fast the host happened to be, and leaves the working tree clean.
-ENFORCE_BUDGETS = os.environ.get("REPRO_BENCH_ENFORCE") == "1"
-
-
-def write_tracked(path: Path, payload: dict) -> None:
-    """Rewrite one tracked ``BENCH_*.json`` (measurement runs only)."""
-    if ENFORCE_BUDGETS:
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @pytest.fixture(scope="session")

@@ -24,9 +24,7 @@ The platform's architecture maps one-to-one onto the paper's Figure 1:
 - :mod:`repro.apisense.incentives` implements the four incentive
   strategies the paper lists;
 - multi-Hive deployments scale out through :mod:`repro.federation`
-  (consistent-hash placement, syndication, federated queries);
-  :class:`~repro.apisense.federation.HiveFederation` remains as a thin
-  legacy facade over it.
+  (consistent-hash placement, syndication, federated queries).
 
 Everything runs on the deterministic simulator from
 :mod:`repro.simulation`; see DESIGN.md for the substitution argument.
@@ -87,7 +85,6 @@ from repro.apisense.incentives import (
 )
 from repro.apisense.campaign import Campaign, CampaignConfig, CampaignReport
 from repro.apisense.transport import Transport, TransportStats
-from repro.apisense.federation import HiveFederation, SyndicationReceipt
 from repro.apisense.monitoring import PlatformHealthReport, snapshot
 from repro.apisense.vetting import DryRunReport, HandlerReport, describe_task, dry_run_task
 from repro.apisense.recruitment import (
@@ -159,8 +156,6 @@ __all__ = [
     "PredicateRecruitment",
     "QuotaRecruitment",
     "SensorCapabilityRecruitment",
-    "HiveFederation",
-    "SyndicationReceipt",
     "DryRunReport",
     "HandlerReport",
     "describe_task",

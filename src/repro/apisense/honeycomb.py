@@ -39,8 +39,8 @@ class Honeycomb:
     def register_task(self, task: SensingTask) -> None:
         """Register a task without publishing it.
 
-        Used by :class:`repro.apisense.federation.HiveFederation`, which
-        handles publication across several Hives itself.
+        Used by :meth:`repro.federation.FederationRouter.syndicate`,
+        which handles publication across several Hives itself.
         """
         task.validate()
         if task.name in self._tasks:

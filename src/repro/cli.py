@@ -238,23 +238,17 @@ def cmd_publish(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# ``store`` subcommands (columnar dataset store operations)
+# CSV in, CSV out (shared by store / stream / obs / federation)
 # ----------------------------------------------------------------------
 
 
-def _ingest_csv_into_store(args: argparse.Namespace, via_pipeline: bool):
-    """Load a mobility CSV into a fresh store, optionally via the pipeline.
-
-    Rows are replayed in time order (the arrival order a live deployment
-    would see) as single-task GPS records.  Returns ``(store, pipeline)``
-    where ``pipeline`` is ``None`` for direct bulk loads.
-    """
+def _csv_records(args: argparse.Namespace) -> list:
+    """``--input`` as single-task GPS records in time order (the arrival
+    order a live deployment would see)."""
     from repro.apisense.device import SensorRecord
-    from repro.simulation import Simulator
-    from repro.store import DatasetStore, IngestPipeline
 
     dataset = MobilityDataset.from_csv(args.input)
-    records = sorted(
+    return sorted(
         (
             SensorRecord(
                 device_id=f"csv:{user}",
@@ -267,6 +261,35 @@ def _ingest_csv_into_store(args: argparse.Namespace, via_pipeline: bool):
         ),
         key=lambda r: r.time,
     )
+
+
+def _write_rows(path: str, batch) -> None:
+    """Write a scanned batch as ``user,time,lat,lon,value`` CSV."""
+    import csv
+
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["user", "time", "lat", "lon", "value"])
+        writer.writerows(batch.rows())
+    print(f"wrote {len(batch)} rows to {path}")
+
+
+# ----------------------------------------------------------------------
+# ``store`` subcommands (columnar dataset store operations)
+# ----------------------------------------------------------------------
+
+
+def _ingest_csv_into_store(args: argparse.Namespace, via_pipeline: bool):
+    """Load a mobility CSV into a fresh store, optionally via the pipeline.
+
+    Rows are replayed in time order as single-task GPS records.  Returns
+    ``(store, pipeline)`` where ``pipeline`` is ``None`` for direct bulk
+    loads.
+    """
+    from repro.simulation import Simulator
+    from repro.store import DatasetStore, IngestPipeline
+
+    records = _csv_records(args)
     store = DatasetStore(
         n_shards=args.shards, segment_capacity=args.segment_capacity
     )
@@ -320,13 +343,7 @@ def cmd_store_query(args: argparse.Namespace) -> int:
     if len(batch):
         print(f"  time span [{batch.time.min():.0f}, {batch.time.max():.0f}]s")
     if args.out:
-        import csv
-
-        with open(args.out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["user", "time", "lat", "lon", "value"])
-            writer.writerows(batch.rows())
-        print(f"wrote {len(batch)} rows to {args.out}")
+        _write_rows(args.out, batch)
     return 0
 
 
@@ -366,24 +383,10 @@ def _replay_csv_through_streams(args: argparse.Namespace, engine, scraper=None) 
     import itertools
 
     from repro import obs
-    from repro.apisense.device import SensorRecord
     from repro.simulation import Simulator
     from repro.store import DatasetStore, IngestPipeline
 
-    dataset = MobilityDataset.from_csv(args.input)
-    records = sorted(
-        (
-            SensorRecord(
-                device_id=f"csv:{user}",
-                user=user,
-                task=args.task_name,
-                time=record.time,
-                values={"gps": record.point},
-            )
-            for user, record in dataset.all_records()
-        ),
-        key=lambda r: r.time,
-    )
+    records = _csv_records(args)
     sim = Simulator()
     engine.bind_clock(sim)  # lag views measure this replay's pipeline delay
     obs.configure(clock=lambda: sim.now)
@@ -522,46 +525,71 @@ async def _pump_pushes(client, show) -> None:
         show(pushes)
 
 
-def cmd_stream_watch(args: argparse.Namespace) -> int:
-    """Watch windows close live — served over the dashboard channel.
+def _watch_replay(
+    args: argparse.Namespace, engine, subscribe, show, scraper=None, slos=None
+) -> None:
+    """Replay ``--input`` behind an in-process server, one client watching.
 
-    Unlike ``stream views`` (a batch read after the replay), this stands
-    up an in-process :class:`repro.server.ReproServer` over the replay
-    engine, connects one dashboard client, and prints every
-    ``WindowSnapshot`` *as pushed to the subscribed client* — the CLI is
-    a real serving-tier consumer, not a callback on the engine.
+    Stands up a :class:`repro.server.ReproServer` over the replay
+    engine, connects one client, lets ``subscribe(client)`` open its
+    channel, and hands every batch of pushes to ``show`` as it arrives.
+    ``scraper`` (with the ``slos`` evaluated at its frames) feeds the
+    server's ``obs watch`` channel and is started on the replay's
+    simulator, bounded past the last record so the periodic scrape
+    event cannot keep the drained simulator alive.
     """
     import asyncio
     import itertools
 
-    from repro.apisense.device import SensorRecord
+    from repro import obs
     from repro.server import ReproServer, ServerClient
     from repro.simulation import Simulator
     from repro.store import DatasetStore, IngestPipeline
 
-    engine = _build_stream_engine(args)
-    _register_stream_queries(args, engine)
-
-    dataset = MobilityDataset.from_csv(args.input)
-    records = sorted(
-        (
-            SensorRecord(
-                device_id=f"csv:{user}",
-                user=user,
-                task=args.task_name,
-                time=record.time,
-                values={"gps": record.point},
-            )
-            for user, record in dataset.all_records()
-        ),
-        key=lambda r: r.time,
-    )
+    records = _csv_records(args)
     sim = Simulator()
     engine.bind_clock(sim)
+    if scraper is not None:
+        obs.configure(clock=lambda: sim.now)
     store = DatasetStore(n_shards=args.shards)
     pipeline = IngestPipeline(sim, store, flush_delay=args.flush_delay)
     engine.attach(pipeline)
-    server = ReproServer(engine=engine, sim=sim)
+    server = ReproServer(engine=engine, sim=sim, scraper=scraper, slos=slos)
+    if scraper is not None and records:
+        horizon = (
+            records[-1].time + max(args.window, args.lateness) + args.flush_delay
+        )
+        scraper.start(sim, until=horizon)
+
+    async def run() -> None:
+        client = ServerClient(server.connect_in_process())
+        await client.connect()
+        await subscribe(client)
+        for timestamp, group in itertools.groupby(records, key=lambda r: r.time):
+            if timestamp > sim.now:
+                await server.drive(timestamp, slice_seconds=args.window)
+            pipeline.submit(list(group))
+            await _pump_pushes(client, show)
+        sim.run()
+        pipeline.flush_all()
+        engine.finalize()
+        await server.drain()
+        await _pump_pushes(client, show)
+        await client.close()
+
+    asyncio.run(run())
+
+
+def cmd_stream_watch(args: argparse.Namespace) -> int:
+    """Watch windows close live — served over the dashboard channel.
+
+    Unlike ``stream views`` (a batch read after the replay), this prints
+    every ``WindowSnapshot`` *as pushed to the subscribed client* (see
+    :func:`_watch_replay`) — the CLI is a real serving-tier consumer,
+    not a callback on the engine.
+    """
+    engine = _build_stream_engine(args)
+    _register_stream_queries(args, engine)
 
     printed = 0
     alerts_pushed = 0
@@ -576,23 +604,9 @@ def cmd_stream_watch(args: argparse.Namespace) -> int:
             elif push["kind"] == "alert":
                 alerts_pushed += 1
 
-    async def run() -> None:
-        client = ServerClient(server.connect_in_process())
-        await client.connect()
-        await client.subscribe("window", alerts=True)
-        for timestamp, group in itertools.groupby(records, key=lambda r: r.time):
-            if timestamp > sim.now:
-                await server.drive(timestamp, slice_seconds=args.window)
-            pipeline.submit(list(group))
-            await _pump_pushes(client, show)
-        sim.run()
-        pipeline.flush_all()
-        engine.finalize()
-        await server.drain()
-        await _pump_pushes(client, show)
-        await client.close()
-
-    asyncio.run(run())
+    _watch_replay(
+        args, engine, lambda client: client.subscribe("window", alerts=True), show
+    )
     print(
         f"watched {engine.stats.windows_emitted} windows over the server channel "
         f"({engine.stats.records_seen} records, "
@@ -804,51 +818,15 @@ def cmd_obs_slo(args: argparse.Namespace) -> int:
 def cmd_obs_watch(args: argparse.Namespace) -> int:
     """Watch scrape frames + SLO transitions live over the server channel.
 
-    Mirrors ``stream watch``: stands up an in-process server over the
-    replay, subscribes one client to the ``obs watch`` channel, and
-    prints every pushed frame/alert — a real serving-tier consumer.
+    Mirrors ``stream watch``: one client subscribed to the in-process
+    server's ``obs watch`` channel (see :func:`_watch_replay`), every
+    pushed frame/alert printed — a real serving-tier consumer.
     """
-    import asyncio
-    import itertools
-
     from repro import obs
-    from repro.apisense.device import SensorRecord
-    from repro.server import ReproServer, ServerClient
-    from repro.simulation import Simulator
-    from repro.store import DatasetStore, IngestPipeline
 
     obs.reset(metrics=True, tracing=False)
     scraper = obs.MetricsScraper(cadence=args.cadence, capacity=args.retain)
     engine = _build_stream_engine(args)
-
-    dataset = MobilityDataset.from_csv(args.input)
-    records = sorted(
-        (
-            SensorRecord(
-                device_id=f"csv:{user}",
-                user=user,
-                task=args.task_name,
-                time=record.time,
-                values={"gps": record.point},
-            )
-            for user, record in dataset.all_records()
-        ),
-        key=lambda r: r.time,
-    )
-    sim = Simulator()
-    engine.bind_clock(sim)
-    obs.configure(clock=lambda: sim.now)
-    store = DatasetStore(n_shards=args.shards)
-    pipeline = IngestPipeline(sim, store, flush_delay=args.flush_delay)
-    engine.attach(pipeline)
-    server = ReproServer(
-        engine=engine, sim=sim, scraper=scraper, slos=_default_slos(args)
-    )
-    if records:
-        horizon = (
-            records[-1].time + max(args.window, args.lateness) + args.flush_delay
-        )
-        scraper.start(sim, until=horizon)
 
     frames_shown = 0
     alerts_shown = 0
@@ -875,39 +853,20 @@ def cmd_obs_watch(args: argparse.Namespace) -> int:
                     f"@ t={alert['time']:.0f}s: {alert['message']}"
                 )
 
-    async def run() -> None:
-        client = ServerClient(server.connect_in_process())
-        await client.connect()
-        await client.watch_obs(names=args.names or None)
-        for timestamp, group in itertools.groupby(records, key=lambda r: r.time):
-            if timestamp > sim.now:
-                await server.drive(timestamp, slice_seconds=args.window)
-            pipeline.submit(list(group))
-            await _pump_pushes(client, show)
-        sim.run()
-        pipeline.flush_all()
-        engine.finalize()
-        await server.drain()
-        await _pump_pushes(client, show)
-        await client.close()
-
-    asyncio.run(run())
+    _watch_replay(
+        args,
+        engine,
+        lambda client: client.watch_obs(names=args.names or None),
+        show,
+        scraper=scraper,
+        slos=_default_slos(args),
+    )
     print(
         f"watched {frames_shown} scrape frames and {alerts_shown} SLO "
         f"transitions over the server channel "
         f"({scraper.stats.scrapes} scrapes, {scraper.store.n_series} series)"
     )
     return 0
-
-
-def cmd_obs_bench_diff(args: argparse.Namespace) -> int:
-    """Compare tracked BENCH_*.json between the working tree and a ref."""
-    from repro.obs.benchdiff import bench_diff, render_diff
-
-    diffs, missing = bench_diff(base=args.base, threshold=args.threshold)
-    print(render_diff(diffs, missing, base=args.base, threshold=args.threshold))
-    regressed = [d for d in diffs if d.regressed]
-    return 1 if regressed else 0
 
 
 # ----------------------------------------------------------------------
@@ -1108,11 +1067,9 @@ def cmd_federation_stats(args: argparse.Namespace) -> int:
 
 def cmd_federation_query(args: argparse.Namespace) -> int:
     """Shard a CSV across member stores via the ring, query federated."""
-    from repro.apisense.device import SensorRecord
     from repro.federation import ConsistentHashRing, FederatedDataset
     from repro.store import DatasetStore
 
-    dataset = MobilityDataset.from_csv(args.input)
     ring = ConsistentHashRing()
     stores = {}
     for index in range(args.hives):
@@ -1121,19 +1078,11 @@ def cmd_federation_query(args: argparse.Namespace) -> int:
         stores[name] = DatasetStore(
             n_shards=args.shards, segment_capacity=args.segment_capacity
         )
-    by_member: dict[str, list[SensorRecord]] = {name: [] for name in stores}
-    for user, record in dataset.all_records():
-        by_member[ring.place(f"csv:{user}")].append(
-            SensorRecord(
-                device_id=f"csv:{user}",
-                user=user,
-                task=args.task_name,
-                time=record.time,
-                values={"gps": record.point},
-            )
-        )
+    by_member: dict[str, list] = {name: [] for name in stores}
+    for record in _csv_records(args):  # time order survives the split
+        by_member[ring.place(record.device_id)].append(record)
     for name, records in by_member.items():
-        stores[name].append(sorted(records, key=lambda r: r.time))
+        stores[name].append(records)
 
     federated = FederatedDataset(stores)
     bbox = tuple(args.bbox) if args.bbox else None
@@ -1181,13 +1130,7 @@ def cmd_federation_query(args: argparse.Namespace) -> int:
         if not ok:
             return 1
     if args.out:
-        import csv
-
-        with open(args.out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["user", "time", "lat", "lon", "value"])
-            writer.writerows(batch.rows())
-        print(f"wrote {len(batch)} rows to {args.out}")
+        _write_rows(args.out, batch)
     return 0
 
 
@@ -1545,9 +1488,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_stream_common(obs_dump)
     obs_dump.add_argument(
-        "--sample-rate", type=float, default=1.0, help=argparse.SUPPRESS
-    )
-    obs_dump.add_argument(
         "--json",
         action="store_true",
         help="emit the exposition as JSON rows instead of Prometheus text",
@@ -1560,9 +1500,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_stream_common(obs_top)
     obs_top.add_argument(
         "--limit", type=int, default=10, help="stages shown (hottest first)"
-    )
-    obs_top.add_argument(
-        "--sample-rate", type=float, default=1.0, help=argparse.SUPPRESS
     )
     obs_top.add_argument(
         "--json",
@@ -1644,9 +1581,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs_history.add_argument(
         "--last", type=int, default=5, help="trailing points printed per series"
     )
-    obs_history.add_argument(
-        "--sample-rate", type=float, default=1.0, help=argparse.SUPPRESS
-    )
     obs_history.set_defaults(handler=cmd_obs_history)
 
     obs_slo = obs_commands.add_parser(
@@ -1656,9 +1590,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_scrape_common(obs_slo)
     add_slo_common(obs_slo)
-    obs_slo.add_argument(
-        "--sample-rate", type=float, default=1.0, help=argparse.SUPPRESS
-    )
     obs_slo.set_defaults(handler=cmd_obs_slo)
 
     obs_watch = obs_commands.add_parser(
@@ -1682,26 +1613,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         help="series lines printed per rendered frame",
     )
-    obs_watch.add_argument(
-        "--sample-rate", type=float, default=1.0, help=argparse.SUPPRESS
-    )
     obs_watch.set_defaults(handler=cmd_obs_watch)
-
-    obs_bench_diff = obs_commands.add_parser(
-        "bench-diff",
-        help="compare tracked BENCH_*.json (working tree vs a git ref) "
-        "and flag per-metric regressions",
-    )
-    obs_bench_diff.add_argument(
-        "--base", default="HEAD", help="git ref to compare against"
-    )
-    obs_bench_diff.add_argument(
-        "--threshold",
-        type=float,
-        default=5.0,
-        help="regression threshold in percent",
-    )
-    obs_bench_diff.set_defaults(handler=cmd_obs_bench_diff)
 
     serve = commands.add_parser(
         "serve",

@@ -24,7 +24,7 @@ from repro.server.middleware import (
     ServerMiddleware,
     ServerRequest,
 )
-from repro.server.server import ReproServer, ServerMetrics, ServerStats
+from repro.server.server import ReproServer, ServerStats
 from repro.server.sessions import PushQueue, Session, Subscription
 from repro.server.transport import (
     Endpoint,
@@ -49,7 +49,6 @@ __all__ = [
     "ReproServer",
     "ServerClient",
     "ServerDenied",
-    "ServerMetrics",
     "ServerMiddleware",
     "ServerRedirected",
     "ServerRequest",

@@ -130,21 +130,6 @@ class ServerStats:
         return self.denials_connect + self.denials_request + self.denials_channel
 
 
-@dataclass(frozen=True)
-class ServerMetrics:
-    """One dashboard-ready reading of the serving tier's health."""
-
-    sessions_active: int
-    sessions_total: int
-    subscriptions_active: int
-    subscriptions_total: int
-    pushes_sent: int
-    pushes_dropped: int
-    denials: int
-    alerts_pushed: int
-    alert_gaps: int
-
-
 class ReproServer:
     """The serving tier over one Hive — or a whole federation.
 
@@ -263,20 +248,6 @@ class ReproServer:
     def pushes_queued(self) -> int:
         """Pushes enqueued toward live sessions but not yet pumped."""
         return sum(s.pushes_queued for s in self._sessions.values())
-
-    def metrics(self) -> ServerMetrics:
-        """The serving-tier reading ``monitoring.snapshot`` surfaces."""
-        return ServerMetrics(
-            sessions_active=self.sessions_active,
-            sessions_total=self.stats.sessions_closed + self.sessions_active,
-            subscriptions_active=self.subscriptions_active,
-            subscriptions_total=self.stats.subscriptions_total,
-            pushes_sent=self.pushes_sent,
-            pushes_dropped=self.pushes_dropped,
-            denials=self.stats.denials,
-            alerts_pushed=self.stats.alerts_pushed,
-            alert_gaps=self.stats.alert_gaps,
-        )
 
     # ------------------------------------------------------------------
     # Connection lifecycle

@@ -270,8 +270,3 @@ class Session:
             if message is not _CLOSE:
                 self._dropped(message)
         self.endpoint.close()
-
-    async def drain(self) -> None:
-        """Wait until every queued push reached the transport."""
-        while len(self.queue) and not self.closed:
-            await asyncio.sleep(0)

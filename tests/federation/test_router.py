@@ -140,6 +140,10 @@ class TestSyndication:
         total = sum(s.records for s in stats.values())
         assert total > 0
         assert owner.n_records(task.name) == total
+        # Whichever community produced a record, its user resolves.
+        assert set(owner.mobility_dataset(task.name).users) <= {
+            device.user for device in devices
+        }
         # No loss, no duplication: the federated store view agrees.
         federated = FederatedDataset.from_router(router)
         assert len(federated.scan(task.name)) == total
@@ -161,7 +165,10 @@ class TestSyndication:
     def test_non_partner_members_adopt_without_offering(self, federation):
         router, devices = federation
         owner = Honeycomb("lab", router.hive("hive-0"))
-        router.syndicate(gps_task(), owner, home="hive-0", partners=["hive-1"])
+        receipt = router.syndicate(
+            gps_task(), owner, home="hive-0", partners=["hive-1"]
+        )
+        assert receipt.partner_hives == ("hive-1",)
         stats = router.task_stats("fed-task")
         # hive-2 adopted the task (an entry exists) but sent no offers.
         assert "hive-2" in stats
@@ -179,6 +186,7 @@ class TestSyndication:
         populate(router, fed_population, sensor_suite)
         owner = Honeycomb("lab", router.hive("hive-0"))
         receipt = router.syndicate(gps_task(), owner, home="hive-0")
+        assert receipt.partner_hives == ("hive-1", "hive-2")  # default: all others
         assert receipt.announcements == 2
         # Announcements are in flight; partners have not offered yet
         # unless the first attempt got through instantly.

@@ -17,3 +17,16 @@ def fresh_obs():
     obs.reset(metrics=True, tracing=False)
     yield
     obs.reset(metrics=True, tracing=False)
+
+
+def stored_columns(store, task: str) -> tuple:
+    """Everything the store holds for ``task``, comparable byte for byte
+    (``==`` on the arrays would call two NaN coordinates different)."""
+    batch = store.scan(task)
+    return (
+        batch.time.tobytes(),
+        batch.lat.tobytes(),
+        batch.lon.tobytes(),
+        batch.value.tobytes(),
+        batch.user_names(),
+    )

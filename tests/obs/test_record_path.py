@@ -16,8 +16,10 @@ from repro.apisense.device import SensorRecord
 from repro.apisense.hive import Hive
 from repro.apisense.honeycomb import Honeycomb
 from repro.apisense.tasks import SensingTask
+from repro.server.protocol import snapshot_digest
 from repro.simulation import Simulator
 from repro.streams import StreamEngine, WindowSpec
+from tests.obs.conftest import stored_columns
 
 WINDOW = 300.0
 TASK = "traced"
@@ -53,6 +55,34 @@ def upload(hive: Hive, device: str, times: list[float]) -> int:
     return hive.receive_upload(device, f"user-{device}", TASK, records)
 
 
+def replay_gateway_uploads(n_devices: int) -> Hive:
+    """Two upload ticks of ``n_devices`` three-record uploads, drained."""
+    sim = Simulator()
+    hive = make_traced_hive(sim)
+    for tick in range(2):
+        sim.run_until(tick * WINDOW)  # the last tick's flush timers fire
+        for index in range(n_devices):
+            start = tick * WINDOW + 10.0 + index % 50
+            times = [start, start + 60.0, start + 120.0]
+            assert upload(hive, f"dev-{index:03d}", times) == 3
+    sim.run()
+    hive.pipeline.flush_all()
+    hive.streams.finalize()
+    return hive
+
+
+def assert_each_delivered_exactly_once(paths) -> None:
+    """Every traced record crossed each of the four stages once."""
+    for key, stages in paths.items():
+        seen = {stage: len(spans) for stage, spans in stages.items()}
+        assert seen == {
+            "ingest.admit": 1,
+            "ingest.flush": 1,
+            "store.append": 1,
+            "stream.window": 1,
+        }, f"record {key} was not delivered exactly once: {seen}"
+
+
 class TestRecordPathReconstruction:
     def test_exactly_once_pipeline_store_window_from_spans_alone(self):
         obs.configure(tracing=True, sample_rate=1.0)
@@ -72,17 +102,7 @@ class TestRecordPathReconstruction:
         # Every admitted record appears, keyed by (trace_id, time) —
         # nothing extra, nothing missing.
         assert set(paths) == expected_keys
-        for key, stages in paths.items():
-            seen = {
-                stage: len(spans)
-                for stage, spans in stages.items()
-            }
-            assert seen == {
-                "ingest.admit": 1,
-                "ingest.flush": 1,
-                "store.append": 1,
-                "stream.window": 1,
-            }, f"record {key} was not delivered exactly once: {seen}"
+        assert_each_delivered_exactly_once(paths)
 
     def test_flush_all_and_timer_flush_trace_identically(self):
         # Two records in one upload: one flushed by the timer, then the
@@ -115,6 +135,35 @@ class TestRecordPathReconstruction:
         assert len(paths) == 4
         admits = obs.tracer().log.spans("ingest.admit")
         assert len(admits) == 4
+
+    def test_one_in_ten_sampling_delivers_every_traced_record_exactly_once(self):
+        # 0.1 is not a binary fraction: over 400 gate decisions the
+        # accumulator may drift by one trace, never more.
+        obs.configure(tracing=True, sample_rate=0.1)
+        replay_gateway_uploads(200)  # 400 uploads
+        log = obs.tracer().log
+        assert log.dropped == 0
+        n_traced = len(log.trace_ids())
+        assert abs(n_traced - 400 * 0.1) <= 1
+        paths = obs.record_paths(log)
+        assert len(paths) == n_traced * 3
+        assert_each_delivered_exactly_once(paths)
+
+    def test_what_is_stored_and_windowed_does_not_depend_on_the_posture(self):
+        outcomes = []
+        for metrics, tracing in ((False, False), (True, False), (True, True)):
+            obs.reset(metrics=metrics, tracing=tracing)
+            obs.configure(sample_rate=0.1)
+            hive = replay_gateway_uploads(200)
+            assert hive.store.n_records == 1200
+            outcomes.append(
+                (
+                    stored_columns(hive.store, TASK),
+                    [snapshot_digest(s) for s in hive.streams.snapshots(TASK, "m5")],
+                )
+            )
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert [window["records"] for window in outcomes[0][1]] == [600, 600]
 
     def test_tracing_off_leaves_no_spans_and_no_trace_ids(self):
         sim = Simulator()

@@ -125,6 +125,24 @@ class TestSingleHiveSLODemo:
         assert server.stats.obs_alerts_pushed == 2
         assert server.stats.obs_frames_pushed == 5
 
+    def test_every_watcher_receives_every_frame_exactly_once(self, sim):
+        scraper = MetricsScraper(capacity=64)
+        server = ReproServer(make_hive(sim, lateness=0.0), sim=sim, scraper=scraper)
+        times = [1.0 + k for k in range(50)]
+
+        async def scenario():
+            watchers = [await connect(server) for _ in range(8)]
+            for client in watchers:
+                await client.watch_obs()
+            for t in times:
+                scraper.scrape(t)
+            await server.drain()
+            return [frame_times(await settle(client)) for client in watchers]
+
+        assert run(scenario()) == [times] * 8
+        assert server.stats.obs_frames_pushed == 8 * len(times)
+        assert server.pushes_dropped == 0
+
     def test_watch_without_scraper_is_an_error(self, sim):
         hive = make_hive(sim, lateness=0.0)
         server = ReproServer(hive, sim=sim)

@@ -26,6 +26,7 @@ from repro.server import (
     ServerRedirected,
     connect_tcp,
 )
+from repro.server.protocol import snapshot_digest
 from repro.simulation import Simulator
 from repro.store import DatasetStore, IngestPipeline
 from repro.streams import ContinuousQuery, StreamEngine, WindowSpec, rate_below
@@ -119,7 +120,7 @@ class TestHandshake:
             assert redirected.value.target == "partner-hive:9999"
             assert server.stats.redirects == 1
             # A redirected handshake never became a session.
-            assert server.metrics().sessions_total == 0
+            assert server.stats.sessions_closed + server.sessions_active == 0
 
         run(scenario())
 
@@ -133,8 +134,8 @@ class TestHandshake:
             await asyncio.sleep(0)
             await asyncio.sleep(0)
             assert server.stats.connections == 2
-            metrics = server.metrics()
-            assert (metrics.sessions_total, metrics.sessions_active) == (1, 0)
+            assert server.stats.sessions_closed + server.sessions_active == 1
+            assert server.sessions_active == 0
 
         run(scenario())
 
@@ -406,6 +407,49 @@ class TestFederatedServer:
             secure = await client.secure_aggregate("t")
             assert secure["records"] == 60
             await client.close()
+
+        run(scenario())
+
+
+class TestDashboardFanOut:
+    def test_every_subscription_is_pushed_the_batch_view_and_drops_nothing(self, sim):
+        class SeenSessions(ServerMiddleware):
+            """The public way to a live Session: the connect hook."""
+
+            def __init__(self):
+                self.sessions = []
+
+            async def connect(self, *, request, session, next):
+                self.sessions.append(session)
+                return await next()
+
+        seen = SeenSessions()
+        hive = make_hive(sim)
+        server = ReproServer(hive, middlewares=[seen])
+
+        async def scenario():
+            clients = [await connect(server) for _ in range(32)]
+            for client in clients:
+                await client.subscribe(VIEW)
+            await clients[0].upload("d0", "u0", "t", make_records(90, dt=20.0))
+            await drive_and_flush(server, hive, 2400.0)
+            await server.drain()
+            batch = [snapshot_digest(s) for s in hive.streams.snapshots("t", VIEW)]
+            assert [window["records"] for window in batch] == [15] * 6
+            assert len(seen.sessions) == len(clients)
+            for client, session in zip(clients, seen.sessions):
+                (subscription,) = session.subscriptions.values()
+                assert subscription.snapshots_pushed == len(batch)
+                assert subscription.pushes_dropped == 0
+                pushed = [
+                    push["snapshot"]
+                    for push in await settle(client)
+                    if push["kind"] == "snapshot"
+                ]
+                assert pushed == batch  # in order, no duplicate, none missing
+                await client.close()
+            assert server.pushes_sent == 32 * len(batch)
+            assert server.pushes_dropped == 0
 
         run(scenario())
 

@@ -587,8 +587,18 @@ class TestObsTimeseriesCommands:
         stages = json.loads(capsys.readouterr().out)
         assert stages and {"stage", "count", "p50", "p99"} <= set(stages[0])
 
-    def test_bench_diff_renders_the_table(self, capsys):
-        code = main(["obs", "bench-diff", "--base", "HEAD"])
-        assert code in (0, 1)  # suite order may have refreshed BENCH files
-        output = capsys.readouterr().out
-        assert "bench diff vs HEAD" in output
+    def test_removed_bench_diff_verb_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(["obs", "bench-diff"])
+        assert refused.value.code == 2
+        assert "invalid choice: 'bench-diff'" in capsys.readouterr().err
+
+    def test_sample_rate_is_an_option_of_trace_only(self, raw_csv, capsys):
+        replay = ["--input", str(raw_csv), "--window", "21600"]
+        for verb in ("dump", "top", "history", "slo", "watch"):
+            with pytest.raises(SystemExit) as refused:
+                main(["obs", verb, *replay, "--sample-rate", "0.5"])
+            assert refused.value.code == 2
+            assert "unrecognized arguments: --sample-rate" in capsys.readouterr().err
+        assert main(["obs", "trace", *replay, "--sample-rate", "0.5"]) == 0
+        assert "sample rate 0.5" in capsys.readouterr().out
