@@ -1,8 +1,11 @@
 """The serving tier's client: requests by id, pushes into a local queue.
 
 :class:`ServerClient` wraps one :class:`~repro.server.transport.
-Endpoint` (in-process or TCP — the protocol is identical) and runs a
-single **reader task** that demultiplexes inbound traffic:
+Endpoint` (in-process or TCP — the protocol is identical) and receives
+through :meth:`~repro.server.transport.Endpoint.deliver`: one receiver
+callback demultiplexes inbound traffic as it arrives — called straight
+from the server's send on the in-process pipe, from the endpoint's one
+reader task over TCP:
 
 - ``response`` / ``channel_reply`` messages resolve the future of the
   request that carries the same ``id``;
@@ -60,7 +63,7 @@ class ServerClient:
         self._pending: dict[int, asyncio.Future] = {}
         self.pushes: asyncio.Queue[Message] = asyncio.Queue()
         self.session_id: int | None = None
-        self._reader: asyncio.Task | None = None
+        self._eof: asyncio.Future | None = None  # resolved by the receiver
         self._closed = False
 
     @property
@@ -94,26 +97,27 @@ class ServerClient:
         if reply.get("type") != "connected":
             raise ServerError(f"unexpected handshake reply: {reply!r}")
         self.session_id = int(reply["session_id"])
-        self._reader = asyncio.get_running_loop().create_task(self._read())
+        self._eof = asyncio.get_running_loop().create_future()
+        self._endpoint.deliver(self._receive)
         return self.session_id
 
-    async def _read(self) -> None:
-        while True:
-            message = await self._endpoint.recv()
-            if message is None:
-                break
-            kind = message.get("type")
-            if kind == "push":
+    def _receive(self, message: Optional[Message]) -> None:
+        """The endpoint's receiver: one inbound message, ``None`` at EOF."""
+        if message is not None:
+            if message.get("type") == "push":
                 self.pushes.put_nowait(message)
-                continue
+                return
             future = self._pending.pop(message.get("id"), None)
             if future is not None and not future.done():
                 future.set_result(message)
+            return
         self._closed = True
         for future in self._pending.values():
             if not future.done():
                 future.set_exception(ServerError("connection closed"))
         self._pending.clear()
+        if not self._eof.done():
+            self._eof.set_result(None)
 
     async def close(self) -> None:
         if self._closed:
@@ -123,11 +127,11 @@ class ServerClient:
             await self._endpoint.send({"type": "close"})
         except ServerError:  # pragma: no cover - already torn down
             pass
-        if self._reader is not None:
-            try:
-                await asyncio.wait_for(self._reader, timeout=1.0)
-            except (asyncio.TimeoutError, asyncio.CancelledError):
-                self._reader.cancel()
+        if self._eof is not None:
+            try:  # the server closes its end once it has seen ours
+                await asyncio.wait_for(self._eof, timeout=1.0)
+            except asyncio.TimeoutError:
+                pass
         self._endpoint.close()
 
     # ------------------------------------------------------------------

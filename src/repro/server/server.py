@@ -27,13 +27,16 @@ by :meth:`ReproServer._answer` (validate, run the chain, map the outcome
 to the reply).  Every push — window, alert, alert gap, metrics frame,
 SLO transition — takes one path: subscription -> its cursor (is this
 event new to it?) -> :meth:`~repro.server.sessions.Session.push` (the
-envelope) -> queue -> pump.  An event's body is built once and shared by
-all its subscribers, read-only.
+envelope) -> bounded queue -> ready list -> one delivery pass per loop
+turn -> :meth:`~repro.server.transport.Endpoint.try_send`, with a
+sender task only while a transport pushes back.  An event's body is
+built once and shared by all its subscribers, read-only.
 
 The platform itself stays on the deterministic simulator clock: window
 closes happen synchronously inside simulator events and only *enqueue*
-pushes; the asyncio side (sender tasks, client readers) drains between
-simulation slices — :meth:`ReproServer.drive` interleaves the two.
+pushes; the delivery pass (and any sender under backpressure) runs
+between simulation slices — :meth:`ReproServer.drive` interleaves the
+two.
 Tests and benchmarks run the whole protocol over the socketless
 :class:`~repro.server.transport.InProcessTransport`; a deployment binds
 the identical protocol to TCP via :meth:`ReproServer.serve_tcp`.
@@ -195,6 +198,8 @@ class ReproServer:
         self.obs.subscriptions.set_function(lambda: self.subscriptions_active)
         self._tracer = _obs.tracer()
         self._sessions: dict[int, Session] = {}
+        #: Sessions with pushes for this loop turn's delivery pass.
+        self._ready: list[Session] = []
         #: Federated dedup: newest merged window end pushed per (task, view).
         self._merged_done: dict[tuple[str, str], float] = {}
         for name, eng in self._engines.items():
@@ -246,7 +251,7 @@ class ReproServer:
 
     @property
     def pushes_queued(self) -> int:
-        """Pushes enqueued toward live sessions but not yet pumped."""
+        """Pushes enqueued toward live sessions but not yet sent."""
         return sum(s.pushes_queued for s in self._sessions.values())
 
     # ------------------------------------------------------------------
@@ -257,8 +262,10 @@ class ReproServer:
         """A socketless connection: returns the **client** endpoint.
 
         The server side runs as a background task on the current loop.
-        ``client_capacity`` bounds the client's inbox to emulate a slow
-        consumer (0 = unbounded).
+        ``client_capacity`` bounds a raw endpoint's unread inbox to
+        emulate a slow consumer (0 = unbounded); a
+        :class:`~repro.server.client.ServerClient` receives each message
+        on arrival, so it has no inbox to fill.
         """
         transport = InProcessTransport(client_capacity=client_capacity)
         asyncio.get_running_loop().create_task(
@@ -287,7 +294,8 @@ class ReproServer:
             if not await self._handshake(session, endpoint):
                 return
             self._sessions[session.session_id] = session
-            session.start_sender()
+            self._loop = asyncio.get_running_loop()
+            session.on_ready = self._on_ready
             try:
                 await self._serve_session(session, endpoint)
             finally:
@@ -350,7 +358,12 @@ class ReproServer:
 
     async def _serve_session(self, session: Session, endpoint: Endpoint) -> None:
         while True:
-            frame = await endpoint.recv()
+            try:
+                frame = await endpoint.recv()
+            except ServerError as error:  # an unreadable line is answered too
+                reply = {"type": "response", "id": None, "status": "error"}
+                await endpoint.send({**reply, "error": str(error)})
+                continue
             if frame is None:
                 return
             if not isinstance(frame, dict):  # no type: _on_request answers it
@@ -627,6 +640,18 @@ class ReproServer:
     # Push path (every fan-out is synchronous, inside sim events)
     # ------------------------------------------------------------------
 
+    def _on_ready(self, session: Session) -> None:
+        """A push landed in ``session``'s empty queue: deliver it this turn."""
+        if not self._ready:
+            self._loop.call_soon(self._deliver)
+        self._ready.append(session)
+
+    def _deliver(self) -> None:
+        """The loop turn's one delivery pass: ready queues -> transports."""
+        ready, self._ready = self._ready, []
+        for session in ready:
+            session.flush()
+
     def _subscribers(self) -> Iterator[tuple[Session, Subscription]]:
         """Every live (session, subscription) pair."""
         for session in self._sessions.values():
@@ -772,8 +797,8 @@ class ReproServer:
 
         The simulator is synchronous — window closes (and therefore push
         enqueues) happen inside its events.  Slicing its advance and
-        yielding to the event loop between slices lets sender tasks and
-        in-process clients run concurrently with the simulated platform,
+        yielding to the event loop between slices lets the delivery pass
+        and the clients run concurrently with the simulated platform,
         which is what makes 1k live dashboard sessions possible without
         threads.
         """
@@ -790,5 +815,5 @@ class ReproServer:
 
     async def drain(self) -> None:
         """Wait until every live session's push queue reached its transport."""
-        while any(len(s.queue) for s in self._sessions.values()):
+        while any(s.pushes_queued for s in self._sessions.values()):
             await asyncio.sleep(0)

@@ -7,28 +7,31 @@ One :class:`Session` lives for one authenticated connection.  It owns
 - the connection's :class:`Subscription`\\ s — streaming views and the
   metrics feed are the same type in the same map;
 - a bounded **push queue** between the event path and the connection's
-  sender task.
+  transport.
 
 Every push takes one path: the subscription's cursor
 (:meth:`Subscription.advance`) says whether the event is new to it,
-:meth:`Session.push` builds the envelope and enqueues it, the pump sends
-it.  An event's body is built once and **shared between all its
+:meth:`Session.push` builds the envelope and enqueues it (the first push
+into an empty queue puts the session on the server's ready list), and
+the server's one delivery pass per loop turn hands it on through
+:meth:`Session.flush` -> ``Endpoint.try_send``.  A **sender task**
+exists only while the transport pushes back, and exits once the backlog
+is gone.  An event's body is built once and **shared between all its
 subscribers** — read-only once pushed (in-process clients receive the
 same object).
 
 The push queue is the slow-consumer valve: events enqueue instantly
-(the simulation must never block on a laggard dashboard), the sender
-task drains toward the transport, and when a subscriber cannot keep up
-the **oldest queued push is evicted** — counted per session and per
-subscription (``pushes_dropped``), never silent, so every consumer can
-reconcile ``received + dropped == emitted``.
+(the simulation must never block on a laggard dashboard), and when a
+subscriber cannot keep up the **oldest queued push is evicted** —
+counted per session and per subscription (``pushes_dropped``), never
+silent, so every consumer can reconcile ``received + dropped ==
+emitted``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Optional
@@ -43,16 +46,13 @@ _session_ids = itertools.count(1)
 _subscription_ids = itertools.count(1)
 
 #: Push kinds that carry a body, and the envelope key it travels under.
-#: (``alert_gap`` is a bare notice: no body, no ``sent_at``.)
+#: (``alert_gap`` is a bare notice, without one.)
 _BODY_KEY = {
     "snapshot": "snapshot",
     "alert": "alert",
     "obs_frame": "frame",
     "obs_alert": "alert",
 }
-
-#: Queued behind the last push to stop the pump once it has sent them.
-_CLOSE: Message = {"type": "_close"}
 
 
 @dataclass
@@ -85,12 +85,11 @@ class Subscription:
 
 
 class PushQueue:
-    """Bounded FIFO between window closes and a session's sender task.
+    """Bounded FIFO between window closes and a session's transport.
 
     ``put`` is synchronous (callable from the simulator's window-close
     callbacks); overflow evicts the **oldest** queued item and returns
-    it so the caller can account the drop.  ``get`` awaits the next
-    item.
+    it so the caller can account the drop.
     """
 
     def __init__(self, capacity: int):
@@ -98,7 +97,6 @@ class PushQueue:
             raise ServerError(f"push queue capacity must be >= 1: {capacity}")
         self.capacity = capacity
         self._items: deque[Message] = deque()
-        self._ready = asyncio.Event()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -109,20 +107,16 @@ class PushQueue:
         if len(self._items) >= self.capacity:
             dropped = self._items.popleft()
         self._items.append(item)
-        self._ready.set()
         return dropped
+
+    def popleft(self) -> Message:
+        return self._items.popleft()
 
     def clear(self) -> list[Message]:
         """Drop and return everything still queued (session teardown)."""
         items = list(self._items)
         self._items.clear()
         return items
-
-    async def get(self) -> Message:
-        while not self._items:
-            self._ready.clear()
-            await self._ready.wait()
-        return self._items.popleft()
 
 
 class Session:
@@ -150,7 +144,12 @@ class Session:
         self.pushes_sent = 0
         self.pushes_dropped = 0
         self.closed = False
+        #: Waits on a transport that pushed back; None the rest of the time.
         self._sender: asyncio.Task | None = None
+        #: A push landed in the empty queue (the server hooks its ready list).
+        self.on_ready: Callable[[Session], None] = (
+            lambda session: asyncio.get_running_loop().call_soon(session.flush)
+        )
 
     @property
     def now(self) -> float:
@@ -159,8 +158,8 @@ class Session:
 
     @property
     def pushes_queued(self) -> int:
-        """Pushes enqueued but not yet pumped to the transport."""
-        return len(self.queue)
+        """Pushes enqueued but not yet sent (a running sender holds one)."""
+        return len(self.queue) + (self._sender is not None)
 
     # ------------------------------------------------------------------
     # Subscriptions
@@ -195,10 +194,10 @@ class Session:
         """Enqueue one push toward this session (never blocks).
 
         The only place a push envelope is built: ``header`` fields, then
-        — for the kinds that carry one — the ``sent_at`` stamp and the
-        ``body``, which every subscriber of the event shares and none
-        may mutate.  Returns False when the session is closed.  On
-        overflow the oldest queued push is evicted and counted dropped.
+        — for the kinds that carry one — the ``body``, which every
+        subscriber of the event shares and none may mutate.  Returns
+        False when the session is closed.  On overflow the oldest queued
+        push is evicted and counted dropped.
         """
         if self.closed:
             return False
@@ -209,8 +208,9 @@ class Session:
             **header,
         }
         if body is not None:
-            message["sent_at"] = time.perf_counter()
             message[_BODY_KEY[kind]] = body
+        if not self.queue and self._sender is None:
+            self.on_ready(self)
         evicted = self.queue.put(message)
         self._count_on_server("enqueued")
         if evicted is not None:
@@ -221,9 +221,10 @@ class Session:
         """Count one push that will never reach the transport.
 
         Every way to lose one ends here (eviction, a transport closed
-        under the pump, teardown with pushes queued), on the session,
-        its subscription while still subscribed, and the server
-        together — so ``enqueued = sent + dropped + queued`` stays exact.
+        under the sender, teardown with pushes queued or in flight), on
+        the session, its subscription while still subscribed, and the
+        server together — so ``enqueued = sent + dropped + queued``
+        stays exact.
         """
         self.pushes_dropped += 1
         victim = self.subscriptions.get(message["subscription"])
@@ -231,42 +232,53 @@ class Session:
             victim.pushes_dropped += 1
         self._count_on_server("dropped")
 
-    def start_sender(self) -> asyncio.Task:
-        """Start the drain task: push queue -> transport endpoint."""
-        if self._sender is None:
-            self._sender = asyncio.get_running_loop().create_task(self._pump())
-        return self._sender
-
-    async def _pump(self) -> None:
-        while True:
-            message = await self.queue.get()
-            if message is _CLOSE:
-                return
+    def flush(self) -> None:
+        """Hand queued pushes to the transport; a refused one starts the
+        sender task, which then owns the queue until it is empty."""
+        while self.queue and self._sender is None:
+            message = self.queue.popleft()
             try:
-                await self.endpoint.send(message)
+                if not self.endpoint.try_send(message):
+                    self._sender = asyncio.get_running_loop().create_task(
+                        self._send_backlog(message)
+                    )
+                    return
             except ServerError:  # the endpoint closed under us
                 self._dropped(message)
                 return
             self.pushes_sent += 1
             self._count_on_server("sent")
 
+    async def _send_backlog(self, message: Message) -> None:
+        try:
+            while True:
+                await self.endpoint.send(message)
+                self.pushes_sent += 1
+                self._count_on_server("sent")
+                if not self.queue:
+                    return
+                message = self.queue.popleft()
+        except ServerError:  # the endpoint closed under us
+            self._dropped(message)
+        except asyncio.CancelledError:  # teardown gave up on it
+            self._dropped(message)
+            raise
+        finally:
+            self._sender = None
+
     async def close(self) -> None:
-        """Tear the session down: stop the sender, drop subscriptions."""
+        """Tear the session down: send what the transport takes, drop the rest."""
         if self.closed:
             return
         self.closed = True
-        self.subscriptions.clear()
-        if self._sender is not None:
-            # The pump sends what is queued ahead of the sentinel; on a
-            # full queue the sentinel itself evicts the oldest push.
-            evicted = self.queue.put(_CLOSE)
-            if evicted is not None:
-                self._dropped(evicted)
+        self.flush()
+        sender = self._sender
+        if sender is not None:
             try:
-                await asyncio.wait_for(self._sender, timeout=1.0)
+                await asyncio.wait_for(sender, timeout=1.0)
             except (asyncio.TimeoutError, asyncio.CancelledError):
-                self._sender.cancel()
+                sender.cancel()
         for message in self.queue.clear():
-            if message is not _CLOSE:
-                self._dropped(message)
+            self._dropped(message)
+        self.subscriptions.clear()
         self.endpoint.close()

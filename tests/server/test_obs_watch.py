@@ -1,16 +1,17 @@
 """The ISSUE acceptance demo: SLO burn-to-recovery over ``obs watch``.
 
-A scripted latency degradation (a slow middleware inside the timed
-request section) flips a latency :class:`SLODefinition` to burning, the
+A scripted latency degradation (a middleware that advances the server's
+request timer inside the timed section) flips a latency
+:class:`SLODefinition` to burning, the
 ``ObsAlert`` reaches every ``obs watch`` subscriber **exactly once**,
 and recovery flips it back — on a single hive and on a 4-hive
 federation whose merged rollup series equal the sum of the per-hive
-scrapes at every aligned timestamp.
+scrapes at every aligned timestamp.  Request latency is read from a
+scripted clock, not the host's, so a host stall cannot fake a burn and
+the tests never sleep.
 """
 
 from __future__ import annotations
-
-import asyncio
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.errors import ServerError
 from repro.federation import FederationRouter, FederationScraper, ROUTER_MEMBER
 from repro.obs import BurnRateRule, MetricsScraper, SLODefinition, latency_sli
 from repro.server import ReproServer, ServerMiddleware
+from repro.server import server as server_module
 from tests.server.conftest import connect, make_hive, run, settle
 from tests.server.test_channel import upload_window
 
@@ -30,15 +32,32 @@ def fresh_obs():
     obs.reset(metrics=True, tracing=False)
 
 
-class Degrader(ServerMiddleware):
-    """A fault you can dial: sleeps inside the timed request section."""
+class ScriptedClock:
+    """Stands in for the server module's ``time``: moves only when told."""
 
     def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        return self.now
+
+
+@pytest.fixture()
+def clock(monkeypatch) -> ScriptedClock:
+    scripted = ScriptedClock()
+    monkeypatch.setattr(server_module, "time", scripted)
+    return scripted
+
+
+class Degrader(ServerMiddleware):
+    """A fault you can dial: each request takes ``delay`` scripted seconds."""
+
+    def __init__(self, clock: ScriptedClock):
+        self.clock = clock
         self.delay = 0.0
 
     async def request(self, *, request, session, next):
-        if self.delay:
-            await asyncio.sleep(self.delay)
+        self.clock.now += self.delay
         return await next()
 
 
@@ -63,10 +82,10 @@ def frame_times(pushes) -> list[float]:
 
 
 class TestSingleHiveSLODemo:
-    def test_degradation_burns_recovery_clears_exactly_once(self, sim):
+    def test_degradation_burns_recovery_clears_exactly_once(self, sim, clock):
         hive = make_hive(sim, lateness=0.0)
         scraper = MetricsScraper(capacity=64)
-        degrader = Degrader()
+        degrader = Degrader(clock)
         server = ReproServer(
             hive,
             sim=sim,
@@ -91,7 +110,7 @@ class TestSingleHiveSLODemo:
             # Healthy traffic: everything fast, SLO stays ok (no alert).
             await requests(8)
             scraper.scrape(5.0)
-            # Degradation: every request sleeps 50ms, far past the
+            # Degradation: every request takes 50ms, far past the
             # 10ms threshold -> the 10s window's good-ratio collapses.
             degrader.delay = 0.05
             await requests(8)
@@ -156,7 +175,7 @@ class TestSingleHiveSLODemo:
 
 
 class TestFederationSLODemo:
-    def test_four_hive_rollup_burns_and_recovers(self, sim):
+    def test_four_hive_rollup_burns_and_recovers(self, sim, clock):
         router = FederationRouter(sim)
         hives = {}
         for index in range(4):
@@ -164,7 +183,7 @@ class TestFederationSLODemo:
             router.join(f"hive-{index}", hive)
             hives[f"hive-{index}"] = hive
         fed = FederationScraper(router, cadence=1.0, capacity=64)
-        degrader = Degrader()
+        degrader = Degrader(clock)
         # The serving tier fronts hive-0; its request metrics carry the
         # server instance, which no hive claims -> the @router member.
         server = ReproServer(

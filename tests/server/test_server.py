@@ -555,6 +555,70 @@ class TestTcpTransport:
 
         run(scenario())
 
+    @pytest.mark.parametrize(
+        "line, says, session_continues",
+        [
+            (b"not json", "malformed frame", True),
+            (b"\xff\xfe", "malformed frame", True),
+            (b"x" * 70_000, "65536-byte line limit", False),
+        ],
+        ids=["not-json", "not-utf8", "over-limit"],
+    )
+    def test_unreadable_line_is_answered_not_logged(
+        self, sim, caplog, line, says, session_continues
+    ):
+        """Each gets one error reply; an over-limit line also ends its
+        session (the rest of that line cannot be told from the next
+        frame).  Nothing is logged and a second client never stalls."""
+        import json
+        import logging
+
+        server = ReproServer(make_hive(sim))
+
+        async def scenario():
+            try:
+                listener = await server.serve_tcp(port=0)
+            except OSError as error:  # pragma: no cover - sandboxed CI
+                pytest.skip(f"cannot bind sockets here: {error}")
+            port = listener.sockets[0].getsockname()[1]
+            bystander = ServerClient(await connect_tcp("127.0.0.1", port))
+            await bystander.connect()
+            baseline = server.sessions_active
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+            async def answer() -> bytes:
+                return await asyncio.wait_for(reader.readline(), timeout=2.0)
+
+            writer.write(b'{"type":"connect"}\n')
+            assert json.loads(await answer())["type"] == "connected"
+            writer.write(line + b"\n")
+            reply = json.loads(await answer())
+            assert set(reply) == {"type", "id", "status", "error"}
+            assert (reply["type"], reply["id"], reply["status"]) == (
+                "response", None, "error",
+            )
+            assert says in reply["error"]
+            assert await bystander.request("query", "tasks") == {"tasks": []}
+            writer.write(b'{"type":"request","id":7,"surface":"query","action":"tasks"}\n')
+            if session_continues:
+                assert json.loads(await answer())["id"] == 7
+            else:
+                assert await answer() == b""  # the server hung up
+            writer.close()
+            for _ in range(200):
+                if server.sessions_active == baseline:
+                    break
+                await asyncio.sleep(0.01)
+            assert server.sessions_active == baseline
+            assert await bystander.request("query", "tasks") == {"tasks": []}
+            await bystander.close()
+            listener.close()
+            await listener.wait_closed()
+
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            run(scenario())
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+
 
 #: The exact key set of every message kind a client can receive
 #: (``payload.*`` = the keys of a channel reply's payload).  A change
@@ -573,13 +637,11 @@ WIRE_SHAPES = {
     "channel_reply/watch": REPLY_OK
     | {"payload.subscription", "payload.names", "payload.slo"},
     "channel_reply/unsubscribe": REPLY_OK | {"payload.unsubscribed"},
-    "push/snapshot": {
-        "type", "kind", "subscription", "catchup", "sent_at", "snapshot",
-    },
-    "push/alert": {"type", "kind", "subscription", "source", "sent_at", "alert"},
+    "push/snapshot": {"type", "kind", "subscription", "catchup", "snapshot"},
+    "push/alert": {"type", "kind", "subscription", "source", "alert"},
     "push/alert_gap": {"type", "kind", "subscription", "source", "missed"},
-    "push/obs_frame": {"type", "kind", "subscription", "sent_at", "frame"},
-    "push/obs_alert": {"type", "kind", "subscription", "sent_at", "alert"},
+    "push/obs_frame": {"type", "kind", "subscription", "frame"},
+    "push/obs_alert": {"type", "kind", "subscription", "alert"},
 }
 
 
