@@ -513,8 +513,8 @@ def _render_snapshot_push(digest: dict) -> str:
 
 
 async def _pump_pushes(client, show) -> None:
-    """Let the server's sender and the client's reader run, then render
-    every push that arrived (repeats until a pass delivers nothing)."""
+    """Let the server's delivery pass run, then render every push that
+    arrived (repeats until a pass delivers nothing)."""
     import asyncio
 
     while True:
