@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import obs as _obs
 from repro.apisense.hive import Hive
 from repro.apisense.metrics import acceptance_rate
 
@@ -219,15 +218,13 @@ def snapshot(
     ``slos`` (an :class:`~repro.obs.slo.SLOTracker`, optional) adds the
     SLO status line — which objectives are burning and how hard.
 
-    Counter-valued fields are read from the shared
-    :class:`~repro.obs.registry.MetricsRegistry` — the same instruments
-    the Prometheus exposition and the ``obs`` CLI serve — so the
-    dashboard can never drift from the observability plane.  When the
-    registry is disabled (``obs.configure(metrics=False)``) the
-    instruments are no-ops, so the dashboard falls back to the
-    components' own counter objects; level-valued fields (buffer
-    depths, live views, sessions) always read the live objects, and the
-    serving tier's push counters its own always-on tally.
+    Counter-valued fields are read from the components' own counters
+    (``pipeline.stats``, ``store.stats()``, the server's ``stats`` and
+    push tally) — the very ints the
+    :class:`~repro.obs.registry.MetricsRegistry` exposition reads, so
+    the dashboard and the ``obs`` plane give one count per event
+    whether metrics are on or off.  Level-valued fields (buffer depths,
+    live views, sessions) read the live objects.
     """
     levels = [device.battery.level(time) for device in hive.devices]
     motivations = [state.motivation for state in hive.community.values()]
@@ -247,26 +244,8 @@ def snapshot(
         (hive.store.aggregates.task(name).lag_p95 for name in hive.store.aggregates.tasks),
         default=0.0,
     )
-    live = _obs.metrics_registry().enabled
-    if live:
-        pobs = pipeline.obs
-        flushes = int(pobs.flushes.value)
-        flushed = int(pobs.flushed.value)
-        accepted = int(pobs.accepted.value)
-        dropped = int(pobs.dropped.value)
-        rejected = int(pobs.rejected.value)
-        spilled = int(pobs.spilled.value)
-        store_records = int(hive.store.obs.records_appended.value)
-    else:
-        flushes = pipeline.stats.flushes
-        flushed = pipeline.stats.flushed_records
-        accepted = pipeline.stats.accepted
-        dropped = pipeline.stats.dropped
-        rejected = pipeline.stats.rejected
-        spilled = pipeline.stats.spilled
-        store_records = store_stats.records
     if server is not None:
-        totals = server.obs.push_totals  # counts with the registry on or off
+        totals = server.obs.push_totals
         pushes_enqueued = totals["enqueued"]
         pushes_sent = totals["sent"]
         pushes_dropped = totals["dropped"]
@@ -297,17 +276,17 @@ def snapshot(
         at_risk_users=sum(1 for motivation in motivations if motivation < at_risk),
         transport_loss_rate=hive.transport.stats.loss_rate,
         messages_sent=hive.stats.messages_sent,
-        store_records=store_records,
+        store_records=store_stats.records,
         store_segments=store_stats.segments,
         store_shards=store_stats.n_shards,
-        pipeline_flushes=flushes,
+        pipeline_flushes=pipeline.stats.flushes,
         pipeline_buffered=pipeline.buffered,
         pipeline_backlog=pipeline.backlog,
-        pipeline_accepted=accepted,
-        pipeline_dropped=dropped,
-        pipeline_rejected=rejected,
-        pipeline_spilled=spilled,
-        mean_flush_batch=flushed / flushes if flushes else 0.0,
+        pipeline_accepted=pipeline.stats.accepted,
+        pipeline_dropped=pipeline.stats.dropped,
+        pipeline_rejected=pipeline.stats.rejected,
+        pipeline_spilled=pipeline.stats.spilled,
+        mean_flush_batch=pipeline.stats.mean_flush_batch,
         ingest_lag_p95=lag_p95,
         stream_views=hive.streams.active_view_count,
         stream_last_rate=hive.streams.last_window_rate,

@@ -144,7 +144,7 @@ class FederationRouter:
         self.migration_log: list[MigrationEvent] = []
         self.stats = ControlPlaneStats()
         self.obs = FederationInstruments(
-            obs.metrics_registry(), obs.next_instance("federation")
+            obs.metrics_registry(), obs.next_instance("federation"), self.stats
         )
         self._tracer = obs.tracer()
 
@@ -545,7 +545,6 @@ class FederationRouter:
         """
         if self.transport is None:
             self.stats.messages_sent += 1
-            self.obs.messages_sent.inc()
             deliver()
             return
         attempts = 0
@@ -554,14 +553,11 @@ class FederationRouter:
             nonlocal attempts
             attempts += 1
             self.stats.messages_sent += 1
-            self.obs.messages_sent.inc()
             if self.transport.send(self._sim, deliver):
                 return
             self.stats.messages_lost += 1
-            self.obs.messages_lost.inc()
             if attempts <= self.control_max_retries:
                 self.stats.retries += 1
-                self.obs.retries.inc()
                 self._sim.schedule(self.control_retry_delay, attempt)
             else:
                 self.stats.gave_up += 1

@@ -6,10 +6,11 @@ fixed-bucket histograms, Prometheus-style text exposition) and one
 serve every tier: ingest, store, streams, federation, privacy, server.
 
 Metrics are **on** by default (cheap: pre-resolved children, one int
-add per event); tracing is **off** by default (opt in per run via
-:func:`configure`). Both are live toggles — flipping
-``configure(metrics=False)`` turns every instrument in the process into
-a single-branch no-op without rewiring anything.
+add per event, and counts the components already keep are read, not
+mirrored); tracing is **off** by default (opt in per run via
+:func:`configure`). Both are live toggles — ``configure(metrics=False)``
+stops every histogram and the clock reads around it without rewiring
+anything, while counters and gauges keep counting.
 
 Typical use::
 

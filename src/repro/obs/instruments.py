@@ -4,7 +4,10 @@ Each platform component owns one bundle: the bundle registers the
 tier's metric families on the shared registry (idempotent — every
 instance wires the same families) and resolves the *children* for this
 instance's label set once, so the component's hot path is an attribute
-load + increment, never a label lookup.
+load + increment, never a label lookup.  A count the component already
+keeps in its ``*Stats`` object is not counted twice: the bundle takes
+that object and makes the child a read view of the field
+(:meth:`~repro.obs.registry._Family.read`).
 
 Every instrument carries an ``instance`` label (``pipeline-1``,
 ``hive-2``...) allocated by :func:`repro.obs.next_instance`, so
@@ -19,7 +22,16 @@ table), plain gauge names for levels.
 
 from __future__ import annotations
 
+from functools import partial
+from typing import TYPE_CHECKING
+
 from repro.obs.registry import MetricsRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
+    from repro.federation.router import ControlPlaneStats
+    from repro.server.server import ServerStats
+    from repro.store.pipeline import PipelineStats
+    from repro.streams.engine import StreamStats
 
 __all__ = [
     "PipelineInstruments",
@@ -34,45 +46,47 @@ __all__ = [
 
 
 class PipelineInstruments:
-    """IngestPipeline: admission accounting + flush timing."""
+    """IngestPipeline: admission accounting (read from its stats) + flush timing."""
 
-    def __init__(self, registry: MetricsRegistry, instance: str):
+    def __init__(
+        self, registry: MetricsRegistry, instance: str, stats: "PipelineStats"
+    ):
         self.registry = registry
         self.instance = instance
         r = registry
         lbl = {"instance": instance}
-        self.submitted = r.counter(
+        r.counter(
             "repro_pipeline_records_submitted_total",
             "Records offered to the ingest pipeline.",
             ("instance",),
-        ).labels(**lbl)
-        self.accepted = r.counter(
+        ).read(stats, "submitted", **lbl)
+        r.counter(
             "repro_pipeline_records_accepted_total",
             "Records admitted past backpressure.",
             ("instance",),
-        ).labels(**lbl)
+        ).read(stats, "accepted", **lbl)
         outcome = r.counter(
             "repro_pipeline_records_refused_total",
             "Records refused or evicted, by backpressure outcome.",
             ("instance", "outcome"),
         )
-        self.rejected = outcome.labels(outcome="rejected", **lbl)
-        self.dropped = outcome.labels(outcome="dropped", **lbl)
-        self.spilled = r.counter(
+        outcome.read(stats, "rejected", outcome="rejected", **lbl)
+        outcome.read(stats, "dropped", outcome="dropped", **lbl)
+        r.counter(
             "repro_pipeline_records_spilled_total",
             "Records spilled to the overflow area.",
             ("instance",),
-        ).labels(**lbl)
-        self.flushed = r.counter(
+        ).read(stats, "spilled", **lbl)
+        r.counter(
             "repro_pipeline_records_flushed_total",
             "Records flushed into the dataset store.",
             ("instance",),
-        ).labels(**lbl)
-        self.flushes = r.counter(
+        ).read(stats, "flushed_records", **lbl)
+        r.counter(
             "repro_pipeline_flushes_total",
             "Shard flush operations.",
             ("instance",),
-        ).labels(**lbl)
+        ).read(stats, "flushes", **lbl)
         self.flush_seconds = r.histogram(
             "repro_pipeline_flush_seconds",
             "Wall-clock time per shard flush (store append + routing + listeners).",
@@ -121,38 +135,38 @@ class StoreInstruments:
 
 
 class StreamInstruments:
-    """StreamEngine: pane updates, window closes, alerts."""
+    """StreamEngine: pane updates, window closes, alerts (read from its stats)."""
 
-    def __init__(self, registry: MetricsRegistry, instance: str):
+    def __init__(self, registry: MetricsRegistry, instance: str, stats: "StreamStats"):
         self.registry = registry
         self.instance = instance
         r = registry
         lbl = {"instance": instance}
-        self.records_seen = r.counter(
+        r.counter(
             "repro_stream_records_seen_total",
             "Records folded into live panes at flush time.",
             ("instance",),
-        ).labels(**lbl)
-        self.late_records = r.counter(
+        ).read(stats, "records_seen", **lbl)
+        r.counter(
             "repro_stream_late_records_total",
             "Records behind the watermark beyond allowed lateness.",
             ("instance",),
-        ).labels(**lbl)
-        self.windows_closed = r.counter(
+        ).read(stats, "late_records", **lbl)
+        r.counter(
             "repro_stream_windows_closed_total",
             "Window snapshots emitted on watermark close.",
             ("instance",),
-        ).labels(**lbl)
+        ).read(stats, "windows_emitted", **lbl)
         self.window_close_seconds = r.histogram(
             "repro_stream_window_close_seconds",
             "Wall-clock time per view window-close emission.",
             ("instance",),
         ).labels(**lbl)
-        self.alerts = r.counter(
+        r.counter(
             "repro_stream_alerts_total",
             "Continuous-query alerts fired.",
             ("instance",),
-        ).labels(**lbl)
+        ).read(stats, "alerts_fired", **lbl)
         #: Event-time watermark (callback-backed at wiring time): scrape
         #: ``sim_time - watermark`` for a view-freshness SLI with zero
         #: hot-path cost.
@@ -164,9 +178,11 @@ class StreamInstruments:
 
 
 class FederationInstruments:
-    """FederationRouter: gossip control plane + migrations."""
+    """FederationRouter: control plane (read from its stats), gossip, migrations."""
 
-    def __init__(self, registry: MetricsRegistry, instance: str):
+    def __init__(
+        self, registry: MetricsRegistry, instance: str, stats: "ControlPlaneStats"
+    ):
         self.registry = registry
         self.instance = instance
         r = registry
@@ -176,13 +192,13 @@ class FederationInstruments:
             "Inter-hive control-plane sends, by outcome.",
             ("instance", "outcome"),
         )
-        self.messages_sent = sent.labels(outcome="sent", **lbl)
-        self.messages_lost = sent.labels(outcome="lost", **lbl)
-        self.retries = r.counter(
+        sent.read(stats, "messages_sent", outcome="sent", **lbl)
+        sent.read(stats, "messages_lost", outcome="lost", **lbl)
+        r.counter(
             "repro_federation_control_retries_total",
             "Control-plane send retries after loss.",
             ("instance",),
-        ).labels(**lbl)
+        ).read(stats, "retries", **lbl)
         self.gossip_rounds = r.counter(
             "repro_federation_gossip_rounds_total",
             "Membership gossip rounds.",
@@ -252,9 +268,9 @@ class SecureAggInstruments:
 
 
 class ServerInstruments:
-    """ReproServer: surfaces, sessions, pushes."""
+    """ReproServer: surfaces, sessions, pushes; denials read from its stats."""
 
-    def __init__(self, registry: MetricsRegistry, instance: str):
+    def __init__(self, registry: MetricsRegistry, instance: str, stats: "ServerStats"):
         self.registry = registry
         self.instance = instance
         r = registry
@@ -269,11 +285,13 @@ class ServerInstruments:
             "Wall-clock time per request, by surface.",
             ("instance", "surface"),
         )
-        self._denials = r.counter(
+        denials = r.counter(
             "repro_server_denials_total",
             "Middleware denials, by hook.",
             ("instance", "hook"),
         )
+        for hook in ("connect", "request", "channel"):
+            denials.read(stats, f"denials_{hook}", hook=hook, **self._lbl)
         self.sessions = r.gauge(
             "repro_server_sessions",
             "Live sessions.",
@@ -289,14 +307,14 @@ class ServerInstruments:
             "Dashboard pushes, by outcome (enqueued/sent/dropped).",
             ("instance", "outcome"),
         )
-        self._push_counters = {
-            outcome: pushes.labels(outcome=outcome, **self._lbl)
-            for outcome in ("enqueued", "sent", "dropped")
-        }
-        #: The same three outcomes as plain ints: the server's own
-        #: ``pushes_sent`` / ``pushes_dropped`` must count with the
-        #: registry toggled off and outlive the sessions that pushed.
-        self.push_totals = dict.fromkeys(self._push_counters, 0)
+        #: Push outcomes over every session, live or closed: the
+        #: server's ``pushes_sent`` / ``pushes_dropped`` and the
+        #: children of ``repro_server_pushes_total`` read these ints.
+        self.push_totals = dict.fromkeys(("enqueued", "sent", "dropped"), 0)
+        for outcome in self.push_totals:
+            pushes.labels(outcome=outcome, **self._lbl).set_function(
+                partial(self.push_totals.__getitem__, outcome)
+            )
         self.push_seconds = r.histogram(
             "repro_server_push_seconds",
             "Wall-clock time per window fan-out (snapshot build + enqueue).",
@@ -306,16 +324,12 @@ class ServerInstruments:
     def count_push(self, outcome: str) -> None:
         """One push ``enqueued`` / ``sent`` / ``dropped`` by any session."""
         self.push_totals[outcome] += 1
-        self._push_counters[outcome].inc()
 
     def request(self, surface: str):
         return self._requests.labels(surface=surface, **self._lbl)
 
     def request_seconds(self, surface: str):
         return self._request_seconds.labels(surface=surface, **self._lbl)
-
-    def denial(self, hook: str):
-        return self._denials.labels(hook=hook, **self._lbl)
 
 
 class MiddlewareInstruments:

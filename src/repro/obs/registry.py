@@ -1,18 +1,21 @@
 """The metrics registry: labeled counters, gauges, fixed-bucket histograms.
 
-One process-wide :class:`MetricsRegistry` replaces the per-component
-counter dataclasses as the *observable* surface of the platform: every
-tier registers its instruments here (labeled at least by ``instance``),
-the operator dashboard (:func:`repro.apisense.monitoring.snapshot`)
-reads it, and :meth:`MetricsRegistry.render_prometheus` exposes the
-whole platform in the Prometheus text format — over the serving tier's
-``obs`` surface or the ``python -m repro obs dump`` CLI.
+One process-wide :class:`MetricsRegistry` is the *observable* surface
+of the platform: every tier registers its instruments here (labeled at
+least by ``instance``), the ``obs`` surfaces and scrapers read it, and
+:meth:`MetricsRegistry.render_prometheus` exposes the whole platform in
+the Prometheus text format — over the serving tier's ``obs`` surface or
+the ``python -m repro obs dump`` CLI.
 
 Design constraints, in order:
 
-- **cheap when disabled** — every child instrument checks one registry
-  flag before touching state, so ``configure(metrics=False)`` turns the
-  whole platform's instrumentation into a branch per event;
+- **one count per event** — a count a component already keeps in its
+  ``*Stats`` object is exposed as a read view of that int
+  (:meth:`_Family.read`), never mirrored, so the exposition and the
+  component agree whatever the switch says;
+- **the switch gates only timing** — ``configure(metrics=False)`` stops
+  histograms observing (and the components skip the clock reads around
+  them); counters and gauges always count;
 - **cheap when enabled** — instrument *children* are resolved once at
   wiring time (``family.labels(...)``) and held by the instrumented
   component, so the hot path is an attribute load + int add, never a
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from functools import partial
 from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.errors import ObsError
@@ -66,10 +70,8 @@ def _label_key(labels: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-def _render_labels(key: tuple[tuple[str, str], ...], extra: str = "") -> str:
+def _render_labels(key: tuple[tuple[str, str], ...]) -> str:
     parts = [f'{k}="{v}"' for k, v in key]
-    if extra:
-        parts.append(extra)
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
@@ -83,29 +85,8 @@ class _Child:
         self.labels = labels
 
 
-class Counter(_Child):
-    """A monotonically increasing count."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, registry, labels):
-        super().__init__(registry, labels)
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if not self._registry.enabled:
-            return
-        if amount < 0:
-            raise ObsError(f"counters only go up; inc({amount})")
-        self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-
-class Gauge(_Child):
-    """A value that goes up and down — settable or callback-backed."""
+class _Reading(_Child):
+    """A counter's or gauge's number: held here, or read from a function."""
 
     __slots__ = ("_value", "_fn")
 
@@ -114,20 +95,10 @@ class Gauge(_Child):
         self._value = 0.0
         self._fn: Callable[[], float] | None = None
 
-    def set(self, value: float) -> None:
-        if self._registry.enabled:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        if self._registry.enabled:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     def set_function(self, fn: Callable[[], float]) -> None:
-        """Read the gauge from ``fn`` at observation time (live values
-        like queue depths never need explicit ``set`` calls)."""
+        """Read the value from ``fn`` at observation time: a component's
+        own int (capture its small stats object, never its data — the
+        registry outlives it) or a live level like a queue depth."""
         self._fn = fn
 
     @property
@@ -135,6 +106,32 @@ class Gauge(_Child):
         if self._fn is not None:
             return float(self._fn())
         return self._value
+
+
+class Counter(_Reading):
+    """A monotonically increasing count."""
+
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ObsError(f"counters only go up; inc({amount})")
+        self._value += amount
+
+
+class Gauge(_Reading):
+    """A value that goes up and down — settable or callback-backed."""
+
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        self._value = float(value)
+
+    def inc(self, amount: float = 1.0) -> None:
+        self._value += amount
+
+    def dec(self, amount: float = 1.0) -> None:
+        self.inc(-amount)
 
 
 class Histogram(_Child):
@@ -230,6 +227,11 @@ class _Family:
             self._children[key] = child
             self._registry.version += 1
         return child
+
+    def read(self, stats: object, field: str, **labels: str) -> None:
+        """Make the child for ``labels`` a read view of ``stats.field``: the
+        one count the component keeps, never mirrored."""
+        self.labels(**labels).set_function(partial(getattr, stats, field))
 
     def children(self) -> Iterator[tuple[tuple[tuple[str, str], ...], _Child]]:
         yield from sorted(self._children.items())
@@ -435,27 +437,8 @@ class MetricsRegistry:
         if self._clock is not None:
             samples.append(Sample("repro_sim_time_seconds", (), float(self._clock())))
         for name in self.families:
-            family = self._families[name]
-            for key, child in family.children():
-                if isinstance(child, Histogram):
-                    cumulative = 0
-                    for edge, in_bucket in zip(child.buckets, child.bucket_counts):
-                        cumulative += in_bucket
-                        samples.append(
-                            Sample(
-                                f"{name}_bucket",
-                                key + (("le", _format(edge)),),
-                                float(cumulative),
-                            )
-                        )
-                    cumulative += child.bucket_counts[-1]
-                    samples.append(
-                        Sample(f"{name}_bucket", key + (("le", "+Inf"),), float(cumulative))
-                    )
-                    samples.append(Sample(f"{name}_sum", key, float(child.sum)))
-                    samples.append(Sample(f"{name}_count", key, float(child.count)))
-                else:
-                    samples.append(Sample(name, key, float(child.value)))
+            for key, child in self._families[name].children():
+                samples.extend(Sample(*row) for row in _rows(name, key, child))
         return samples
 
     def render_prometheus(self) -> str:
@@ -470,24 +453,26 @@ class MetricsRegistry:
                 lines.append(f"# HELP {name} {family.help}")
             lines.append(f"# TYPE {name} {family.kind}")
             for key, child in family.children():
-                if isinstance(child, Histogram):
-                    cumulative = 0
-                    for edge, in_bucket in zip(child.buckets, child.bucket_counts):
-                        cumulative += in_bucket
-                        le = 'le="%s"' % _format(edge)
-                        lines.append(
-                            f"{name}_bucket{_render_labels(key, le)} {cumulative}"
-                        )
-                    cumulative += child.bucket_counts[-1]
-                    inf = 'le="+Inf"'
-                    lines.append(
-                        f"{name}_bucket{_render_labels(key, inf)} {cumulative}"
-                    )
-                    lines.append(f"{name}_sum{_render_labels(key)} {_format(child.sum)}")
-                    lines.append(f"{name}_count{_render_labels(key)} {child.count}")
-                else:
-                    lines.append(f"{name}{_render_labels(key)} {_format(child.value)}")
+                for series, labels, value in _rows(name, key, child):
+                    lines.append(f"{series}{_render_labels(labels)} {_format(value)}")
         return "\n".join(lines) + "\n"
+
+
+def _rows(
+    name: str, key: tuple[tuple[str, str], ...], child: _Child
+) -> Iterator[tuple[str, tuple[tuple[str, str], ...], float]]:
+    """One child's exposition rows: ``(series name, labels, value)``."""
+    if not isinstance(child, Histogram):
+        yield name, key, float(child.value)
+        return
+    cumulative = 0
+    for edge, in_bucket in zip(child.buckets, child.bucket_counts):
+        cumulative += in_bucket
+        yield f"{name}_bucket", key + (("le", _format(edge)),), float(cumulative)
+    cumulative += child.bucket_counts[-1]
+    yield f"{name}_bucket", key + (("le", "+Inf"),), float(cumulative)
+    yield f"{name}_sum", key, float(child.sum)
+    yield f"{name}_count", key, float(child.count)
 
 
 def _format(value: float) -> str:

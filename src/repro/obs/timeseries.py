@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.errors import ObsError
 from repro.obs.registry import (
-    Gauge,
     Histogram,
     MetricsRegistry,
     _format,
@@ -585,9 +584,9 @@ class MetricsScraper:
         self._seq = 0
         # Flat reader cache, rebuilt only on registry topology change:
         self._readers_version = -1
-        self._plain: list = []  # counters + value-backed gauges
+        self._plain: list = []  # children that hold their own value
         self._plain_cols = np.empty(0, dtype=np.intp)
-        self._fns: list = []  # callback-backed gauges
+        self._fns: list = []  # children read through their function
         self._fn_cols = np.empty(0, dtype=np.intp)
         #: per histogram child: (child, bucket col array, sum col, count col)
         self._hists: list[tuple] = []
@@ -657,7 +656,7 @@ class MetricsScraper:
                             store.column((f"{name}_count", key)),
                         )
                     )
-                elif isinstance(child, Gauge) and child._fn is not None:
+                elif child._fn is not None:
                     fns.append(child)
                     fn_cols.append(store.column((name, key)))
                 else:

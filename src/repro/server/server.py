@@ -103,7 +103,9 @@ SURFACES = ("ingest", "query", "obs")
 
 @dataclass
 class ServerStats:
-    """Counters of one serving tier (monotonic; see :meth:`ReproServer.metrics`)."""
+    """Counters of one serving tier (monotonic; the ``denials_*`` fields
+    are exposed as ``repro_server_denials_total``, see
+    :class:`~repro.obs.instruments.ServerInstruments`)."""
 
     connections: int = 0
     sessions_closed: int = 0
@@ -191,7 +193,7 @@ class ReproServer:
         self.queue_capacity = queue_capacity
         self.stats = ServerStats()
         self.obs = ServerInstruments(
-            _obs.metrics_registry(), _obs.next_instance("server")
+            _obs.metrics_registry(), _obs.next_instance("server"), self.stats
         )
         # Live levels: read the server's own properties at scrape time.
         self.obs.sessions.set_function(lambda: self.sessions_active)
@@ -324,10 +326,8 @@ class ReproServer:
         except ReproError as error:
             return {"status": "error", "error": str(error)}
         if isinstance(result, Deny):
-            where = hook.removesuffix("_message")
-            counter = f"denials_{where}"
+            counter = f"denials_{hook.removesuffix('_message')}"
             setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-            self.obs.denial(where).inc()
             return {"status": "deny", "reason": result.reason}
         if isinstance(result, Redirect):
             self.stats.redirects += 1
@@ -335,7 +335,11 @@ class ReproServer:
         return {"status": "ok", "payload": result.payload}
 
     async def _handshake(self, session: Session, endpoint: Endpoint) -> bool:
-        first = await endpoint.recv()
+        try:
+            first = await endpoint.recv()
+        except ServerError as error:  # an unreadable first line is refused
+            await endpoint.send({"type": "deny", "reason": str(error)})
+            return False
         if first is None:
             return False
 

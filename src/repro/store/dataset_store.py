@@ -286,9 +286,9 @@ class DatasetStore:
                 )
                 target.records += len(rows)
                 self.aggregates.update(task, time, lat, lon, users, ingest_time)
+        self.obs.records_appended.inc(len(batch))
         if timed:
             self.obs.append_seconds.observe(_time.perf_counter() - started)
-            self.obs.records_appended.inc(len(batch))
         return len(batch)
 
     def _route(self, batch: RecordBatch) -> np.ndarray:
@@ -328,8 +328,8 @@ class DatasetStore:
         try:
             return self._scan(task, t0, t1, bbox, user)
         finally:
+            self.obs.scans.inc()
             if timed:
-                self.obs.scans.inc()
                 self.obs.scan_seconds.observe(_time.perf_counter() - started)
 
     def _scan(
@@ -450,8 +450,8 @@ class DatasetStore:
                 records += partition.records
                 if b > a:
                     compacted += 1
+        self.obs.compactions.inc()
         if timed:
-            self.obs.compactions.inc()
             self.obs.compact_seconds.observe(_time.perf_counter() - started)
         return CompactionReport(
             segments_before=before,

@@ -146,11 +146,10 @@ class IngestPipeline:
         self._router: FlushListener | None = None
         self._listeners: list[FlushListener] = []
         self.stats = PipelineStats()
-        #: Registry instruments mirroring :attr:`stats` (same counters,
-        #: shared exposition) plus the flush-timing histogram the object
-        #: counters cannot express.
+        #: Registry instruments: read views of :attr:`stats` plus the
+        #: flush-timing histogram the object counters cannot express.
         self.obs = PipelineInstruments(
-            obs.metrics_registry(), obs.next_instance("pipeline")
+            obs.metrics_registry(), obs.next_instance("pipeline"), self.stats
         )
         self._tracer = obs.tracer()
 
@@ -217,7 +216,6 @@ class IngestPipeline:
         if not records:
             return 0
         self.stats.submitted += len(records)
-        self.obs.submitted.inc(len(records))
         # One hash per distinct (task, user), not per record.
         pairs = {(record.task, record.user) for record in records}
         route = {pair: self.store.shard_of(*pair) for pair in pairs}
@@ -228,7 +226,6 @@ class IngestPipeline:
         for shard_id, batch in by_shard.items():
             accepted += self._enqueue(shard_id, batch)
         self.stats.accepted += accepted
-        self.obs.accepted.inc(accepted)
         return accepted
 
     def _enqueue(self, shard_id: int, batch: list[SensorRecord]) -> int:
@@ -241,7 +238,6 @@ class IngestPipeline:
         elif self.policy == "reject":
             # Admission control: all-or-nothing, the whole batch bounces.
             self.stats.rejected += len(batch)
-            self.obs.rejected.inc(len(batch))
             return 0
         elif self.policy == "drop-oldest":
             # The policy admits the whole batch and evicts the oldest
@@ -254,7 +250,6 @@ class IngestPipeline:
             if len(batch) >= self.buffer_capacity:
                 evicted = len(shard.buffer) + len(batch) - self.buffer_capacity
                 self.stats.dropped += evicted
-                self.obs.dropped.inc(evicted)
                 shard.buffer.clear()
                 keep = batch[-self.buffer_capacity :]
             else:
@@ -262,7 +257,6 @@ class IngestPipeline:
                 for _ in range(overflow):
                     shard.buffer.popleft()
                 self.stats.dropped += overflow
-                self.obs.dropped.inc(overflow)
             shard.buffer.extend(keep)
             accepted = len(batch)
         else:  # spill
@@ -270,7 +264,6 @@ class IngestPipeline:
             shard.buffer.extend(head)
             shard.spill.extend(tail)
             self.stats.spilled += len(tail)
-            self.obs.spilled.inc(len(tail))
             accepted = len(batch)
         if accepted and not shard.pending:
             shard.pending = True
@@ -299,8 +292,6 @@ class IngestPipeline:
         self.stats.flushes += 1
         self.stats.flushed_records += len(records)
         self.stats.largest_flush = max(self.stats.largest_flush, len(records))
-        self.obs.flushes.inc()
-        self.obs.flushed.inc(len(records))
         timed = self.obs.registry.enabled
         started = time.perf_counter() if timed else 0.0
         batch = columnize(records)

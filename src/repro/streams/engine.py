@@ -105,7 +105,9 @@ class StreamEngine:
         self.alerts = AlertLog(capacity=alert_capacity)
         self.stats = StreamStats()
         self._last_window_rate = 0.0
-        self.obs = StreamInstruments(obs.metrics_registry(), obs.next_instance("stream"))
+        self.obs = StreamInstruments(
+            obs.metrics_registry(), obs.next_instance("stream"), self.stats
+        )
         # Callback-backed: the scraper reads the live watermark without
         # the engine ever touching the gauge on its hot path.
         self.obs.watermark.set_function(lambda: self.watermark)
@@ -222,7 +224,6 @@ class StreamEngine:
         call, the group's records in record order.
         """
         self.stats.records_seen += len(records)
-        self.obs.records_seen.inc(len(records))
         if not self._views or not len(records):
             return  # nothing materialized; stay free for idle deployments
         batch = columnize(records)
@@ -232,7 +233,6 @@ class StreamEngine:
         late = len(time) - len(live)
         if late:
             self.stats.late_records += late
-            self.obs.late_records.inc(late)
         if len(live):
             self._fold(batch, live)
         self._close_ready_panes()
@@ -353,7 +353,6 @@ class StreamEngine:
             if len(history) > self.history:
                 del history[0]
             self.stats.windows_emitted += 1
-            self.obs.windows_closed.inc()
             total_records += snapshot.records
             for callback in self._window_callbacks:
                 callback(snapshot)
@@ -399,7 +398,6 @@ class StreamEngine:
             if message is None:
                 continue
             self.stats.alerts_fired += 1
-            self.obs.alerts.inc()
             self.alerts.append(
                 StreamAlert(
                     time=self._sim.now if self._sim is not None else snapshot.end,

@@ -5,10 +5,10 @@ The registry's design constraints (:mod:`repro.obs.registry`) are a
 flush / append / window close and none per record, one fused column
 write per scrape — and a mechanism is countable.  These tests drive
 N devices x 4 upload ticks x R records through ``Hive.receive_upload``
--> pipeline -> store -> one tumbling view with ``time.perf_counter``
-and ``_Family.labels`` behind counting shims, and pin the counts: the
-same integers on every host and every run, where a wall-clock budget
-could not tell a 3x regression from a busy machine.
+-> pipeline -> store -> one tumbling view with ``time.perf_counter``,
+``_Family.labels`` and ``Counter.inc`` behind counting shims, and pin
+the counts: the same integers on every host and every run, where a
+wall-clock budget could not tell a 3x regression from a busy machine.
 
 Seconds are the end-to-end benchmark's business
 (``python3 benchmarks/e2e/run.py``).
@@ -26,6 +26,7 @@ from repro import obs
 from repro.apisense.hive import Hive
 from repro.apisense.honeycomb import Honeycomb
 from repro.apisense.tasks import SensingTask
+from repro.obs.registry import Counter as RegistryCounter
 from repro.obs.registry import _Family
 from repro.obs.timeseries import MetricsScraper, TimeSeriesStore
 from repro.server.protocol import snapshot_digest
@@ -64,6 +65,7 @@ def calls(monkeypatch) -> Calls:
     # attribute of the module at call time), so one shim sees them all.
     calls.shim(monkeypatch, time, "perf_counter")
     calls.shim(monkeypatch, _Family, "labels")
+    calls.shim(monkeypatch, RegistryCounter, "inc")
     calls.shim(monkeypatch, DatasetStore, "append")
     return calls
 
@@ -72,6 +74,7 @@ def calls(monkeypatch) -> Calls:
 class Replay:
     clock_reads: int
     label_lookups: int
+    counter_incs: int
     #: ``*_seconds`` family -> observations, for every family that timed anything.
     timed: dict[str, int]
     flushes: int
@@ -138,6 +141,7 @@ def replay(
     result = Replay(
         clock_reads=calls["perf_counter"],
         label_lookups=calls["labels"],
+        counter_incs=calls["inc"],
         timed={
             stage.stage.partition("{")[0]: stage.count for stage in obs.hot_paths()
         },
@@ -181,6 +185,19 @@ class TestRecordPathCost:
         # close: the same 72 reads at 6x the records and 5x the devices.
         assert (run.flushes, run.appends, run.windows) == (16, 16, 4)
         assert run.clock_reads == 72
+
+    @pytest.mark.parametrize("metrics", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "n_devices, per_upload", [(200, 6), (200, 36), (1000, 6)]
+    )
+    def test_one_counter_increment_per_store_append(
+        self, calls, n_devices, per_upload, metrics
+    ):
+        # The pipeline's and the engine's counts are read from their
+        # stats objects, never mirrored: the one registry increment left
+        # on the record path is the store's own, once per append.
+        run = replay(calls, n_devices, per_upload, metrics=metrics)
+        assert run.counter_incs == run.appends == 16
 
 
 class TestScrapeCost:

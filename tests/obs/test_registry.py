@@ -25,23 +25,20 @@ class TestCounter:
         with pytest.raises(ObsError):
             child.inc(-1)
 
-    def test_disabled_registry_is_a_noop(self):
-        registry = MetricsRegistry(enabled=False)
-        child = registry.counter("repro_test_total").labels()
-        child.inc(100)
-        assert child.value == 0
-
     def test_live_toggle(self):
-        # Children resolved before the flip obey the flip — the flag is
-        # checked per call, not captured at wiring time.
+        # The switch gates only timing: counters and gauges count through
+        # it, histograms observe nothing while metrics are off — and the
+        # flag is checked per call, not captured at wiring time.
         registry = MetricsRegistry(enabled=True)
-        child = registry.counter("repro_test_total").labels()
-        child.inc()
-        registry.enabled = False
-        child.inc()
-        registry.enabled = True
-        child.inc()
-        assert child.value == 2
+        counter = registry.counter("repro_test_total").labels()
+        gauge = registry.gauge("repro_level").labels()
+        hist = registry.histogram("repro_lat_seconds").labels()
+        for enabled in (True, False, True):
+            registry.enabled = enabled
+            counter.inc()
+            gauge.inc(2)
+            hist.observe(0.001)
+        assert (counter.value, gauge.value, hist.count) == (3, 6, 2)
 
 
 class TestGauge:

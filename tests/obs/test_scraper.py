@@ -48,7 +48,7 @@ class TestDisabledRegistry:
         scraper = MetricsScraper(registry=registry, capacity=8)
         scraper.scrape(1.0)
         registry.enabled = False
-        counter.inc(100)  # a no-op child: disabled counters don't count
+        counter.inc(100)  # counted, but no frame is taken while disabled
         scraper.scrape(2.0)
         registry.enabled = True
         scraper.scrape(3.0)

@@ -268,7 +268,7 @@ class TestSlowConsumer:
         server = ReproServer(hive, queue_capacity=3)
 
         async def scenario():
-            client = await connect(server)  # reader task drains eagerly
+            client = await connect(server)  # receives by callback, eagerly
             await client.subscribe(VIEW)
             for index in range(12):
                 upload_window(hive, index)

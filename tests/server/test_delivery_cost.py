@@ -15,6 +15,7 @@ import asyncio
 
 import pytest
 
+from repro.obs.registry import Counter
 from repro.server import ReproServer
 from tests.server.conftest import VIEW, connect, make_hive, run
 from tests.server.test_channel import close_windows, snapshot_keys, upload_window
@@ -90,6 +91,38 @@ def test_one_window_close_is_one_delivery_pass_and_no_task(sim, n):
         assert [snapshot_keys(client.drain_pushes()) for client in clients] == [
             [("t", 300.0)]
         ] * n
+        assert server.pushes_sent == n
+        for client in clients:
+            await client.close()
+
+    run(scenario())
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_a_window_close_to_n_clients_makes_no_counter_increment(sim, monkeypatch, n):
+    """Push outcomes are counted once, in the server's own tally, which
+    the registry reads: no ``Counter.inc`` per push."""
+    hive = make_hive(sim, lateness=0.0)
+    server = ReproServer(hive)
+    incs = []
+    real_inc = Counter.inc
+
+    def counted_inc(child, amount=1.0):
+        incs.append(child)
+        real_inc(child, amount)
+
+    monkeypatch.setattr(Counter, "inc", counted_inc)
+
+    async def scenario():
+        clients = [await connect(server) for _ in range(n)]
+        for client in clients:
+            await client.subscribe(VIEW)
+        upload_window(hive, 0)
+        await close_windows(server, hive, 1)
+        incs.clear()
+        hive.streams.finalize()  # closes window 0 without a flush: N pushes
+        await settle()
+        assert incs == []
         assert server.pushes_sent == n
         for client in clients:
             await client.close()

@@ -296,14 +296,14 @@ class TestPushReconciliation:
             }
             for index in range(3, 9):
                 # One close enqueues a snapshot, a gap and an alert on a
-                # 1-deep queue before any pump runs: the slow consumer.
+                # 1-deep queue before the delivery pass: the slow consumer.
                 upload_window(hive, index, n=10)
                 await close_windows(server, hive, index + 1)
                 good_ratio[0] = 0.0 if index >= 5 else 1.0
                 scraper.scrape(float(index))
                 if index == 5:
                     upload_window(hive, 6, n=10)
-                    hive.pipeline.flush_all()  # pushes queued, not yet pumped
+                    hive.pipeline.flush_all()  # pushes queued, not yet delivered
                     await quitter.close()
             hive.streams.finalize()
             await server.drain()

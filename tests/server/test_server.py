@@ -619,6 +619,53 @@ class TestTcpTransport:
             run(scenario())
         assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
 
+    @pytest.mark.parametrize(
+        "line",
+        [b"not json", b"\xff\xfe", b"x" * 70_000],
+        ids=["not-json", "not-utf8", "over-limit"],
+    )
+    def test_unreadable_handshake_line_is_denied_not_logged(self, sim, caplog, line):
+        """An unreadable *first* line gets the handshake's deny and the
+        connection ends; no session opens, nothing is logged, and a
+        second client is served before and after."""
+        import json
+        import logging
+
+        server = ReproServer(make_hive(sim))
+
+        async def scenario():
+            try:
+                listener = await server.serve_tcp(port=0)
+            except OSError as error:  # pragma: no cover - sandboxed CI
+                pytest.skip(f"cannot bind sockets here: {error}")
+            port = listener.sockets[0].getsockname()[1]
+            bystander = ServerClient(await connect_tcp("127.0.0.1", port))
+            await bystander.connect()
+            assert await bystander.request("query", "tasks") == {"tasks": []}
+            baseline, closed = server.sessions_active, server.stats.sessions_closed
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(line + b"\n")
+            replies = await asyncio.wait_for(reader.read(), timeout=2.0)
+            (reply,) = [json.loads(row) for row in replies.splitlines()]
+            assert set(reply) == {"type", "reason"} and reply["type"] == "deny"
+            writer.close()
+            for _ in range(200):
+                if server.sessions_active == baseline:
+                    break
+                await asyncio.sleep(0.01)
+            assert server.sessions_active == baseline
+            assert server.stats.sessions_closed == closed
+            assert await bystander.request("query", "tasks") == {"tasks": []}
+            await bystander.close()
+            listener.close()
+            await listener.wait_closed()
+
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            run(scenario())
+        assert [
+            r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING
+        ] == []
+
 
 #: The exact key set of every message kind a client can receive
 #: (``payload.*`` = the keys of a channel reply's payload).  A change
