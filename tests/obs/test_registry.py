@@ -25,6 +25,16 @@ class TestCounter:
         with pytest.raises(ObsError):
             child.inc(-1)
 
+    def test_disabled_registry_is_a_noop(self):
+        # Built with metrics off, the registry is a no-op for timing only:
+        # a histogram observes nothing, while a counter still counts.
+        registry = MetricsRegistry(enabled=False)
+        child = registry.counter("repro_test_total").labels()
+        hist = registry.histogram("repro_lat_seconds").labels()
+        child.inc(100)
+        hist.observe(0.5)
+        assert (child.value, hist.count, hist.sum) == (100, 0, 0)
+
     def test_live_toggle(self):
         # The switch gates only timing: counters and gauges count through
         # it, histograms observe nothing while metrics are off — and the
