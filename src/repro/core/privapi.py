@@ -199,6 +199,8 @@ class PrivApi:
         """
         from repro.core.requirements import CrowdedPlacesObjective
 
+        if not len(dataset):
+            raise PrivacyRequirementError("the dataset is empty: nothing to publish")
         requirement = requirement or PrivacyRequirement()
         objective = objective or CrowdedPlacesObjective()
         sensitive = self.sensitive_places(dataset, requirement)

@@ -1,18 +1,16 @@
-"""Trajectories: ordered sequences of timestamped location records.
+"""Trajectories: ordered sequences of timestamped location fixes.
 
-A trajectory is a tuple of :class:`Record` objects — what devices,
-mechanisms and CSV files exchange — plus one lazily built column view
-(:class:`TraceColumns`: ``time``/``lat``/``lon`` float64 arrays) that the
-audit's array kernels read.  The view is built on first use, cached for
-the life of the trajectory and read-only; trajectories are immutable, so
-nothing ever invalidates it.  Code that only interpolates one instant at
-a time (a simulated device asking where it is) never builds it.
+A trajectory is its columns (:class:`TraceColumns`: read-only float64
+``time``/``lat``/``lon`` arrays, what the audit's kernels read and
+return) plus the times ``bisect`` reads; its tuple of :class:`Record`
+objects — what devices, scalar mechanisms and CSV files exchange — is a
+second form of the same fixes.  Each form is built at most once and
+cached; trajectories are immutable, so nothing ever invalidates it.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -50,30 +48,35 @@ class TraceColumns(NamedTuple):
         return self._replace(lat=lat, lon=lon)
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """One user's timestamped path, sorted by strictly increasing time.
 
     A trajectory is immutable; every transformation returns a new instance.
     Privacy mechanisms operate on single trajectories (typically one day of
     data, per the paper) and datasets group them per user.
+
+    Built from records, it keeps them and builds columns on first array
+    use.  Built by :meth:`from_columns`, it builds no ``Record`` until a
+    scalar access materialises ``records``: iteration, indexing,
+    ``points``, ``map_points``, ``length_m``, ``speeds``,
+    ``point_at_time``, ``resample_uniform_distance``.  Length, time span,
+    bounding box, equality, renaming, slicing and splitting never do.
     """
 
-    user: str
-    records: tuple[Record, ...]
-    _times: tuple[float, ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.records:
-            raise TrajectoryError(f"trajectory for {self.user!r} is empty")
-        times = tuple(r.time for r in self.records)
+    def __init__(self, user: str, records: tuple[Record, ...]):
+        if not records:
+            raise TrajectoryError(f"trajectory for {user!r} is empty")
+        times = tuple(r.time for r in records)
         for earlier, later in zip(times, times[1:]):
             if later <= earlier:
                 raise TrajectoryError(
-                    f"records for {self.user!r} not strictly increasing in "
+                    f"records for {user!r} not strictly increasing in "
                     f"time ({earlier} then {later})"
                 )
-        object.__setattr__(self, "_times", times)
+        vars(self).update(user=user, _times=times, records=records)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"trajectories are immutable; cannot set {name!r}")
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -98,24 +101,41 @@ class Trajectory:
     def from_columns(
         cls, user: str, time: np.ndarray, lat: np.ndarray, lon: np.ndarray
     ) -> "Trajectory":
-        """Build a trajectory from row-aligned columns.
+        """Build a trajectory from row-aligned columns, without a ``Record``.
 
-        Every fix goes through the :class:`GeoPoint` and trajectory
-        invariants as usual; the columns become the new trajectory's
-        column view, so a kernel's output is not taken apart again.
+        The columns (copied, read-only) are checked as arrays against the
+        same invariants as the per-fix path — non-empty, coordinates in
+        range and not NaN, time strictly increasing — and any failure
+        re-runs that path, so it raises its exact error.
         """
         columns = TraceColumns(*(_read_only(column) for column in (time, lat, lon)))
-        records = map(
-            Record, map(GeoPoint, columns.lat.tolist(), columns.lon.tolist()),
-            columns.time.tolist(),
-        )
-        trajectory = cls(user=user, records=tuple(records))
-        trajectory.__dict__["columns"] = columns
+        time, lat, lon = columns
+        if not time.size == lat.size == lon.size:
+            raise TrajectoryError(f"columns for {user!r} differ in length")
+        times = tuple(time.tolist())
+        trajectory = cls._with_state(user=user, _times=times, columns=columns)
+        in_range = (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
+        if not (time.size and in_range.all()) or (time[1:] <= time[:-1]).any():
+            cls(user, trajectory.records)  # the per-fix path raises its own error
+        return trajectory
+
+    @classmethod
+    def _with_state(cls, **state: object) -> "Trajectory":
+        """An instance over already-validated state, skipping ``__init__``."""
+        trajectory = object.__new__(cls)
+        vars(trajectory).update(state)
         return trajectory
 
     # ------------------------------------------------------------------
-    # Column view
+    # The two forms: records and columns
     # ------------------------------------------------------------------
+
+    @cached_property
+    def records(self) -> tuple[Record, ...]:
+        """The fixes as records, built once on first use."""
+        time, lat, lon = self.columns
+        points = map(GeoPoint, lat.tolist(), lon.tolist())
+        return tuple(map(Record, points, time.tolist()))
 
     @cached_property
     def columns(self) -> TraceColumns:
@@ -144,7 +164,23 @@ class Trajectory:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._times)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return (
+            self.user == other.user
+            and self._times == other._times
+            and np.array_equal(self.lat, other.lat)
+            and np.array_equal(self.lon, other.lon)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.user, self._times))
+
+    def __repr__(self) -> str:
+        return f"Trajectory({self.user!r}, {len(self)} fixes)"
 
     def __iter__(self) -> Iterator[Record]:
         return iter(self.records)
@@ -158,11 +194,11 @@ class Trajectory:
 
     @property
     def start_time(self) -> float:
-        return self.records[0].time
+        return self._times[0]
 
     @property
     def end_time(self) -> float:
-        return self.records[-1].time
+        return self._times[-1]
 
     @property
     def duration(self) -> float:
@@ -218,7 +254,7 @@ class Trajectory:
 
     def renamed(self, user: str) -> "Trajectory":
         """A copy attributed to a different (e.g. pseudonymous) user id."""
-        return Trajectory(user=user, records=self.records)
+        return Trajectory._with_state(**{**vars(self), "user": user})
 
     def slice_time(self, start: float, end: float) -> "Trajectory | None":
         """Records with ``start <= time < end``; None if that is empty."""
@@ -226,7 +262,7 @@ class Trajectory:
         hi = bisect.bisect_left(self._times, end)
         if lo >= hi:
             return None
-        return Trajectory(user=self.user, records=self.records[lo:hi])
+        return self._piece(lo, hi)
 
     def split_by_day(self, day_length: float = DAY) -> list["Trajectory"]:
         """Split into per-day sub-trajectories (the paper's unit of work).
@@ -234,10 +270,7 @@ class Trajectory:
         Day ``k`` covers ``[k * day_length, (k + 1) * day_length)``.  Days
         without records produce no entry.
         """
-        return [
-            Trajectory(user=self.user, records=self.records[lo:hi])
-            for lo, hi in self._day_bounds(day_length)
-        ]
+        return [self._piece(lo, hi) for lo, hi in self._day_bounds(day_length)]
 
     def day_columns(self, day_length: float = DAY) -> list[TraceColumns]:
         """:meth:`split_by_day` over the column view: one slice per day."""
@@ -246,6 +279,15 @@ class Trajectory:
             TraceColumns(time[lo:hi], lat[lo:hi], lon[lo:hi])
             for lo, hi in self._day_bounds(day_length)
         ]
+
+    def _piece(self, lo: int, hi: int) -> "Trajectory":
+        """Fixes ``[lo, hi)`` in whichever forms this trajectory holds."""
+        state = {"user": self.user, "_times": self._times[lo:hi]}
+        if "records" in vars(self):
+            state["records"] = self.records[lo:hi]
+        if "columns" in vars(self):
+            state["columns"] = TraceColumns(*(c[lo:hi] for c in self.columns))
+        return Trajectory._with_state(**state)
 
     def _day_bounds(self, day_length: float) -> list[tuple[int, int]]:
         """Record index range ``[lo, hi)`` of every non-empty day."""
@@ -298,13 +340,11 @@ class Trajectory:
             raise TrajectoryError(f"max gap must be positive: {max_gap}")
         segments: list[Trajectory] = []
         start = 0
-        for index in range(1, len(self.records)):
-            if self.records[index].time - self.records[index - 1].time > max_gap:
-                segments.append(
-                    Trajectory(user=self.user, records=self.records[start:index])
-                )
+        for index in range(1, len(self._times)):
+            if self._times[index] - self._times[index - 1] > max_gap:
+                segments.append(self._piece(start, index))
                 start = index
-        segments.append(Trajectory(user=self.user, records=self.records[start:]))
+        segments.append(self._piece(start, len(self._times)))
         return segments
 
     def resample_chord(self, step_m: float) -> list[GeoPoint]:

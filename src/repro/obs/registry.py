@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import weakref
 from functools import partial
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -97,9 +98,15 @@ class _Reading(_Child):
 
     def set_function(self, fn: Callable[[], float]) -> None:
         """Read the value from ``fn`` at observation time: a component's
-        own int (capture its small stats object, never its data — the
-        registry outlives it) or a live level like a queue depth."""
+        own int (capture its small stats object, never the component or
+        its data — the registry outlives it) or a live level."""
         self._fn = fn
+
+    def read_weakly(self, component: object, attr: str) -> None:
+        """Read a live level, ``component.attr``, without keeping the
+        component alive: the view reads 0 once it is collected."""
+        ref = weakref.ref(component)
+        self._fn = lambda: getattr(ref(), attr, 0)
 
     @property
     def value(self) -> float:

@@ -196,8 +196,8 @@ class ReproServer:
             _obs.metrics_registry(), _obs.next_instance("server"), self.stats
         )
         # Live levels: read the server's own properties at scrape time.
-        self.obs.sessions.set_function(lambda: self.sessions_active)
-        self.obs.subscriptions.set_function(lambda: self.subscriptions_active)
+        self.obs.sessions.read_weakly(self, "sessions_active")
+        self.obs.subscriptions.read_weakly(self, "subscriptions_active")
         self._tracer = _obs.tracer()
         self._sessions: dict[int, Session] = {}
         #: Sessions with pushes for this loop turn's delivery pass.

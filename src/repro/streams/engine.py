@@ -110,7 +110,7 @@ class StreamEngine:
         )
         # Callback-backed: the scraper reads the live watermark without
         # the engine ever touching the gauge on its hot path.
-        self.obs.watermark.set_function(lambda: self.watermark)
+        self.obs.watermark.read_weakly(self, "watermark")
         self._tracer = obs.tracer()
         #: Trace lineage parked per (task, pane): ``{trace_id: [times]}``
         #: of the traced records folded into each open pane, attached to

@@ -33,6 +33,10 @@ class TestConstruction:
         with pytest.raises(PrivacyRequirementError):
             PrivApi(mechanisms=[])
 
+    def test_empty_dataset_refused_at_the_door(self):
+        with pytest.raises(PrivacyRequirementError, match="nothing to publish"):
+            PrivApi(default_registry()).publish(MobilityDataset([]))
+
 
 class TestAudit:
     @pytest.fixture(scope="class")

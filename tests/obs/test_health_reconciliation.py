@@ -11,6 +11,8 @@ the very counters the components keep, through any metrics toggle.
 from __future__ import annotations
 
 import asyncio
+import gc
+import weakref
 
 import pytest
 
@@ -317,3 +319,22 @@ class TestMetricsToggle:
                 registry.value("repro_federation_control_retries_total", labels),
             ) == (stats.messages_sent, stats.messages_lost, stats.retries)
         assert router.stats.messages_lost > 0
+
+
+class TestComponentLifetime:
+    def test_registry_keeps_no_torn_down_component_alive(self):
+        # The process-wide registry outlives every component it reads; a
+        # read view that closed over a hive, engine or server would keep
+        # the whole platform (simulator, devices, records) reachable.
+        hive = served_hive(Simulator())
+        server = ReproServer(hive)
+        refs = [weakref.ref(c) for c in (hive, hive.streams, server)]
+        registry = obs.metrics_registry()
+        assert "repro_server_sessions" in registry.render_prometheus()
+        del hive, server
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
+        text = registry.render_prometheus()
+        assert "repro_server_sessions" in text
+        assert "repro_stream_watermark_seconds" in text
+        assert registry.exposition()
