@@ -90,8 +90,8 @@ def main() -> None:
     print(federation_snapshot(router, sim.now).to_text())
     print()
 
-    # Finish and inspect the merged dataset — via the legacy record
-    # lists and via the federated columnar query plane.
+    # Finish and inspect the merged dataset — the owner's mobility
+    # dataset and the federated columnar query plane.
     sim.run_until(2 * DAY + HOUR)
     for name in router.member_names:
         router.hive(name).pipeline.flush_all()

@@ -13,6 +13,8 @@ Run:  python examples/network_quality_campaign.py
 import random
 from collections import defaultdict
 
+import numpy as np
+
 from repro.apisense import (
     Campaign,
     CampaignConfig,
@@ -75,13 +77,13 @@ def main() -> None:
     coordinator = QueryCoordinator(key_bits=512, rng=random.Random(5))
     contributor = DeviceContributor(random.Random(6))
 
+    # The store keeps RSSI, the task's only scalar, as its value column.
+    view = honeycomb.dataset_view("net-quality")
+    read = ~np.isnan(view.lat) & ~np.isnan(view.value)
+    rows, cols = grid.cells_of(view.lat[read], view.lon[read])
     per_cell: dict[tuple[int, int], list[float]] = defaultdict(list)
-    for record in honeycomb.records("net-quality"):
-        position = record.values.get("gps")
-        rssi = record.values.get("network")
-        if position is None or rssi is None:
-            continue
-        per_cell[grid.cell_of(position)].append(float(rssi))
+    for row, col, rssi in zip(rows.tolist(), cols.tolist(), view.value[read].tolist()):
+        per_cell[(row, col)].append(rssi)
 
     print("\nmean RSSI per 2 km neighbourhood (computed under encryption):")
     for cell, readings in sorted(per_cell.items(), key=lambda kv: -len(kv[1]))[:8]:

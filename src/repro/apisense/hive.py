@@ -221,6 +221,7 @@ class Hive:
             raise PlatformError(f"task {task.name!r} already published")
         self._tasks[task.name] = task
         self._task_owner[task.name] = owner
+        owner.add_source(task.name, self.store)
         self.stats.tasks_published += 1
         self.stats.per_task.setdefault(task.name, TaskStats())
 
@@ -338,12 +339,10 @@ class Hive:
     route_upload = receive_upload
 
     def _route_flush(self, batch: RecordBatch) -> None:
-        """Deliver one pipeline flush to the owning Honeycombs.
+        """Hand one pipeline flush, split per task, to each task's owner.
 
-        Fires as a pipeline flush listener: the flushed shard batch is
-        split per task and handed to each task's owner, so Honeycomb
-        datasets and hooks are driven by store flushes, not by raw
-        uploads.
+        Fires after the store append: owners count the records and fire
+        their hooks, and read the data back from the store.
         """
         for rows in group_rows(batch.task_index):
             task_name = batch.tasks[batch.task_index[rows[0]]]

@@ -1,24 +1,28 @@
 """Honeycomb: the scientist-facing endpoint.
 
 A Honeycomb describes crowd-sensing tasks, uploads them to the Hive, and
-receives the datasets produced by the crowd.  Processing hooks let other
+reads the crowd's data back from the Hives' stores.  Processing hooks let other
 middleware — PRIVAPI above all — intercept a task's dataset before the
 scientist consumes it.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from typing import Callable
+
+import numpy as np
 
 from repro.apisense.device import SensorRecord
 from repro.apisense.hive import Hive
 from repro.apisense.tasks import SensingTask
-from repro.errors import PlatformError
-from repro.geo.point import GeoPoint, Record
+from repro.apisense.vetting import dry_run_task
+from repro.errors import PlatformError, TaskValidationError
 from repro.geo.trajectory import Trajectory
 from repro.mobility.dataset import MobilityDataset
+from repro.store import DatasetStore
 
-#: Hook signature: receives (task_name, batch) after each routed upload.
+#: Hook signature: receives (task_name, batch) for each flush routed here.
 DatasetHook = Callable[[str, list[SensorRecord]], None]
 
 
@@ -29,7 +33,9 @@ class Honeycomb:
         self.name = name
         self._hive = hive
         self._tasks: dict[str, SensingTask] = {}
-        self._records: dict[str, list[SensorRecord]] = {}
+        self._routed: Counter[str] = Counter()
+        #: Per task, the stores of the Hives routing it here: the data.
+        self._sources: defaultdict[str, dict[DatasetStore, None]] = defaultdict(dict)
         self._hooks: list[DatasetHook] = []
 
     # ------------------------------------------------------------------
@@ -46,7 +52,6 @@ class Honeycomb:
         if task.name in self._tasks:
             raise PlatformError(f"honeycomb {self.name!r} already deployed {task.name!r}")
         self._tasks[task.name] = task
-        self._records[task.name] = []
 
     def deploy(self, task: SensingTask, recruitment=None, vet: bool = False) -> None:
         """Validate and publish a task through the Hive.
@@ -58,9 +63,6 @@ class Honeycomb:
         (nearly) everything — the platform's script-vetting gate.
         """
         if vet:
-            from repro.apisense.vetting import dry_run_task
-            from repro.errors import TaskValidationError
-
             report = dry_run_task(task)
             if not report.acceptable():
                 raise TaskValidationError(
@@ -83,21 +85,20 @@ class Honeycomb:
         """Register a processing hook (e.g. PRIVAPI ingestion)."""
         self._hooks.append(hook)
 
+    def add_source(self, task_name: str, store: DatasetStore) -> None:
+        """Read a task's data from ``store`` too (a Hive adopting it)."""
+        self._sources[self._known(task_name)][store] = None
+
     def receive_dataset(self, task_name: str, records: list[SensorRecord]) -> None:
-        """Store a routed upload batch and fire hooks."""
-        if task_name not in self._tasks:
-            raise PlatformError(
-                f"honeycomb {self.name!r} received data for foreign task {task_name!r}"
-            )
-        self._records[task_name].extend(records)
+        """Count one routed flush and fire hooks; the store keeps the data."""
+        self._routed[self._known(task_name)] += len(records)
         for hook in self._hooks:
             hook(task_name, records)
 
-    def records(self, task_name: str) -> list[SensorRecord]:
-        """All records collected so far for a task."""
-        if task_name not in self._records:
-            raise PlatformError(f"unknown task {task_name!r}")
-        return list(self._records[task_name])
+    def _known(self, task_name: str) -> str:
+        if task_name not in self._tasks:
+            raise PlatformError(f"honeycomb {self.name!r} has no task {task_name!r}")
+        return task_name
 
     def dataset_view(
         self,
@@ -113,12 +114,12 @@ class Honeycomb:
         arrays straight from the store's segments, with optional
         time-range / bbox / per-user filters (see
         :meth:`repro.store.DatasetStore.scan`).  In a federation it
-        covers the home Hive's store only; :meth:`records` remains the
-        cross-community record list.
+        covers the home Hive's store only; :meth:`mobility_dataset`
+        reads every store routing the task here.
         """
-        if task_name not in self._tasks:
-            raise PlatformError(f"unknown task {task_name!r}")
-        return self._hive.store.scan(task_name, t0=t0, t1=t1, bbox=bbox, user=user)
+        return self._hive.store.scan(
+            self._known(task_name), t0=t0, t1=t1, bbox=bbox, user=user
+        )
 
     def aggregate(self, task_name: str):
         """The store's streaming aggregate view of a task.
@@ -126,32 +127,32 @@ class Honeycomb:
         Returns ``None`` until the first flush lands (the view is
         created with the task's first stored batch).
         """
-        if task_name not in self._tasks:
-            raise PlatformError(f"unknown task {task_name!r}")
-        return self._hive.store.aggregates.get(task_name)
+        return self._hive.store.aggregates.get(self._known(task_name))
 
     def n_records(self, task_name: str) -> int:
-        return len(self._records.get(task_name, []))
+        return self._routed[task_name]
 
     def mobility_dataset(self, task_name: str) -> MobilityDataset:
         """Assemble the GPS stream of a task into a mobility dataset.
 
-        This is the dataset PRIVAPI protects before publication.  Records
-        without a GPS value (dropped field, non-location task) are
-        skipped; devices contribute under their *user* id, matching the
-        mobility ground truth.
+        The dataset PRIVAPI protects, read from every store routing the
+        task here (in adoption order, users in interning order).  Rows
+        without a GPS fix are skipped; as in :meth:`Trajectory.from_records`,
+        each user's fixes are stably time-sorted, repeated times dropped.
         """
-        per_user: dict[str, list[Record]] = {}
-        for record in self.records(task_name):
-            position = record.values.get("gps")
-            if not isinstance(position, GeoPoint):
-                continue
-            per_user.setdefault(record.user, []).append(
-                Record(point=position, time=record.time)
-            )
-        trajectories = [
-            Trajectory.from_records(user, records)
-            for user, records in per_user.items()
-            if records
-        ]
+        per_user: dict[str, list[np.ndarray]] = {}
+        for store in self._sources[self._known(task_name)]:
+            scan = store.scan(task_name)
+            fixes = np.stack([scan.time, scan.lat, scan.lon])
+            rows = np.flatnonzero(~np.isnan(scan.lat))
+            rows = rows[np.argsort(scan.user_id[rows], kind="stable")]
+            ids, starts = np.unique(scan.user_id[rows], return_index=True)
+            for uid, run in zip(ids.tolist(), np.split(rows, starts[1:])):
+                per_user.setdefault(scan.user_table[uid], []).append(fixes[:, run])
+        trajectories = []
+        for user, pieces in per_user.items():
+            fixes = np.concatenate(pieces, axis=1)
+            order = np.argsort(fixes[0], kind="stable")
+            keep = order[np.diff(fixes[0, order], prepend=-np.inf) > 0]
+            trajectories.append(Trajectory.from_columns(user, *fixes[:, keep]))
         return MobilityDataset(trajectories)

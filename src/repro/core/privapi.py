@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from repro.core.report import MechanismEvaluation, PublicationReport
 from repro.core.requirements import PrivacyRequirement, UtilityObjective
-from repro.errors import PrivacyRequirementError
+from repro.errors import PrivacyRequirementError, ReproError
 from repro.mobility.dataset import MobilityDataset
 from repro.privacy.attacks.poi_attack import PoiAttack
 from repro.privacy.attacks.reident import ReidentificationAttack
@@ -118,7 +118,17 @@ class PrivApi:
         """Protect, attack and score one mechanism."""
         if sensitive is None:
             sensitive = self.sensitive_places(dataset, requirement)
-        protected = mechanism.protect(dataset, seed=self.seed)
+        name = f"{mechanism.name}{self._param_tag(mechanism)}"
+        parameters = {
+            str(k): v for k, v in mechanism.describe().items() if k != "mechanism"
+        }
+        try:
+            protected = mechanism.protect(dataset, seed=self.seed)
+        except ReproError as error:
+            nan, failure = float("nan"), f"{type(error).__name__}: {error}"
+            return MechanismEvaluation(
+                name, parameters, nan, None, nan, nan, False, failure
+            )
         attack = PoiAttack(denoise_window=requirement.attacker_denoise_window)
         found = attack.run(protected)
 
@@ -156,10 +166,8 @@ class PrivApi:
             satisfied = satisfied and reident <= requirement.max_reidentification
 
         return MechanismEvaluation(
-            mechanism=f"{mechanism.name}{self._param_tag(mechanism)}",
-            parameters={
-                str(k): v for k, v in mechanism.describe().items() if k != "mechanism"
-            },
+            mechanism=name,
+            parameters=parameters,
             poi_recall=mean_recall,
             reidentification=reident,
             utility=utility,
@@ -209,11 +217,15 @@ class PrivApi:
             self.audit_mechanism(mechanism, dataset, requirement, objective, sensitive)
             for mechanism in self.mechanisms
         ]
-        candidates = [
+        failed = [f"{e.mechanism}: {e.error}" for e in evaluations if e.error]
+        if len(failed) == len(evaluations):
+            raise PrivacyRequirementError("every mechanism failed: " + "; ".join(failed))
+        audited = [
             (evaluation, mechanism)
             for evaluation, mechanism in zip(evaluations, self.mechanisms)
-            if evaluation.satisfies_privacy
+            if evaluation.error is None
         ]
+        candidates = [pair for pair in audited if pair[0].satisfies_privacy]
         if candidates:
             chosen_eval, chosen_mechanism = max(
                 candidates, key=lambda pair: pair[0].utility
@@ -227,10 +239,9 @@ class PrivApi:
             )
             return PublicationResult(dataset=None, pseudonym_mapping=None, report=report)
         else:
-            index = min(
-                range(len(evaluations)), key=lambda i: evaluations[i].poi_recall
+            chosen_eval, chosen_mechanism = min(
+                audited, key=lambda pair: pair[0].poi_recall
             )
-            chosen_eval, chosen_mechanism = evaluations[index], self.mechanisms[index]
 
         protected = chosen_mechanism.protect(dataset, seed=self.seed)
         published, mapping = protected.pseudonymized()

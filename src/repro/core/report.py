@@ -16,8 +16,12 @@ class MechanismEvaluation:
     utility: float
     suppression: float
     satisfies_privacy: bool
+    #: Why ``protect`` raised on this dataset: never chosen, not even as fallback.
+    error: str | None = None
 
     def summary_row(self) -> str:
+        if self.error is not None:
+            return f"{self.mechanism:<28} FAILED: {self.error}"
         reident = (
             f"{self.reidentification:.2f}" if self.reidentification is not None else "-"
         )

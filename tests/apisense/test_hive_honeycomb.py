@@ -97,7 +97,7 @@ class TestTaskFlow:
     def test_unknown_task_records_rejected(self, populated_hive):
         honeycomb = Honeycomb("lab", populated_hive)
         with pytest.raises(PlatformError):
-            honeycomb.records("ghost")
+            honeycomb.mobility_dataset("ghost")
 
 
 class TestMobilityDatasetAssembly:

@@ -125,6 +125,9 @@ class TestBackpressureReconciliation:
         hive = Hive(sim, pipeline=pipeline)
 
         class _Owner:
+            def add_source(self, task, store):
+                pass
+
             def receive_dataset(self, task, batch):
                 pass
 

@@ -126,6 +126,9 @@ class TestHiveIntegration:
             hive.register_device(build_device(small_population, sensor_suite, index=index))
 
         class Owner:
+            def add_source(self, task_name, store):
+                pass
+
             def receive_dataset(self, task_name, records):
                 pass
 

@@ -15,7 +15,7 @@ from repro.apisense.tasks import SensingTask
 from repro.apisense.transport import Transport
 from repro.simulation import Simulator
 from repro.units import HOUR
-from tests.apisense.conftest import build_device
+from tests.apisense.conftest import build_device, collect_records
 
 
 class ScriptedLossTransport(Transport):
@@ -94,9 +94,9 @@ class TestStoreAndForward:
         assert stats.uploads >= 1  # the retry went through
         # Exactly once: every sample taken reached the Honeycomb, and no
         # record was duplicated by the retry.
-        records = honeycomb.records("saf")
-        assert len(records) == stats.samples_taken
-        assert len({(r.user, r.time) for r in records}) == len(records)
+        view = honeycomb.dataset_view("saf")
+        assert len(view) == stats.samples_taken
+        assert len(set(zip(view.user_names(), view.time.tolist()))) == len(view)
 
     def test_retry_happens_on_next_tick_not_immediately(
         self, small_population, sensor_suite
@@ -106,7 +106,7 @@ class TestStoreAndForward:
         )
         # The first batch's records are older than one upload period by
         # the time they land: their delivery lagged a full retry cycle.
-        times = sorted(r.time for r in honeycomb.records("saf"))
+        times = sorted(honeycomb.dataset_view("saf").time.tolist())
         assert times[0] <= TASK.upload_period  # early samples did arrive
         # Device-side accounting agrees: one failed then successes.
         assert device.stats["saf"].uploads_failed == 1
@@ -121,9 +121,9 @@ class TestStoreAndForward:
         stats = device.stats["saf"]
         assert transport.stats.messages_lost == 2
         assert stats.uploads_failed == 2
-        records = honeycomb.records("saf")
-        assert len(records) == stats.samples_taken > 0
-        assert len({(r.user, r.time) for r in records}) == len(records)
+        view = honeycomb.dataset_view("saf")
+        assert len(view) == stats.samples_taken > 0
+        assert len(set(zip(view.user_names(), view.time.tolist()))) == len(view)
 
     def test_store_agrees_with_honeycomb_after_retries(
         self, small_population, sensor_suite
@@ -176,9 +176,9 @@ class TestGatewayBackpressureRetry:
         assert stats.uploads_rejected == 1
         # Exactly once despite the bounce: every sample this device took
         # reached the Honeycomb, with no duplicates.
-        mine = [r for r in honeycomb.records("saf") if r.user == device.user]
+        mine = honeycomb.dataset_view("saf", user=device.user)
         assert len(mine) == stats.samples_taken > 0
-        assert len({r.time for r in mine}) == len(mine)
+        assert len(set(mine.time.tolist())) == len(mine)
         assert hive.store.n_records == honeycomb.n_records("saf")
 
 
@@ -219,6 +219,7 @@ class TestRetryOrdering:
         honeycomb = Honeycomb("lab", hive)
         honeycomb.deploy(TASK, recruitment=_Nobody())
         assert device.offer_task(TASK, acceptance_probability=1.0)
+        arrived = collect_records(honeycomb)
 
         # Bounce the first upload (t=1800) off a full gateway.
         hive.community["filler"] = UserState(user="filler", motivation=0.5)
@@ -233,7 +234,7 @@ class TestRetryOrdering:
         # Arrival order at the Honeycomb (per this device) is the order
         # records were appended: the re-buffered first batch must
         # precede the second period's samples despite arriving later.
-        mine = [r for r in honeycomb.records("saf") if r.user == device.user]
+        mine = [r for r in arrived if r.user == device.user]
         times = [r.time for r in mine]
         assert times == sorted(times)
         assert len(mine) == stats.samples_taken > 0

@@ -261,3 +261,41 @@ class TestAuditCostModel:
             ) == privapi.audit_mechanism(
                 mechanism, dataset, requirement, objective, sensitive
             )
+
+
+class TestFailedMechanism:
+    """A mechanism that cannot protect a dataset fails its own audit only."""
+
+    @pytest.fixture(scope="class")
+    def near_pole(self):
+        """Four generated users plus one two-day trace at 89.9999 deg N."""
+        users = list(
+            MobilityGenerator(
+                GeneratorConfig(n_users=4, n_days=2, sampling_period=300)
+            ).generate(seed=3).dataset
+        )
+        polar = [
+            Record(GeoPoint(89.9999, 0.0005 * (i % 20)), 300.0 * i)
+            for i in range(2 * 288)
+        ]
+        return MobilityDataset([*users, Trajectory("polar", polar)])
+
+    def test_near_pole_trace_publishes_without_geo_ind(self, near_pole):
+        result = PrivApi(seed=1).publish(
+            near_pole, PrivacyRequirement(max_poi_recall=0.5), strict=False
+        )
+        failed = [e for e in result.report.evaluations if e.error is not None]
+        geo_ind = [
+            e for e in result.report.evaluations
+            if e.mechanism.startswith("geo-indistinguishability")
+        ]
+        assert len(geo_ind) == 3 and all(e in failed for e in geo_ind)
+        assert all("latitude out of range" in e.error for e in failed)
+        assert all(e.summary_row().endswith(f"FAILED: {e.error}") for e in failed)
+        assert result.dataset is not None
+        assert result.report.chosen not in {e.mechanism for e in failed}
+
+    def test_every_mechanism_failing_names_the_errors(self, near_pole):
+        privapi = PrivApi([GeoIndistinguishabilityMechanism(0.01)], seed=1)
+        with pytest.raises(PrivacyRequirementError, match="latitude out of range"):
+            privapi.publish(near_pole, strict=False)

@@ -11,6 +11,7 @@ from repro.errors import PlatformError
 from repro.simulation import Simulator
 from repro.store import DatasetStore, IngestPipeline
 from repro.units import DAY
+from tests.apisense.conftest import collect_records
 from tests.store.conftest import make_records
 
 
@@ -20,16 +21,12 @@ def make_hive(sim, **kwargs) -> Hive:
 
 def register_task(hive: Hive, name: str = "t") -> Honeycomb:
     """Wire a task into the Hive without the offer/acceptance dance."""
-    from repro.apisense.hive import TaskStats
-
     honeycomb = Honeycomb("lab", hive)
     task = SensingTask(
         name=name, sensors=("gps",), sampling_period=300.0, upload_period=1800.0, end=DAY
     )
     honeycomb.register_task(task)
-    hive._tasks[name] = task
-    hive._task_owner[name] = honeycomb
-    hive.stats.per_task[name] = TaskStats()
+    hive.adopt_task(task, honeycomb)
     return honeycomb
 
 
@@ -117,33 +114,35 @@ class TestHoneycombStoreReads:
                 end=2 * DAY,
             )
         )
+        seen = collect_records(honeycomb)
         report = campaign.run()
-        return campaign, honeycomb, report
+        return campaign, honeycomb, report, seen
 
     def test_store_agrees_with_legacy_record_lists(self, small_population):
-        campaign, honeycomb, report = self._run_campaign(small_population)
+        campaign, honeycomb, report, seen = self._run_campaign(small_population)
         assert report.total_records > 0
-        # Every record the Honeycomb holds is in the store, and vice versa.
+        # Every record the Honeycomb's hooks saw is in the store, and vice versa.
         assert campaign.hive.store.n_records == report.total_records
         view = honeycomb.dataset_view("study")
-        assert len(view) == honeycomb.n_records("study")
-        legacy = {(r.user, r.time) for r in honeycomb.records("study")}
-        assert set(zip(view.user_names(), view.time.tolist())) == legacy
+        assert len(view) == honeycomb.n_records("study") == len(seen)
+        hooked = {(r.user, r.time) for r in seen}
+        assert set(zip(view.user_names(), view.time.tolist())) == hooked
 
     def test_dataset_view_filters(self, small_population):
-        _, honeycomb, _ = self._run_campaign(small_population)
+        _, honeycomb, _, _ = self._run_campaign(small_population)
         day0 = honeycomb.dataset_view("study", t0=0.0, t1=float(DAY))
         assert np.all(day0.time < DAY)
-        user = honeycomb.records("study")[0].user
+        user = honeycomb.dataset_view("study").user_names()[0]
         mine = honeycomb.dataset_view("study", user=user)
         assert set(mine.user_names()) == {user}
 
     def test_aggregate_view_matches_recount(self, small_population):
-        _, honeycomb, _ = self._run_campaign(small_population)
+        _, honeycomb, _, _ = self._run_campaign(small_population)
         aggregate = honeycomb.aggregate("study")
         assert aggregate is not None
         assert aggregate.records == honeycomb.n_records("study")
-        assert aggregate.n_users == len({r.user for r in honeycomb.records("study")})
+        users = honeycomb.dataset_view("study").user_names()
+        assert aggregate.n_users == len(set(users))
         # Uploads ride a ~0.2 s hop + <=0.2 s flush window: lag is small
         # but strictly positive once records have been flushed.
         assert 0.0 < aggregate.lag_p95 < 3600.0 + 5.0

@@ -168,14 +168,15 @@ class TestSecureAggregationPipeline:
             )
         )
         campaign.run()
-        records = honeycomb.records("battery-study")
-        assert records
+        # Battery is the task's only scalar: the store's value column.
+        values = honeycomb.dataset_view("battery-study").value
+        assert len(values)
 
         coordinator = QueryCoordinator(key_bits=256, rng=random.Random(1))
         query = coordinator.open_query("mean-battery")
         aggregator = ObliviousAggregator(query)
         contributor = DeviceContributor(random.Random(2))
-        readings = [float(record.values["battery"]) for record in records[:40]]
+        readings = values[:40].tolist()
         for reading in readings:
             aggregator.accept(contributor.contribute_value(query, reading))
         mean = coordinator.decrypt_mean(query, aggregator.scalar_result(), aggregator.count)
