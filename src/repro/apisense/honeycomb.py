@@ -137,8 +137,8 @@ class Honeycomb:
 
         The dataset PRIVAPI protects, read from every store routing the
         task here (in adoption order, users in interning order).  Rows
-        without a GPS fix are skipped; as in :meth:`Trajectory.from_records`,
-        each user's fixes are stably time-sorted, repeated times dropped.
+        without a GPS fix are skipped; each user's fixes are stably
+        time-sorted, repeated times dropped (:meth:`Trajectory.from_unsorted_columns`).
         """
         per_user: dict[str, list[np.ndarray]] = {}
         for store in self._sources[self._known(task_name)]:
@@ -149,10 +149,7 @@ class Honeycomb:
             ids, starts = np.unique(scan.user_id[rows], return_index=True)
             for uid, run in zip(ids.tolist(), np.split(rows, starts[1:])):
                 per_user.setdefault(scan.user_table[uid], []).append(fixes[:, run])
-        trajectories = []
-        for user, pieces in per_user.items():
-            fixes = np.concatenate(pieces, axis=1)
-            order = np.argsort(fixes[0], kind="stable")
-            keep = order[np.diff(fixes[0, order], prepend=-np.inf) > 0]
-            trajectories.append(Trajectory.from_columns(user, *fixes[:, keep]))
-        return MobilityDataset(trajectories)
+        return MobilityDataset(
+            Trajectory.from_unsorted_columns(user, *np.concatenate(pieces, axis=1))
+            for user, pieces in per_user.items()
+        )

@@ -1,16 +1,17 @@
 """Trajectories: ordered sequences of timestamped location fixes.
 
 A trajectory is its columns (:class:`TraceColumns`: read-only float64
-``time``/``lat``/``lon`` arrays, what the audit's kernels read and
-return) plus the times ``bisect`` reads; its tuple of :class:`Record`
-objects — what devices, scalar mechanisms and CSV files exchange — is a
-second form of the same fixes.  Each form is built at most once and
-cached; trajectories are immutable, so nothing ever invalidates it.
+``time``/``lat``/``lon`` arrays, what the generator, the audit's kernels
+and a device's position lookup use) plus the times ``bisect`` reads; its
+tuple of :class:`Record` objects — what scalar mechanisms and CSV files
+exchange — is a second form of the same fixes.  Each form is built at
+most once and cached; trajectories are immutable, so nothing invalidates it.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -59,16 +60,18 @@ class Trajectory:
     use.  Built by :meth:`from_columns`, it builds no ``Record`` until a
     scalar access materialises ``records``: iteration, indexing,
     ``points``, ``map_points``, ``length_m``, ``speeds``,
-    ``point_at_time``, ``resample_uniform_distance``.  Length, time span,
-    bounding box, equality, renaming, slicing and splitting never do.
+    ``resample_uniform_distance``.  Length, time span, bounding box,
+    equality, renaming, slicing, splitting and ``point_at_time`` never do.
     """
 
     def __init__(self, user: str, records: tuple[Record, ...]):
         if not records:
             raise TrajectoryError(f"trajectory for {user!r} is empty")
         times = tuple(r.time for r in records)
+        if not all(map(math.isfinite, times)):
+            raise TrajectoryError(f"records for {user!r} have a non-finite time")
         for earlier, later in zip(times, times[1:]):
-            if later <= earlier:
+            if not later > earlier:
                 raise TrajectoryError(
                     f"records for {user!r} not strictly increasing in "
                     f"time ({earlier} then {later})"
@@ -98,6 +101,15 @@ class Trajectory:
         return cls(user=user, records=tuple(deduped))
 
     @classmethod
+    def from_unsorted_columns(
+        cls, user: str, time: np.ndarray, lat: np.ndarray, lon: np.ndarray
+    ) -> "Trajectory":
+        """:meth:`from_records` over columns: sort stably, drop repeated times."""
+        order = np.argsort(time, kind="stable")
+        keep = order[np.diff(time[order], prepend=np.nan) != 0]
+        return cls.from_columns(user, time[keep], lat[keep], lon[keep])
+
+    @classmethod
     def from_columns(
         cls, user: str, time: np.ndarray, lat: np.ndarray, lon: np.ndarray
     ) -> "Trajectory":
@@ -105,8 +117,8 @@ class Trajectory:
 
         The columns (copied, read-only) are checked as arrays against the
         same invariants as the per-fix path — non-empty, coordinates in
-        range and not NaN, time strictly increasing — and any failure
-        re-runs that path, so it raises its exact error.
+        range and not NaN, time finite and strictly increasing — and any
+        failure re-runs that path, so it raises its exact error.
         """
         columns = TraceColumns(*(_read_only(column) for column in (time, lat, lon)))
         time, lat, lon = columns
@@ -115,7 +127,8 @@ class Trajectory:
         times = tuple(time.tolist())
         trajectory = cls._with_state(user=user, _times=times, columns=columns)
         in_range = (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
-        if not (time.size and in_range.all()) or (time[1:] <= time[:-1]).any():
+        valid = time.size and in_range.all() and np.isfinite(time).all()
+        if not valid or (time[1:] <= time[:-1]).any():
             cls(user, trajectory.records)  # the per-fix path raises its own error
         return trajectory
 
@@ -394,15 +407,19 @@ class Trajectory:
         Times before the first record clamp to the first point and times
         after the last clamp to the last point.
         """
+        _, lat, lon = self.columns
         if time <= self.start_time:
-            return self.records[0].point
+            return GeoPoint(lat.item(0), lon.item(0))
         if time >= self.end_time:
-            return self.records[-1].point
-        index = bisect.bisect_right(self._times, time)
-        before = self.records[index - 1]
-        after = self.records[index]
-        fraction = (time - before.time) / (after.time - before.time)
-        return interpolate(before.point, after.point, fraction)
+            return GeoPoint(lat.item(-1), lon.item(-1))
+        after = bisect.bisect_right(self._times, time)
+        t0, t1 = self._times[after - 1], self._times[after]
+        fraction = (time - t0) / (t1 - t0)
+        lat0, lon0 = lat.item(after - 1), lon.item(after - 1)
+        return GeoPoint(
+            lat0 + (lat.item(after) - lat0) * fraction,
+            lon0 + (lon.item(after) - lon0) * fraction,
+        )
 
     def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`point_at_time` over an array of instants: ``(lat, lon)``.

@@ -4,7 +4,8 @@ Generates a population of users, each with a home / work / leisure profile
 drawn from a shared :class:`~repro.mobility.city.City`, then simulates day
 after day of stay-and-commute movement sampled at a fixed GPS period with
 configurable fix noise and dropout.  The output is a
-:class:`~repro.mobility.dataset.MobilityDataset` plus exact
+:class:`~repro.mobility.dataset.MobilityDataset`, built as columns with no
+``Record`` or ``GeoPoint`` per fix, plus exact
 :class:`~repro.mobility.ground_truth.GroundTruth`.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import GeoError
-from repro.geo.point import GeoPoint, Record
+from repro.geo.point import GeoPoint
 from repro.geo.projection import LocalProjection
 from repro.geo.trajectory import Trajectory
 from repro.mobility.city import City, CityConfig
@@ -48,8 +49,10 @@ class GeneratorConfig:
             raise GeoError("population must have at least one user")
         if self.n_days < 1:
             raise GeoError("need at least one day of data")
-        if self.sampling_period <= 0:
+        if not (self.sampling_period > 0):
             raise GeoError(f"sampling period must be positive: {self.sampling_period}")
+        if not (self.gps_noise_m >= 0):
+            raise GeoError(f"GPS noise must be non-negative: {self.gps_noise_m}")
         if not (0.0 <= self.dropout < 1.0):
             raise GeoError(f"dropout must be in [0, 1): {self.dropout}")
 
@@ -90,15 +93,14 @@ class MobilityGenerator:
         projection = LocalProjection(city.config.center)
         trajectories = []
         for user, profile in profiles.items():
-            records: list[Record] = []
+            days = []
             for day in range(self.config.n_days):
                 schedule = profile.sample_day(rng)
                 self._record_truth(truth, user, schedule, day)
                 segments = self._plan_segments(schedule, profile, projection)
-                records.extend(
-                    self._sample_day(segments, day, projection, rng)
-                )
-            trajectories.append(Trajectory.from_records(user, records))
+                days.append(self._sample_day(segments, day, projection, rng))
+            fixes = np.concatenate(days, axis=1)
+            trajectories.append(Trajectory.from_unsorted_columns(user, *fixes))
         dataset = MobilityDataset(trajectories)
         return PopulationData(dataset=dataset, truth=truth, profiles=profiles, city=city)
 
@@ -201,18 +203,16 @@ class MobilityGenerator:
         day: int,
         projection: LocalProjection,
         rng: np.random.Generator,
-    ) -> list[Record]:
-        """Sample GPS fixes for one planned day, with noise and dropout."""
+    ) -> np.ndarray:
+        """One planned day's GPS fixes, noisy and with dropout, as ``(time, lat, lon)`` rows."""
         period = self.config.sampling_period
         ticks = np.arange(0.0, DAY, period)
         # Small per-fix phase jitter keeps ticks strictly increasing while
         # avoiding aliasing artefacts across users.
         ticks = ticks + rng.uniform(0.0, 0.2 * period, size=ticks.shape)
 
-        xs = np.empty_like(ticks)
-        ys = np.empty_like(ticks)
-        xs.fill(np.nan)
-        ys.fill(np.nan)
+        xs = np.full_like(ticks, np.nan)
+        ys = np.full_like(ticks, np.nan)
         for t0, t1, x0, y0, x1, y1 in segments:
             if t1 <= t0:
                 continue
@@ -230,10 +230,5 @@ class MobilityGenerator:
         xs = xs + rng.normal(0.0, noise, size=ticks.shape)
         ys = ys + rng.normal(0.0, noise, size=ticks.shape)
 
-        base = day * DAY
-        records = []
-        for keep, t, x, y in zip(valid, ticks, xs, ys):
-            if not keep:
-                continue
-            records.append(Record(point=projection.to_point(x, y), time=base + float(t)))
-        return records
+        lat, lon = projection.to_point_columns(xs[valid], ys[valid])
+        return np.stack([day * DAY + ticks[valid], lat, lon])

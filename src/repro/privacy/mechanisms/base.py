@@ -53,14 +53,11 @@ class LocationPrivacyMechanism(ABC):
     def _protect_per_day(
         self, trajectory: Trajectory, rng: np.random.Generator
     ) -> Trajectory | None:
-        protected_records = []
-        for day in trajectory.split_by_day(DAY):
-            protected = self.protect_trajectory(day, rng)
-            if protected is not None:
-                protected_records.extend(protected.records)
-        if not protected_records:
+        protected = (self.protect_trajectory(day, rng) for day in trajectory.split_by_day(DAY))
+        days = [day.columns for day in protected if day is not None]
+        if not days:
             return None
-        return Trajectory.from_records(trajectory.user, protected_records)
+        return Trajectory.from_unsorted_columns(trajectory.user, *np.concatenate(days, axis=1))
 
     def describe(self) -> dict[str, object]:
         """Mechanism name and parameters, for publication reports."""

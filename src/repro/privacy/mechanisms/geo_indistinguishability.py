@@ -31,7 +31,7 @@ class GeoIndistinguishabilityMechanism(LocationPrivacyMechanism):
     name = "geo-indistinguishability"
 
     def __init__(self, epsilon: float):
-        if epsilon <= 0:
+        if not (epsilon > 0):
             raise MechanismError(f"epsilon must be positive: {epsilon}")
         self.epsilon = epsilon
 
@@ -44,7 +44,7 @@ class GeoIndistinguishabilityMechanism(LocationPrivacyMechanism):
         E.g. ``from_radius(math.log(4), 200)`` protects each fix within a
         200 m disc at level ln(4).
         """
-        if radius_m <= 0:
+        if not (radius_m > 0):
             raise MechanismError(f"radius must be positive: {radius_m}")
         return cls(epsilon=level / radius_m)
 

@@ -40,7 +40,7 @@ class KAnonymityCloakingMechanism(LocationPrivacyMechanism):
     def __init__(self, k: int = 5, base_cell_m: float = 250.0, max_levels: int = 6):
         if k < 2:
             raise MechanismError(f"k must be >= 2: {k}")
-        if base_cell_m <= 0:
+        if not (base_cell_m > 0):
             raise MechanismError(f"base cell must be positive: {base_cell_m}")
         if max_levels < 1:
             raise MechanismError(f"max_levels must be >= 1: {max_levels}")

@@ -46,7 +46,7 @@ class PoiSuppressionMechanism(LocationPrivacyMechanism):
         erase_radius_m: float = 400.0,
         extractor_config: PoiExtractorConfig | None = None,
     ):
-        if erase_radius_m <= 0:
+        if not (erase_radius_m > 0):
             raise MechanismError(f"erase radius must be positive: {erase_radius_m}")
         self.erase_radius_m = erase_radius_m
         self._extractor = PoiExtractor(extractor_config)

@@ -24,7 +24,7 @@ class SpatialCloakingMechanism(LocationPrivacyMechanism):
     name = "spatial-cloaking"
 
     def __init__(self, cell_size_m: float):
-        if cell_size_m <= 0:
+        if not (cell_size_m > 0):
             raise MechanismError(f"cell size must be positive: {cell_size_m}")
         self.cell_size_m = cell_size_m
         self._grid: SpatialGrid | None = None

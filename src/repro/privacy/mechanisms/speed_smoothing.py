@@ -71,7 +71,7 @@ class SpeedSmoothingMechanism(LocationPrivacyMechanism):
         resampling: str = "chord",
         min_points: int = 4,
     ):
-        if epsilon_m <= 0:
+        if not (epsilon_m > 0):
             raise MechanismError(f"resampling step must be positive: {epsilon_m}")
         if resampling not in _RESAMPLINGS:
             raise MechanismError(

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MechanismError
-from repro.geo.point import Record
 from repro.geo.trajectory import Trajectory
 from repro.privacy.mechanisms.base import LocationPrivacyMechanism
 
@@ -22,20 +21,13 @@ class TemporalDownsamplingMechanism(LocationPrivacyMechanism):
     name = "temporal-downsampling"
 
     def __init__(self, window: float):
-        if window <= 0:
+        if not (window > 0):
             raise MechanismError(f"window must be positive: {window}")
         self.window = window
 
     def protect_trajectory(
         self, trajectory: Trajectory, rng: np.random.Generator
-    ) -> Trajectory | None:
-        kept: list[Record] = []
-        current_window = None
-        for record in trajectory.records:
-            window_index = int(record.time // self.window)
-            if window_index != current_window:
-                kept.append(record)
-                current_window = window_index
-        if not kept:
-            return None
-        return Trajectory(user=trajectory.user, records=tuple(kept))
+    ) -> Trajectory:
+        time, lat, lon = trajectory.columns
+        first = np.diff(time // self.window, prepend=np.nan) != 0  # first fix of each window
+        return Trajectory.from_columns(trajectory.user, time[first], lat[first], lon[first])

@@ -8,12 +8,16 @@ same words, and the column-only operations must never build a record.
 
 from __future__ import annotations
 
+import bisect
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import GeoError, TrajectoryError
+from repro.geo.distance import interpolate
 from repro.geo.point import GeoPoint, Record
 from repro.geo.trajectory import Trajectory
 from repro.mobility.dataset import MobilityDataset
@@ -89,6 +93,57 @@ def test_a_defect_raises_the_same_error_on_both_paths(fixes, defect, where):
     assert raised(from_columns, time, lat, lon) == raised(per_fix, time, lat, lon)
 
 
+@pytest.mark.parametrize(
+    "time",
+    [[0.0, np.nan, 2.0], [np.nan], [0.0, 1.0, np.inf], [-np.inf, 0.0], [np.nan, 1.0]],
+    ids=["nan-inside", "nan-alone", "inf-last", "minus-inf-first", "nan-first"],
+)
+def test_non_finite_times_refused_on_both_paths(time):
+    lat, lon = [45.0] * len(time), [5.0] * len(time)
+    for build in (per_fix, from_columns):
+        with pytest.raises(TrajectoryError):
+            build("u", time, lat, lon)
+    assert raised(from_columns, time, lat, lon) == raised(per_fix, time, lat, lon)
+
+
+def reference_point_at_time(trajectory: Trajectory, time: float) -> GeoPoint:
+    """``point_at_time`` as a walk over ``records``, before it read columns."""
+    records = trajectory.records
+    if time <= trajectory.start_time:
+        return records[0].point
+    if time >= trajectory.end_time:
+        return records[-1].point
+    index = bisect.bisect_right([r.time for r in records], time)
+    before, after = records[index - 1], records[index]
+    fraction = (time - before.time) / (after.time - before.time)
+    return interpolate(before.point, after.point, fraction)
+
+
+def bits(point: GeoPoint) -> bytes:
+    return struct.pack("<2d", point.lat, point.lon)
+
+
+@st.composite
+def instants(draw, time: list[float]) -> list[float]:
+    """Instants before, on, between and after the fixes at ``time``."""
+    inside = st.floats(time[0], time[-1], allow_nan=False)
+    return [
+        draw(st.floats(-2e7, time[0], allow_nan=False)),
+        *draw(st.lists(st.sampled_from(time), max_size=5)),
+        *draw(st.lists(inside, max_size=10)),
+        draw(st.floats(time[-1], 2e7, allow_nan=False)),
+    ]
+
+
+@given(st.data(), valid_fixes())
+def test_point_at_time_equals_the_record_walk_on_both_forms(data, fixes):
+    eager, lazy = per_fix("u", *fixes), from_columns("u", *fixes)
+    for time in data.draw(instants(fixes[0])):
+        expected = bits(reference_point_at_time(per_fix("u", *fixes), time))
+        assert bits(eager.point_at_time(time)) == expected
+        assert bits(lazy.point_at_time(time)) == expected
+
+
 def test_unaligned_columns_refused():
     with pytest.raises(TrajectoryError):
         from_columns("u", [0.0, 1.0], [45.0], [5.0, 5.0])
@@ -120,6 +175,8 @@ def test_column_operations_build_no_record(monkeypatch, three_days):
     assert len(piece) == sum(len(day) for day in trajectory.split_by_day()[1:2])
     assert [len(day.time) for day in trajectory.day_columns()] == [144, 144, 144]
     assert [len(segment) for segment in trajectory.split_gaps(600.0)] == [len(trajectory)]
+    for time in (-1.0, 0.0, 900.0, DAY + 1.0, 3 * DAY):
+        trajectory.point_at_time(time)
     dataset = MobilityDataset([trajectory, other])
     published, _ = dataset.pseudonymized()
     assert published.n_records == dataset.n_records == 2 * len(trajectory)

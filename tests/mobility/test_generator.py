@@ -21,6 +21,9 @@ class TestConfigValidation:
             {"sampling_period": 0.0},
             {"dropout": 1.0},
             {"dropout": -0.1},
+            {"sampling_period": float("nan")},
+            {"gps_noise_m": -1.0},
+            {"gps_noise_m": float("nan")},
         ],
     )
     def test_invalid_rejected(self, kwargs):

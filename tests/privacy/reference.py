@@ -2,7 +2,7 @@
 
 Everything here is the code ``geo/filtering.py``, ``privacy/pois.py``,
 ``utility/heatmap.py``, ``utility/traffic.py``, ``privacy/metrics.py``
-and three mechanisms ran before the audit moved onto trajectory columns:
+and four mechanisms ran before the audit moved onto trajectory columns:
 one Python iteration per fix or per sample, built on the scalar helpers
 that are still public (``point_at_time``, ``haversine_m``, ``cell_of``,
 ``snap``, ``translate``, ``centroid``).  The equivalence tests require
@@ -233,8 +233,22 @@ def dataset_distortion_m(raw: MobilityDataset, protected: MobilityDataset) -> fl
 
 
 # ----------------------------------------------------------------------
-# The deterministic halves of three mechanisms
+# Temporal downsampling and the deterministic halves of three mechanisms
 # ----------------------------------------------------------------------
+
+
+def temporal_downsampling(dataset: MobilityDataset, window: float) -> MobilityDataset:
+    def protect(trajectory: Trajectory) -> Trajectory:
+        kept = []
+        current_window = None
+        for record in trajectory.records:
+            window_index = int(record.time // window)
+            if window_index != current_window:
+                kept.append(record)
+                current_window = window_index
+        return Trajectory(user=trajectory.user, records=tuple(kept))
+
+    return dataset.map_trajectories(protect)
 
 
 def spatial_cloaking(dataset: MobilityDataset, cell_size_m: float) -> MobilityDataset:

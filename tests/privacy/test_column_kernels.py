@@ -27,6 +27,7 @@ from repro.privacy.mechanisms import (
     GeoIndistinguishabilityMechanism,
     KAnonymityCloakingMechanism,
     SpatialCloakingMechanism,
+    TemporalDownsamplingMechanism,
 )
 from repro.privacy.metrics import dataset_distortion_m, mean_spatial_distortion_m
 from repro.privacy.pois import PoiExtractor, PoiExtractorConfig
@@ -341,6 +342,30 @@ class TestMechanismCoordinates:
             assert coordinates(
                 KAnonymityCloakingMechanism(k=k, base_cell_m=250.0).protect(raw, seed=3)
             ) == coordinates(reference.k_anonymity_cloaking(raw, k, 250.0))
+
+    def test_temporal_downsampling(self, raw):
+        for window in (60.0, 120.0, 600.0, 1800.0, 3600.0):
+            assert coordinates(
+                TemporalDownsamplingMechanism(window).protect(raw, seed=3)
+            ) == coordinates(reference.temporal_downsampling(raw, window))
+
+    def test_temporal_downsampling_on_window_boundaries(self):
+        # Fixes every 60 s from t=0: every window below starts on a fix.
+        rng = np.random.default_rng(11)
+        eager = trajectory_of(
+            (44.8 + rng.uniform(0, 0.1, 400)).tolist(),
+            (-0.6 + rng.uniform(0, 0.1, 400)).tolist(),
+        )
+        lazy = Trajectory.from_columns("u", eager.time, eager.lat, eager.lon)
+        for window in (60.0, 90.0, 120.0, 300.0, 600.0, 1800.0, 3600.0):
+            expected = coordinates(
+                reference.temporal_downsampling(MobilityDataset([eager]), window)
+            )
+            for trajectory in (eager, lazy):
+                protected = TemporalDownsamplingMechanism(window).protect(
+                    MobilityDataset([trajectory])
+                )
+                assert coordinates(protected) == expected
 
     def test_geo_indistinguishability_same_draws_same_arithmetic(self, raw):
         for epsilon in (0.01, 0.001):

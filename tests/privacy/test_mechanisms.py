@@ -9,6 +9,8 @@ from repro.mobility.dataset import MobilityDataset
 from repro.privacy.mechanisms import (
     GeoIndistinguishabilityMechanism,
     IdentityMechanism,
+    KAnonymityCloakingMechanism,
+    PoiSuppressionMechanism,
     SpatialCloakingMechanism,
     SpeedSmoothingMechanism,
     TemporalDownsamplingMechanism,
@@ -147,6 +149,31 @@ class TestSpatialCloaking:
         mechanism = SpatialCloakingMechanism(cell_size_m=400.0)
         protected = mechanism.protect(small_population.dataset, seed=1)
         assert len(protected) == len(small_population.dataset)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GeoIndistinguishabilityMechanism(epsilon=NAN),
+        lambda: GeoIndistinguishabilityMechanism.from_radius(1.0, radius_m=NAN),
+        lambda: KAnonymityCloakingMechanism(base_cell_m=NAN),
+        lambda: PoiSuppressionMechanism(erase_radius_m=NAN),
+        lambda: SpatialCloakingMechanism(cell_size_m=NAN),
+        lambda: SpeedSmoothingMechanism(epsilon_m=NAN),
+        lambda: TemporalDownsamplingMechanism(window=NAN),
+    ],
+    ids=[
+        "geo-indistinguishability", "geo-indistinguishability-radius",
+        "k-anonymity", "poi-suppression", "spatial-cloaking",
+        "speed-smoothing", "temporal-downsampling",
+    ],
+)
+def test_nan_parameter_refused_at_construction(build):
+    with pytest.raises(MechanismError, match="must be positive: nan"):
+        build()
 
 
 class TestTemporalDownsampling:
