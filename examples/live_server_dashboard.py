@@ -73,8 +73,7 @@ async def run_server(campaign: Campaign, server: ReproServer) -> list[list[dict]
     hive = campaign.hive
     for day in range(1, N_DAYS + 1):
         await server.drive(day * DAY, slice_seconds=HOUR)
-        hive.end_of_day()
-        campaign._daily_participation()
+        campaign.end_day()
     await server.drive(
         N_DAYS * DAY + 2.0 * campaign.config.delivery_latency + 1.0,
         slice_seconds=HOUR,

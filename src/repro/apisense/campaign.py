@@ -10,6 +10,7 @@ produces a :class:`CampaignReport`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from repro.apisense.hive import Hive
 from repro.apisense.honeycomb import Honeycomb
 from repro.apisense.incentives import IncentiveStrategy, NoIncentive
 from repro.apisense.preferences import UserPreferences
-from repro.apisense.sensors import SensorSuite, default_sensor_suite
+from repro.apisense.sensors import default_sensor_suite
 from repro.apisense.tasks import SensingTask
 from repro.errors import PlatformError
 from repro.mobility.generator import PopulationData
@@ -79,6 +80,33 @@ class CampaignReport:
         return sum(self.records_per_task.values())
 
 
+def build_fleet(
+    population: PopulationData,
+    config: CampaignConfig,
+    rng: np.random.Generator,
+    preferences: dict[str, UserPreferences] | None = None,
+) -> Iterator[MobileDevice]:
+    """One device per user of ``population``, in dataset order.
+
+    Draws the shared sensor suite, then each battery's starting level,
+    from ``rng``.  A :class:`Campaign` registers the devices with its
+    Hive; a federation registers them with its router.
+    """
+    suite = default_sensor_suite(population.city, rng)
+    lo, hi = config.initial_battery
+    preferences = preferences or {}
+    for index, trajectory in enumerate(population.dataset):
+        yield MobileDevice(
+            device_id=f"device-{index:04d}",
+            user=trajectory.user,
+            trajectory=trajectory,
+            sensors=suite,
+            battery=Battery(config.battery_model, level=float(rng.uniform(lo, hi))),
+            preferences=preferences.get(trajectory.user, UserPreferences()),
+            seed=config.seed * 100_003 + index,
+        )
+
+
 class Campaign:
     """Builds and runs one simulated crowd-sensing deployment."""
 
@@ -107,38 +135,19 @@ class Campaign:
             seed=self.config.seed,
         )
         self._honeycombs: dict[str, Honeycomb] = {}
-        self._preferences = preferences or {}
         self._rng = np.random.default_rng(self.config.seed)
-        self._sensor_suite: SensorSuite = default_sensor_suite(
-            population.city, self._rng
-        )
         self.devices: list[MobileDevice] = []
-        self._build_devices()
+        for device in build_fleet(population, self.config, self._rng, preferences):
+            self.hive.register_device(device)
+            self.devices.append(device)
         self._daily_records: list[int] = []
         self._daily_participants: list[int] = []
+        self._records_counted = 0
         self._run_days: float | None = None
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-
-    def _build_devices(self) -> None:
-        lo, hi = self.config.initial_battery
-        for index, trajectory in enumerate(self.population.dataset):
-            user = trajectory.user
-            device = MobileDevice(
-                device_id=f"device-{index:04d}",
-                user=user,
-                trajectory=trajectory,
-                sensors=self._sensor_suite,
-                battery=Battery(
-                    self.config.battery_model, level=float(self._rng.uniform(lo, hi))
-                ),
-                preferences=self._preferences.get(user, UserPreferences()),
-                seed=self.config.seed * 100_003 + index,
-            )
-            self.hive.register_device(device)
-            self.devices.append(device)
 
     def honeycomb(self, name: str) -> Honeycomb:
         """Get or create the Honeycomb endpoint named ``name``."""
@@ -170,20 +179,10 @@ class Campaign:
         if not any(h.tasks for h in self._honeycombs.values()):
             raise PlatformError("campaign has no deployed task; deploy() first")
         n_days = self.config.n_days
-        previous_total = 0
         day = 1.0
         while day <= n_days + 1e-9:
             self.sim.run_until(day * DAY)
-            self.hive.end_of_day()
-            self._daily_participation()
-            total = sum(
-                stats.records for stats in self.hive.stats.per_task.values()
-            )
-            self._daily_records.append(total - previous_total)
-            previous_total = total
-            self._daily_participants.append(
-                sum(1 for device in self.devices if device.running_tasks)
-            )
+            self.end_day()
             day += 1.0
         # Drain in-flight routing: the last uploads' Honeycomb deliveries
         # are scheduled one latency hop after the final day boundary, and
@@ -196,9 +195,23 @@ class Campaign:
         final_total = sum(
             stats.records for stats in self.hive.stats.per_task.values()
         )
-        if self._daily_records and final_total > previous_total:
-            self._daily_records[-1] += final_total - previous_total
+        if self._daily_records and final_total > self._records_counted:
+            self._daily_records[-1] += final_total - self._records_counted
         return self.report()
+
+    def end_day(self) -> None:
+        """Close the simulated day at the current clock: the Hive's
+        end-of-day pass, churn and re-join, the day's counts.  :meth:`run`
+        calls it at each day boundary; a caller driving the clock itself
+        (a server's ``drive``) calls it there."""
+        self.hive.end_of_day()
+        self._daily_participation()
+        total = sum(stats.records for stats in self.hive.stats.per_task.values())
+        self._daily_records.append(total - self._records_counted)
+        self._records_counted = total
+        self._daily_participants.append(
+            sum(1 for device in self.devices if device.running_tasks)
+        )
 
     def _daily_participation(self) -> None:
         """Churn and re-join pass, driven by community motivation.

@@ -23,12 +23,15 @@ Typical use::
         print(row.to_text())
     paths = obs.tracing.record_paths(obs.tracer().log)
 
-Tests call :func:`reset` to start from a fresh registry/tracer.
+Tests call :func:`reset` to start from a fresh registry/tracer; a
+self-contained run inside a long-lived process (a CLI replay) uses
+:func:`scoped`, which puts the previous pair back when it is done.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 from repro.obs import instruments, registry, tracing
 from repro.obs.registry import DEFAULT_BUCKETS, MetricsRegistry, Sample, StageTiming
@@ -65,6 +68,7 @@ __all__ = [
     "trace_tree",
     "configure",
     "reset",
+    "scoped",
     "metrics_registry",
     "tracer",
     "render_prometheus",
@@ -146,6 +150,30 @@ def reset(metrics: bool = True, tracing: bool = False) -> None:
     _registry = MetricsRegistry(enabled=metrics)
     _tracer = Tracer(enabled=tracing)
     _instance_counters.clear()
+
+
+@contextmanager
+def scoped(
+    tracing: bool = False,
+    sample_rate: float | None = None,
+    clock: Callable[[], float] | None = None,
+) -> Iterator[None]:
+    """A fresh registry + tracer (and instance counters) for one block.
+
+    Inside, :func:`configure` and every component built there reach only
+    the fresh pair.  On exit, also on an error, the previous pair comes
+    back untouched (switches, sample rate, clocks), as do the counters.
+    """
+    global _registry, _tracer
+    previous = _registry, _tracer, dict(_instance_counters)
+    reset(tracing=tracing)
+    try:
+        configure(sample_rate=sample_rate, clock=clock)
+        yield
+    finally:
+        _registry, _tracer = previous[0], previous[1]
+        _instance_counters.clear()
+        _instance_counters.update(previous[2])
 
 
 def next_instance(prefix: str) -> str:

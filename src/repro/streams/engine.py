@@ -67,7 +67,12 @@ class StreamStats:
 
 
 class StreamEngine:
-    """Maintains windowed materialized views over the live record stream."""
+    """Maintains windowed materialized views over the live record stream.
+
+    ``sim`` is the clock of ingest-lag views and alert times; an engine
+    without one skips lag tracking and stamps alerts with the closing
+    window's end.
+    """
 
     def __init__(
         self,
@@ -125,16 +130,6 @@ class StreamEngine:
     def attach(self, pipeline: "IngestPipeline") -> "StreamEngine":
         """Subscribe to a pipeline's flushes; returns self for chaining."""
         pipeline.add_listener(self.on_flush)
-        return self
-
-    def bind_clock(self, sim: "Simulator") -> "StreamEngine":
-        """Late-bind the simulator clock (ingest-lag views, alert times).
-
-        Engines built before their deployment's simulator exists (the
-        CLI replay path) bind here; an engine without a clock skips lag
-        tracking and stamps alerts with the closing window's end.
-        """
-        self._sim = sim
         return self
 
     def register_view(self, name: str, spec: WindowSpec) -> None:

@@ -17,7 +17,7 @@ P²-merge; see :class:`repro.federation.streams.FederatedStreamMerger`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -138,15 +138,40 @@ class WindowSnapshot:
         return sketch.value() if sketch is not None and len(sketch) else 0.0
 
     def to_text(self) -> str:
-        top = ", ".join(f"{u}:{c}" for u, c in self.top_users(3))
-        return (
-            f"[{self.start:.0f},{self.end:.0f})s {self.task}/{self.view}: "
-            f"{self.records} rec ({self.rate:.2f}/s) from {self.n_users} users, "
-            f"{self.coverage_cells} cells, value p50/p95 "
-            f"{self.value_quantile(0.50):.2f}/{self.value_quantile(0.95):.2f}, "
-            f"lag p95 {self.lag_quantile(0.95):.1f}s"
-            + (f", top [{top}]" if top else "")
+        return window_text(
+            {
+                "task": self.task,
+                "view": self.view,
+                "start": self.start,
+                "end": self.end,
+                "records": self.records,
+                "n_users": self.n_users,
+                "coverage_cells": self.coverage_cells,
+                "value_p50": self.value_quantile(0.50),
+                "value_p95": self.value_quantile(0.95),
+                "lag_p95": self.lag_quantile(0.95),
+                "top_users": self.top_users(3),
+            }
         )
+
+
+def window_text(window: Mapping[str, Any]) -> str:
+    """One closed window as a dashboard line.
+
+    ``window`` has the keys of the serving tier's pushed digest
+    (:func:`repro.server.protocol.snapshot_digest`), so a snapshot and
+    its push render alike.
+    """
+    start, end, records = window["start"], window["end"], window["records"]
+    rate = records / (end - start) if end > start else 0.0
+    top = ", ".join(f"{user}:{count}" for user, count in window["top_users"])
+    return (
+        f"[{start:.0f},{end:.0f})s {window['task']}/{window['view']}: "
+        f"{records} rec ({rate:.2f}/s) from {window['n_users']} users, "
+        f"{window['coverage_cells']} cells, value p50/p95 "
+        f"{window['value_p50']:.2f}/{window['value_p95']:.2f}, "
+        f"lag p95 {window['lag_p95']:.1f}s" + (f", top [{top}]" if top else "")
+    )
 
 
 def _fold_window(
