@@ -4,13 +4,18 @@ The device tier's per-sample path (simulator kernel, timers, dispatcher,
 task context, device runtime, battery) and the per-flush sketch feed are
 performance-critical and therefore rewritten from time to time.  This
 file pins what a small campaign of the e2e benchmark's ``device_campaign``
-shape *computes* at seeds 2014 and 7919: a sha256 over the store's
-columns and user names, every closed window's counts, cells and lag and
-value percentiles, every device's runtime counters and final battery
-level, and the simulator's event and message counts.  Floats are hashed
-by their IEEE-754 bytes, so one ulp of battery drift or one reordered
-same-instant event moves the digest.  A digest that moves is a finding
-to report, not a constant to update.
+shape *computes* at seeds 2014 and 7919, in two sha256 digests:
+
+- the outcome digest: the store's columns and user names, every closed
+  window's counts, cells, bounds and value sum, every device's runtime
+  counters and final battery level, and the simulator's event and
+  message counts;
+- the quantile digest: every closed window's lag and value percentiles
+  (p50, p95), which belong to the sketch rather than to the campaign.
+
+Floats are hashed by their IEEE-754 bytes, so one ulp of battery drift
+or one reordered same-instant event moves a digest.  A digest that moves
+is a finding to report, not a constant to update.
 
 CI runs this file again under ``PYTHONHASHSEED=0`` and ``=1``: set and
 dict iteration order may not leak into stored data or battery state.
@@ -19,9 +24,11 @@ dict iteration order may not leak into stored data or battery state.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import struct
 
+import numpy as np
 import pytest
 
 from repro.apisense.campaign import Campaign, CampaignConfig
@@ -75,32 +82,49 @@ CASES = {
     "v2-adaptive": lambda: _task(("gps", "battery"), AdaptiveTrace),
 }
 
-#: (case, seed) -> (digest, records stored, events processed, messages sent)
+#: (case, seed) -> (outcome digest, records stored, events processed,
+#: messages sent)
 PINNED = {
     ("gps", 2014): (
-        "133e5409613cee2285a9f1f43790993e509ddd15c88186a9df8caa9fdb17ebb3",
+        "3a048fbe8ee218432f6a82c7412bca56b8c49bceb09006639efd1f3609b23129",
         1438, 1732, 102,
     ),
     ("gps", 7919): (
-        "11b16bec2407605c9146c9f5d45724d489cc1d4323747373648dea4aa4de357e",
+        "074d07585b0cfe7fb81d4e8a8f571a99c872eb09dffbaac3e6c6246f3447fd5f",
         3595, 4274, 246,
     ),
     ("gps+network", 2014): (
-        "4b2c3810347ae7a8bfe20ab395e2ce765dfa5d6856f40af36556899b48a8c7fb",
+        "e63ddd4bdec62b8db97f8a03a979b4c80e7f13b9953d7eb2e4704496ae889b42",
         1438, 1732, 102,
     ),
     ("gps+network", 7919): (
-        "798356547972444de6e5b1f19d5bbad997999fa7fc3818e75f0521f61aa5f88d",
+        "17a598f1694259aa4299a83f8e0a1ab7f34bc1078eaaae63597f62457166f1b7",
         3595, 4274, 246,
     ),
     ("v2-adaptive", 2014): (
-        "32517cbf9d18acb3ecf1d8d2f5883192f234f6121f4f412aac5f4206b1bc63ee",
+        "13aea62578828fca1eddd971f7b847663ae6adcc3980f8d233e90a0c2b6b467e",
         1108, 1402, 102,
     ),
     ("v2-adaptive", 7919): (
-        "ceb9612989660f4ed205a5aaacca010a7f0fd3d3079fc0e9a9eb95952f617547",
+        "aca9fed5d94e457b3469b319773c11a094e1848894a1ce1fc9610c30d7f0d54d",
         2764, 3443, 246,
     ),
+}
+
+#: (case, seed) -> quantile digest: the windows' lag and value p50/p95
+PINNED_QUANTILES = {
+    ("gps", 2014):
+        "2596e361ef80d658e73fe511aa0d791ffa604e4c0619efe4d696282d799071f6",
+    ("gps", 7919):
+        "87d9c794dbec53e59de66648c9d478443efa9c28300d41c21219eaa4504072f3",
+    ("gps+network", 2014):
+        "d8d95a270f37fa040c3e3aa86646f4bc44a3f4183673add2c43e8b6821d42910",
+    ("gps+network", 7919):
+        "10e15b5b52df817f1ed6f854c9f1078fac1670667171e84aeda6f7298e704186",
+    ("v2-adaptive", 2014):
+        "323c792969d433b032ff82f9f9cb930b40033d9c39721585805db7c9d2915377",
+    ("v2-adaptive", 7919):
+        "cfae1f046b9f167c66e0948f0fea0a615c6190ab669182989755539747da3c03",
 }
 
 
@@ -108,8 +132,15 @@ def _floats(*values: float) -> bytes:
     return struct.pack(f"<{len(values)}d", *values)
 
 
-def run_pinned_campaign(case: str, seed: int) -> tuple[str, int, int, int]:
-    """Run one pinned campaign; ``(digest, stored, events, messages)``."""
+@functools.lru_cache(maxsize=None)
+def run_pinned_campaign(case: str, seed: int) -> tuple[str, str, int, int, int, tuple]:
+    """Run one pinned campaign; ``(outcome digest, quantile digest,
+    stored, events, messages, percentiles)``.
+
+    ``percentiles`` holds, per window with scalar values and per p in
+    (0.5, 0.95), the window's value percentile beside the exact one over
+    the values the store holds for the window.
+    """
     population = MobilityGenerator(
         GeneratorConfig(n_users=6, n_days=1, sampling_period=SAMPLING_SECONDS)
     ).generate(seed)
@@ -123,6 +154,7 @@ def run_pinned_campaign(case: str, seed: int) -> tuple[str, int, int, int]:
     hive.streams.finalize()
 
     digest = hashlib.sha256()
+    quantiles = hashlib.sha256()
     batch = hive.store.scan(TASK)
     for column in (batch.time, batch.lat, batch.lon, batch.value):
         digest.update(column.tobytes())
@@ -139,15 +171,13 @@ def run_pinned_campaign(case: str, seed: int) -> tuple[str, int, int, int]:
                 )
             ).encode()
         )
-        digest.update(
+        digest.update(_floats(window.start, window.end, window.value_sum))
+        quantiles.update(
             _floats(
-                window.start,
-                window.end,
                 window.lag_quantile(0.5),
                 window.lag_quantile(0.95),
                 window.value_quantile(0.5),
                 window.value_quantile(0.95),
-                window.value_sum,
             )
         )
     for device in campaign.devices:
@@ -159,14 +189,32 @@ def run_pinned_campaign(case: str, seed: int) -> tuple[str, int, int, int]:
         )
         digest.update(_floats(device.battery.level(campaign.sim.now)))
     digest.update(repr((report.events_processed, report.messages_sent)).encode())
+    percentiles = []
+    for window in windows:
+        values = hive.store.scan_time(TASK, window.start, window.end).value
+        values = values[np.isfinite(values)]
+        assert len(values) == window.value_count
+        if len(values):
+            percentiles.extend(
+                (window.value_quantile(p), float(np.quantile(values, p, method="lower")))
+                for p in (0.5, 0.95)
+            )
     return (
         digest.hexdigest(),
+        quantiles.hexdigest(),
         hive.store.n_records,
         report.events_processed,
         report.messages_sent,
+        tuple(percentiles),
     )
 
 
 @pytest.mark.parametrize(("case", "seed"), sorted(PINNED))
 def test_campaign_outcome_is_pinned(case: str, seed: int) -> None:
-    assert run_pinned_campaign(case, seed) == PINNED[(case, seed)]
+    digest, _quantiles, *counts, _percentiles = run_pinned_campaign(case, seed)
+    assert (digest, *counts) == PINNED[(case, seed)]
+
+
+@pytest.mark.parametrize(("case", "seed"), sorted(PINNED_QUANTILES))
+def test_campaign_quantiles_are_pinned(case: str, seed: int) -> None:
+    assert run_pinned_campaign(case, seed)[1] == PINNED_QUANTILES[(case, seed)]
