@@ -200,11 +200,11 @@ def test_bench_live_views_converge_single_hive(benchmark, upload_batches):
     assert mismatches == 0
 
     # Percentiles: merged live sketches vs the pooled scanned values.
-    from repro.store.quantiles import P2Quantile
+    from repro.store.quantiles import QuantileSketch
 
-    merged = P2Quantile.merge([s.value_quantiles[0.95] for s in snapshots])
+    merged = QuantileSketch.merge([s.value_sketch for s in snapshots])
     exact = float(np.percentile(store.scan(TASK_NAME).value, 95.0))
-    assert merged.value() == pytest.approx(exact, abs=5.0)
+    assert merged.quantile(0.95) == pytest.approx(exact, abs=5.0)
 
     record_rows(
         benchmark,
@@ -214,7 +214,7 @@ def test_bench_live_views_converge_single_hive(benchmark, upload_batches):
                 "records": N_RECORDS,
                 "windows": len(snapshots),
                 "exact_count_match": True,
-                "value_p95_live": round(merged.value(), 2),
+                "value_p95_live": round(merged.quantile(0.95), 2),
                 "value_p95_batch": round(exact, 2),
             }
         ],
@@ -272,12 +272,12 @@ def test_bench_live_views_converge_federated(benchmark, upload_batches):
     agg = federated.aggregate(TASK_NAME)
     assert len(live_cells) == agg.coverage_cells
 
-    # Percentiles across the federation: P2-merge tolerance.
-    from repro.store.quantiles import P2Quantile
+    # Percentiles across the federation: the exact merge of the members.
+    from repro.store.quantiles import QuantileSketch
 
-    merged = P2Quantile.merge([s.value_quantiles[0.95] for s in history])
+    merged = QuantileSketch.merge([s.value_sketch for s in history])
     exact = float(np.percentile(federated.scan(TASK_NAME).value, 95.0))
-    assert merged.value() == pytest.approx(exact, abs=5.0)
+    assert merged.quantile(0.95) == pytest.approx(exact, abs=5.0)
 
     per_member = {
         name: router.hive(name).streams.stats.records_seen
@@ -291,7 +291,7 @@ def test_bench_live_views_converge_federated(benchmark, upload_batches):
                 "records": N_RECORDS,
                 "windows_merged": len(history),
                 "max_member_share": max(per_member.values()),
-                "value_p95_live": round(merged.value(), 2),
+                "value_p95_live": round(merged.quantile(0.95), 2),
                 "value_p95_batch": round(exact, 2),
             }
         ],

@@ -19,7 +19,7 @@ tier composes many such Hives into one logical platform:
 - :class:`~repro.federation.streams.FederatedStreamMerger` is the live
   plane: the members' windowed stream views (see :mod:`repro.streams`)
   folded into one federation-wide dashboard at read time (count-sum,
-  cell-union, P²-merge);
+  cell-union, quantile-bucket-sum);
 - :func:`~repro.federation.health.federation_snapshot` aggregates the
   member dashboards into one :class:`~repro.federation.health.
   FederationHealthReport`.

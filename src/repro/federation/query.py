@@ -13,12 +13,9 @@ Because placement homes each device on exactly one member, the same
 record is never stored twice — merged counts equal what a single
 monolithic Hive would have collected, which is the federation's no-loss
 / no-duplication invariant (asserted by ``benchmarks/
-test_bench_federation.py``).
-
-Percentile caveat: P² sketches do not compose exactly, so the federated
-``lag_p95``/``lag_p99`` are the *worst member's* values — a conservative
-SLA bound — while means and counts merge exactly.  Per-member sketches
-stay readable via :attr:`FederatedTaskAggregate.per_member`.
+test_bench_federation.py``).  The lag percentiles are read off the sum
+of the members' lag sketches, so they too are what one store holding
+every record would report.
 """
 
 from __future__ import annotations
@@ -38,6 +35,7 @@ from repro.privacy.secure_aggregation import (
 )
 from repro.store.aggregates import TaskAggregate
 from repro.store.dataset_store import ColumnarBatch, DatasetStore
+from repro.store.quantiles import QuantileSketch, reading
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.federation.router import FederationRouter
@@ -57,7 +55,6 @@ class FederatedTaskAggregate:
     last_time: float | None
     lag_mean: float
     lag_max: float
-    #: Conservative federation-wide percentiles: the worst member's view.
     lag_p50: float
     lag_p95: float
     lag_p99: float
@@ -72,7 +69,7 @@ class FederatedTaskAggregate:
             f"federated task {self.task}: {self.records} records from "
             f"{self.n_users} users across {len(self.per_member)} hives, "
             f"{self.coverage_cells} coverage cells, "
-            f"lag mean {self.lag_mean:.1f}s / worst p95 {self.lag_p95:.1f}s"
+            f"lag mean {self.lag_mean:.1f}s / p95 {self.lag_p95:.1f}s"
         ]
         for name in sorted(self.per_member):
             member = self.per_member[name]
@@ -275,6 +272,7 @@ class FederatedDataset:
             lag_sum += aggregate.lag_sum
             lag_count += aggregate.lag_count
 
+        lags = QuantileSketch.merge([a.lag_sketch for a in per_member.values()])
         return FederatedTaskAggregate(
             task=task,
             records=sum(a.records for a in per_member.values()),
@@ -285,9 +283,9 @@ class FederatedDataset:
             last_time=last_time,
             lag_mean=lag_sum / lag_count if lag_count else 0.0,
             lag_max=max(a.lag_max for a in per_member.values()),
-            lag_p50=max(a.lag_p50 for a in per_member.values()),
-            lag_p95=max(a.lag_p95 for a in per_member.values()),
-            lag_p99=max(a.lag_p99 for a in per_member.values()),
+            lag_p50=reading(lags, 0.50),
+            lag_p95=reading(lags, 0.95),
+            lag_p99=reading(lags, 0.99),
             per_member=per_member,
         )
 

@@ -4,9 +4,9 @@ A federated deployment runs one stream engine per member Hive; each
 engine closes windows over its own slice of the crowd.  Because
 placement homes every device on exactly one member, same-window member
 snapshots partition the crowd's records — so folding them (count-sum,
-cell-union, user-activity-sum, P²-merge) reconstructs exactly the view
-a single monolithic Hive's engine would have materialized (percentiles
-within sketch-merge tolerance; everything else exact).
+cell-union, user-activity-sum, quantile-bucket-sum) reconstructs
+exactly the view a single monolithic Hive's engine would have
+materialized, percentile sketches included.
 
 :class:`FederatedStreamMerger` does that fold at read time: no snapshot
 shipping, no coordination — it reads the members' retained window
@@ -46,7 +46,7 @@ class SecureWindowTotals:
 
     Only the exactly-additive window state travels the masking protocol
     (record count, scalar-value count and sum) — cells and sketches are
-    set/CDF-structured and stay member-local.  ``protocol`` records how
+    set/bucket-structured and stay member-local.  ``protocol`` records how
     the fold ran: ``"masking"`` for a real multi-member round,
     ``"plaintext"`` when a single member held the window (masking a
     cohort of one would hide nothing from anyone).

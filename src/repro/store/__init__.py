@@ -17,7 +17,10 @@ halves that make that scale:
   shared by the store, the router and every flush listener;
 - :class:`~repro.store.aggregates.StoreAggregates` — streaming per-task
   views (record counts, spatial coverage cells, freshness/lag
-  percentiles) maintained incrementally at flush time.
+  percentiles) maintained incrementally at flush time;
+- :class:`~repro.store.quantiles.QuantileSketch` — the one
+  relative-error, exactly-mergeable quantile sketch behind every
+  percentile the store, the streams and the federation report.
 
 The Hive routes every upload through an ingest pipeline into its store;
 ``python -m repro store`` exposes the same machinery from the shell.
@@ -34,7 +37,7 @@ from repro.store.dataset_store import (
     shard_of,
 )
 from repro.store.pipeline import POLICIES, IngestPipeline, PipelineStats
-from repro.store.quantiles import P2Quantile
+from repro.store.quantiles import QuantileSketch
 from repro.store.segment import Segment, SegmentBuilder, merge_segments
 
 __all__ = [
@@ -42,9 +45,9 @@ __all__ = [
     "CompactionReport",
     "DatasetStore",
     "IngestPipeline",
-    "P2Quantile",
     "PipelineStats",
     "POLICIES",
+    "QuantileSketch",
     "RecordBatch",
     "Segment",
     "SegmentBuilder",

@@ -9,7 +9,8 @@ regardless of how much data has been ingested.
 Per task the view tracks record counts, the set of contributing users,
 spatial coverage (distinct quantized lat/lon cells), and ingest-lag
 ("freshness") statistics: how stale records are by the time they reach
-the store, as mean/max plus streaming P² percentiles.
+the store, as mean/max plus one mergeable quantile sketch that answers
+every percentile (:mod:`repro.store.quantiles`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from repro.errors import StoreError
 from repro.store.columns import cells_of
-from repro.store.quantiles import P2Quantile
+from repro.store.quantiles import QuantileSketch, reading
 
 
 class TaskAggregate:
@@ -36,9 +37,8 @@ class TaskAggregate:
         self.lag_count = 0
         self.lag_sum = 0.0
         self.lag_max = 0.0
-        self._lag_p50 = P2Quantile(0.50)
-        self._lag_p95 = P2Quantile(0.95)
-        self._lag_p99 = P2Quantile(0.99)
+        #: Every finite ingest lag; the federation merges members' sketches.
+        self.lag_sketch = QuantileSketch()
 
     # -- derived readings ------------------------------------------------
 
@@ -71,15 +71,15 @@ class TaskAggregate:
 
     @property
     def lag_p50(self) -> float:
-        return self._lag_p50.value() if len(self._lag_p50) else 0.0
+        return reading(self.lag_sketch, 0.50)
 
     @property
     def lag_p95(self) -> float:
-        return self._lag_p95.value() if len(self._lag_p95) else 0.0
+        return reading(self.lag_sketch, 0.95)
 
     @property
     def lag_p99(self) -> float:
-        return self._lag_p99.value() if len(self._lag_p99) else 0.0
+        return reading(self.lag_sketch, 0.99)
 
     def freshness(self, now: float) -> float:
         """Seconds since the newest stored record (``inf`` when empty)."""
@@ -119,8 +119,7 @@ class TaskAggregate:
             self.lag_count += n
             self.lag_sum += float(np.sum(lags))
             self.lag_max = max(self.lag_max, float(np.max(lags)))
-            for sketch in (self._lag_p50, self._lag_p95, self._lag_p99):
-                sketch.extend(lags)
+            self.lag_sketch.extend(lags[np.isfinite(lags)])
 
     def to_text(self) -> str:
         return (

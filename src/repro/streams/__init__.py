@@ -10,7 +10,7 @@ out as defining, built over the ingest pipeline's existing flush tap:
   window geometry over simulated event time;
 - :class:`~repro.streams.engine.StreamEngine` — incrementally-updated
   windowed materialized views (per-task record rates, geo-cell
-  coverage, P² value/lag percentiles, per-user activity top-K), O(batch)
+  coverage, value/lag percentiles, per-user activity top-K), O(batch)
   at flush time with no store re-scan, state shared across views via
   panes so registering more views adds no per-record cost;
 - :class:`~repro.streams.queries.ContinuousQuery` — standing predicates
@@ -20,8 +20,8 @@ out as defining, built over the ingest pipeline's existing flush tap:
   evaluated on window close, emitting
   :class:`~repro.streams.queries.StreamAlert`\\ s into a bounded
   :class:`~repro.streams.queries.AlertLog` surfaced by ``monitoring``;
-- window snapshots are **mergeable** (count-sum, cell-union, P²-merge),
-  which is what lets :class:`repro.federation.streams.
+- window snapshots are **exactly mergeable** (count-sum, cell-union,
+  quantile-bucket-sum), which is what lets :class:`repro.federation.streams.
   FederatedStreamMerger` expose one live dashboard over a multi-hive
   deployment.
 
@@ -40,7 +40,6 @@ from repro.streams.queries import (
     rate_below,
 )
 from repro.streams.views import (
-    VIEW_QUANTILES,
     PaneStats,
     WindowSnapshot,
     merge_snapshots,
@@ -55,7 +54,6 @@ __all__ = [
     "StreamAlert",
     "StreamEngine",
     "StreamStats",
-    "VIEW_QUANTILES",
     "WindowSnapshot",
     "WindowSpec",
     "coverage_stalled",

@@ -8,13 +8,13 @@ never re-scans the columnar store.  State lives in per-task **panes**
 GCD — the engine's ``pane_seconds``):
 
 - every record lands in exactly one pane (count, per-user activity,
-  geo cell, P² value/lag sketches): a flush's columns are bucketed by
+  geo cell, value/lag quantile sketches): a flush's columns are bucketed by
   (task, pane) with numpy and each group is folded in one call,
   whatever the number of registered windowed views;
 - when the event-time watermark passes a pane boundary, every view
   whose window closes there is assembled by merging its panes into a
   :class:`~repro.streams.views.WindowSnapshot` (count-sum, cell-union,
-  P²-merge) and appended to that view's bounded history;
+  bucket-sum, all exact) and appended to that view's bounded history;
 - continuous queries registered on the view are evaluated against the
   closing snapshot, appending :class:`~repro.streams.queries.
   StreamAlert`\\ s to the bounded alert log.
@@ -238,7 +238,7 @@ class StreamEngine:
         pane_index = (batch.time // pane).astype(np.int64)
         lags = None if self._sim is None else np.maximum(0.0, self._sim.now - batch.time)
         fix = ~np.isnan(batch.lat)
-        has_value = ~np.isnan(batch.value)
+        has_value = np.isfinite(batch.value)  # NaN, ±inf: a record, not a value
         tracing = self._tracer.enabled
         keys = batch.task_index * (int(pane_index.max()) + 1) + pane_index
         for rows in group_rows(keys[live]):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.errors import StreamError
-from repro.streams.views import WindowSnapshot
+from repro.streams.views import WindowSnapshot, check_quantile
 
 #: A predicate sees the closing window and the view's earlier snapshots
 #: (most recent last) and returns the alert message, or None.
@@ -194,16 +194,18 @@ def coverage_stalled(windows: int = 3) -> QueryPredicate:
 def percentile_above(
     metric: str, p: float, threshold: float
 ) -> QueryPredicate:
-    """Fire when the window's ``metric`` (``value``/``lag``) p-percentile exceeds ``threshold``."""
+    """Fire when the window's ``metric`` (``value``/``lag``) ``p``-quantile,
+    ``p`` in (0, 1), exceeds ``threshold``."""
     if metric not in ("value", "lag"):
         raise StreamError(f"unknown percentile metric {metric!r}; 'value' or 'lag'")
+    check_quantile(p)
 
     def predicate(snapshot: WindowSnapshot, history: Sequence[WindowSnapshot]):
         reading = (
             snapshot.value_quantile(p) if metric == "value" else snapshot.lag_quantile(p)
         )
         if reading > threshold:
-            return f"{metric} p{int(p * 100)} {reading:.2f} above {threshold:.2f}"
+            return f"{metric} p{p * 100:g} {reading:.2f} above {threshold:.2f}"
         return None
 
     return predicate

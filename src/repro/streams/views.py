@@ -4,14 +4,17 @@ The engine keeps one :class:`PaneStats` per (task, pane) and folds each
 flush's columns into it at flush time; every registered windowed view is
 assembled *at window close* by merging the panes it spans into a
 :class:`WindowSnapshot`.  A snapshot is therefore a real materialized
-view — record rate, geo-cell coverage, per-user activity, and P²
-value/lag percentiles for that window — computed without ever
+view — record rate, geo-cell coverage, per-user activity, and value
+and lag percentiles at any p for that window — computed without ever
 re-scanning the columnar store.
 
-Snapshots keep their mergeable state (user counts, cell sets, P²
+Snapshots keep their mergeable state (user counts, cell sets, quantile
 sketches) so the federation tier can fold member-hive snapshots of the
 same window into one federation-wide view (count-sum, cell-union,
-P²-merge; see :class:`repro.federation.streams.FederatedStreamMerger`).
+bucket-sum; see :class:`repro.federation.streams.FederatedStreamMerger`).
+Every part of that fold is exact, so a window assembled from panes or
+from members equals the one a single engine over the pooled stream
+would have built.
 """
 
 from __future__ import annotations
@@ -22,10 +25,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.errors import StreamError
-from repro.store.quantiles import P2Quantile
-
-#: The quantiles every view tracks for record values and ingest lag.
-VIEW_QUANTILES = (0.50, 0.95)
+from repro.store.quantiles import QuantileSketch, reading
 
 CellIndex = tuple[int, int]
 
@@ -34,7 +34,7 @@ class PaneStats:
     """Accumulated statistics of one task over one pane of the stream."""
 
     __slots__ = ("start", "end", "records", "value_count", "value_sum",
-                 "user_counts", "cells", "value_sketches", "lag_sketches")
+                 "user_counts", "cells", "value_sketch", "lag_sketch")
 
     def __init__(self, start: float, end: float):
         self.start = start
@@ -44,8 +44,8 @@ class PaneStats:
         self.value_sum = 0.0
         self.user_counts: dict[str, int] = {}
         self.cells: set[CellIndex] = set()
-        self.value_sketches = {p: P2Quantile(p) for p in VIEW_QUANTILES}
-        self.lag_sketches = {p: P2Quantile(p) for p in VIEW_QUANTILES}
+        self.value_sketch = QuantileSketch()
+        self.lag_sketch = QuantileSketch()
 
     def update_columns(
         self,
@@ -59,9 +59,8 @@ class PaneStats:
 
         ``users``/``counts`` are the distinct contributors and how many
         records each brought, ``cells`` the cell of every record with a
-        fix, ``values`` the scalar values that are present and ``lags``
-        every record's ingest lag (``None``: untracked) — the last two
-        in record order, which is the order the sketches observe them.
+        fix, ``values`` the finite scalar values and ``lags`` every
+        record's ingest lag (``None``: untracked).
         """
         self.records += sum(counts)
         for user, count in zip(users, counts):
@@ -69,11 +68,9 @@ class PaneStats:
         self.cells.update(cells)
         self.value_count += len(values)
         self.value_sum += float(values.sum())
-        for sketch in self.value_sketches.values():
-            sketch.extend(values)
+        self.value_sketch.extend(values)
         if lags is not None:
-            for sketch in self.lag_sketches.values():
-                sketch.extend(lags)
+            self.lag_sketch.extend(lags)
 
 
 @dataclass(frozen=True)
@@ -92,11 +89,11 @@ class WindowSnapshot:
     records: int
     user_counts: Mapping[str, int]
     cells: frozenset[CellIndex]
-    value_quantiles: Mapping[float, P2Quantile]
-    lag_quantiles: Mapping[float, P2Quantile]
-    #: Additive scalar-value state: records carrying a scalar value and
-    #: their sum.  Exactly mergeable (unlike the sketches), which is
-    #: what the federation's *secure* window fold aggregates.
+    value_sketch: QuantileSketch
+    lag_sketch: QuantileSketch
+    #: Additive scalar-value state: records carrying a finite scalar
+    #: value and their sum — what the federation's *secure* window fold
+    #: aggregates.
     value_count: int = 0
     value_sum: float = 0.0
 
@@ -128,14 +125,16 @@ class WindowSnapshot:
         return tuple(ranked[:k])
 
     def value_quantile(self, p: float) -> float:
-        """The window's value percentile (0.0 when no values were seen)."""
-        sketch = self.value_quantiles.get(p)
-        return sketch.value() if sketch is not None and len(sketch) else 0.0
+        """The window's value ``p``-quantile, ``p`` in (0, 1) (0.0 when no
+        values were seen)."""
+        check_quantile(p)
+        return reading(self.value_sketch, p)
 
     def lag_quantile(self, p: float) -> float:
-        """The window's ingest-lag percentile (0.0 when lag untracked)."""
-        sketch = self.lag_quantiles.get(p)
-        return sketch.value() if sketch is not None and len(sketch) else 0.0
+        """The window's ingest-lag ``p``-quantile, ``p`` in (0, 1) (0.0
+        when lag untracked)."""
+        check_quantile(p)
+        return reading(self.lag_sketch, p)
 
     def to_text(self) -> str:
         return window_text(
@@ -153,6 +152,12 @@ class WindowSnapshot:
                 "top_users": self.top_users(3),
             }
         )
+
+
+def check_quantile(p: float) -> None:
+    """Refuse a percentile outside (0, 1)."""
+    if not 0.0 < p < 1.0:
+        raise StreamError(f"percentile must be in (0, 1): {p}")
 
 
 def window_text(window: Mapping[str, Any]) -> str:
@@ -181,15 +186,15 @@ def _fold_window(
     end: float,
     parts: Sequence[tuple[int, int, float, Mapping[str, int],
                           "frozenset[CellIndex] | set[CellIndex]",
-                          Mapping[float, P2Quantile], Mapping[float, P2Quantile]]],
+                          QuantileSketch, QuantileSketch]],
 ) -> WindowSnapshot:
     """The one fold both assembly paths share.
 
     ``parts`` are ``(records, value_count, value_sum, user_counts,
-    cells, value_sketches, lag_sketches)`` tuples — pane slices of one
+    cells, value_sketch, lag_sketch)`` tuples — pane slices of one
     engine or same-window snapshots of federation members.  Keeping a
-    single fold is what guarantees pane-assembly and cross-hive merging
-    stay semantically identical (merged members == monolithic engine).
+    single fold, every part of it exact, is what makes pane assembly and
+    cross-hive merging agree: merged members == monolithic engine.
     """
     user_counts: dict[str, int] = {}
     cells: set[CellIndex] = set()
@@ -197,14 +202,6 @@ def _fold_window(
         for user, count in part_users.items():
             user_counts[user] = user_counts.get(user, 0) + count
         cells |= part_cells
-    value_q = {
-        p: P2Quantile.merge([vq[p] for *_head, vq, _lq in parts] or [P2Quantile(p)])
-        for p in VIEW_QUANTILES
-    }
-    lag_q = {
-        p: P2Quantile.merge([lq[p] for *_head, lq in parts] or [P2Quantile(p)])
-        for p in VIEW_QUANTILES
-    }
     return WindowSnapshot(
         task=task,
         view=view,
@@ -213,8 +210,8 @@ def _fold_window(
         records=sum(records for records, *_rest in parts),
         user_counts=user_counts,
         cells=frozenset(cells),
-        value_quantiles=value_q,
-        lag_quantiles=lag_q,
+        value_sketch=QuantileSketch.merge([part[5] for part in parts] or [QuantileSketch()]),
+        lag_sketch=QuantileSketch.merge([part[6] for part in parts] or [QuantileSketch()]),
         value_count=sum(part[1] for part in parts),
         value_sum=sum(part[2] for part in parts),
     )
@@ -240,7 +237,7 @@ def snapshot_from_panes(
         end,
         [
             (p.records, p.value_count, p.value_sum, p.user_counts, p.cells,
-             p.value_sketches, p.lag_sketches)
+             p.value_sketch, p.lag_sketch)
             for p in panes
         ],
     )
@@ -250,7 +247,7 @@ def merge_snapshots(snapshots: Sequence[WindowSnapshot]) -> WindowSnapshot:
     """Fold same-window snapshots from different sources into one.
 
     The federation merger uses this: counts sum, user activity sums,
-    cells union, sketches P²-merge.  All snapshots must describe the
+    cells union, sketch buckets sum.  All snapshots must describe the
     same (task, view, start, end) window.
     """
     if not snapshots:
@@ -272,7 +269,7 @@ def merge_snapshots(snapshots: Sequence[WindowSnapshot]) -> WindowSnapshot:
         head.end,
         [
             (s.records, s.value_count, s.value_sum, s.user_counts, s.cells,
-             s.value_quantiles, s.lag_quantiles)
+             s.value_sketch, s.lag_sketch)
             for s in snapshots
         ],
     )

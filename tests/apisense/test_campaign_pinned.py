@@ -13,6 +13,10 @@ shape *computes* at seeds 2014 and 7919, in two sha256 digests:
 - the quantile digest: every closed window's lag and value percentiles
   (p50, p95), which belong to the sketch rather than to the campaign.
 
+Beside the digests, every window's value p50/p95 is checked to lie
+within the sketch's relative accuracy of the exact quantile over the
+values the store holds for that window.
+
 Floats are hashed by their IEEE-754 bytes, so one ulp of battery drift
 or one reordered same-instant event moves a digest.  A digest that moves
 is a finding to report, not a constant to update.
@@ -35,6 +39,7 @@ from repro.apisense.campaign import Campaign, CampaignConfig
 from repro.apisense.scripting import TaskContext, TaskScript
 from repro.apisense.tasks import SensingTask
 from repro.mobility.generator import GeneratorConfig, MobilityGenerator
+from repro.store.quantiles import RELATIVE_ACCURACY
 from repro.streams import WindowSpec
 from repro.units import DAY
 
@@ -111,20 +116,21 @@ PINNED = {
     ),
 }
 
-#: (case, seed) -> quantile digest: the windows' lag and value p50/p95
+#: (case, seed) -> quantile digest: the windows' lag and value p50/p95,
+#: as the log-bucket sketch reads them (α = RELATIVE_ACCURACY)
 PINNED_QUANTILES = {
     ("gps", 2014):
-        "2596e361ef80d658e73fe511aa0d791ffa604e4c0619efe4d696282d799071f6",
+        "d790ae31baa37596f88109a9b35d1a1114ad263fb5e5949ff36abdd15037488d",
     ("gps", 7919):
-        "87d9c794dbec53e59de66648c9d478443efa9c28300d41c21219eaa4504072f3",
+        "89a46e9dbe5d3078850a84c65118fb5d4b1be1ea195d8144b531cee06d9da3c6",
     ("gps+network", 2014):
-        "d8d95a270f37fa040c3e3aa86646f4bc44a3f4183673add2c43e8b6821d42910",
+        "9c0978a5a40f48ea5b143ff20e2a11413eacb00db588e9d4ef3def96e06304e2",
     ("gps+network", 7919):
-        "10e15b5b52df817f1ed6f854c9f1078fac1670667171e84aeda6f7298e704186",
+        "e79f41396f3f7667a7be4174dca07aa25b97109d345d159c5f71ddbb51d00999",
     ("v2-adaptive", 2014):
-        "323c792969d433b032ff82f9f9cb930b40033d9c39721585805db7c9d2915377",
+        "445d0aa5800d86dd94fc34b55a24c31ced8bd38fbaaccb0669d2ce1bfb91a91e",
     ("v2-adaptive", 7919):
-        "cfae1f046b9f167c66e0948f0fea0a615c6190ab669182989755539747da3c03",
+        "6048076204751671c6d8353e40cfbc409b31df4ca43fd1389f4ccccca504be59",
 }
 
 
@@ -218,3 +224,9 @@ def test_campaign_outcome_is_pinned(case: str, seed: int) -> None:
 @pytest.mark.parametrize(("case", "seed"), sorted(PINNED_QUANTILES))
 def test_campaign_quantiles_are_pinned(case: str, seed: int) -> None:
     assert run_pinned_campaign(case, seed)[1] == PINNED_QUANTILES[(case, seed)]
+
+
+@pytest.mark.parametrize(("case", "seed"), sorted(PINNED))
+def test_window_percentiles_are_within_alpha(case: str, seed: int) -> None:
+    for reported, exact in run_pinned_campaign(case, seed)[-1]:
+        assert abs(reported - exact) <= (RELATIVE_ACCURACY + 1e-12) * abs(exact)

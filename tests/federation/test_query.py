@@ -9,7 +9,8 @@ from repro.apisense.device import SensorRecord
 from repro.errors import StoreError
 from repro.federation import ConsistentHashRing, FederatedDataset
 from repro.geo.point import GeoPoint
-from repro.store import DatasetStore
+from repro.store import DatasetStore, QuantileSketch
+from repro.store.quantiles import RELATIVE_ACCURACY
 
 N_USERS = 30
 RECORDS_PER_USER = 40
@@ -113,14 +114,43 @@ class TestAggregateMerge:
         assert merged.last_time == single.last_time
         assert merged.lag_mean == pytest.approx(single.lag_mean)
 
-    def test_percentiles_are_worst_member(self, federated):
+    def test_percentiles_are_the_merged_member_sketches(self, federated, baseline):
         merged = federated.aggregate(TASK)
-        assert merged.lag_p95 == max(
-            member.lag_p95 for member in merged.per_member.values()
+        members = QuantileSketch.merge(
+            [member.lag_sketch for member in merged.per_member.values()]
+        )
+        assert merged.lag_p95 == members.quantile(0.95)
+        # Every store ingested at one instant, so the members' lags are
+        # the single store's lags, split: the merge is that store's sketch.
+        single = baseline.aggregate(TASK)
+        assert members.state() == single.lag_sketch.state()
+        assert (merged.lag_p50, merged.lag_p95, merged.lag_p99) == (
+            single.lag_p50, single.lag_p95, single.lag_p99
         )
         assert merged.lag_max == max(
             member.lag_max for member in merged.per_member.values()
         )
+
+    def test_percentiles_of_unequal_members_are_pooled(self):
+        """A fresh member and a stale one: the federation's median lag is
+        the pooled median, not the stale member's."""
+        records = make_records()
+        fresh, stale = DatasetStore(), DatasetStore()
+        fresh.append(records[: len(records) // 2], ingest_time=30_000.0)
+        stale.append(records[len(records) // 2 :], ingest_time=900_000.0)
+        merged = FederatedDataset({"fresh": fresh, "stale": stale}).aggregate(TASK)
+        pooled = QuantileSketch.merge(
+            [fresh.aggregate(TASK).lag_sketch, stale.aggregate(TASK).lag_sketch]
+        )
+        readings = (merged.lag_p50, merged.lag_p95, merged.lag_p99)
+        assert readings == tuple(pooled.quantile(p) for p in (0.50, 0.95, 0.99))
+        lags = np.concatenate([
+            30_000.0 - fresh.scan(TASK).time, 900_000.0 - stale.scan(TASK).time
+        ])
+        for reading, p in zip(readings, (0.50, 0.95, 0.99)):
+            exact = float(np.quantile(lags, p, method="lower"))
+            assert abs(reading - exact) <= RELATIVE_ACCURACY * exact
+        assert merged.lag_p50 < stale.aggregate(TASK).lag_p50
 
     def test_unknown_task_raises(self, federated):
         with pytest.raises(StoreError):

@@ -2,9 +2,9 @@
 
 The live-plane invariant mirrors the query plane's: placement homes
 every device on exactly one member, so folding same-window member
-snapshots (count-sum, cell-union, P²-merge) reconstructs the view a
-single monolithic engine would have materialized — counts, users and
-cells exactly, percentiles within sketch-merge tolerance.
+snapshots (count-sum, cell-union, quantile-bucket-sum) reconstructs the
+view a single monolithic engine would have materialized — counts, users,
+cells and percentile sketches exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.errors import StreamError
 from repro.federation import FederatedStreamMerger
 from repro.federation.ring import ConsistentHashRing
 from repro.simulation import Simulator
-from repro.store.quantiles import P2Quantile
+from repro.store.quantiles import QuantileSketch
 from repro.streams import ContinuousQuery, StreamEngine, WindowSpec, rate_below
 from tests.store.conftest import make_record
 from tests.streams.conftest import build_stream, replay
@@ -103,10 +103,14 @@ class TestMergedMatchesMonolithic:
             assert merged.user_counts == single.user_counts
             assert merged.cells == single.cells
             assert merged.top_users(3) == single.top_users(3)
-            # Percentiles: sketch-merge tolerance, not exact.
+            # Percentiles: within the sketch-merge tolerance ...
             assert merged.value_quantile(0.95) == pytest.approx(
                 single.value_quantile(0.95), abs=8.0
             )
+            # ... and in fact exact: the value sketches fold bucket for
+            # bucket.  (Lag sketches differ: each member ingests on its
+            # own simulated clock.)
+            assert merged.value_sketch.state() == single.value_sketch.state()
 
     def test_merged_percentiles_track_pooled_ground_truth(self):
         records = workload(n_records=2000)
@@ -116,10 +120,10 @@ class TestMergedMatchesMonolithic:
         }
         merger = FederatedStreamMerger(members)
         values = [float((i * 31) % 100) for i in range(2000)]
-        merged_sketch = P2Quantile.merge(
-            [s.value_quantiles[0.95] for s in merger.history("t", "w")]
+        merged_sketch = QuantileSketch.merge(
+            [s.value_sketch for s in merger.history("t", "w")]
         )
-        assert merged_sketch.value() == pytest.approx(
+        assert merged_sketch.quantile(0.95) == pytest.approx(
             float(np.percentile(values, 95.0)), abs=5.0
         )
 

@@ -7,7 +7,10 @@ federated routing, the monitoring integration, and a TCP smoke test
 """
 
 import asyncio
+import json
+import math
 
+import numpy as np
 import pytest
 
 from repro.apisense.honeycomb import Honeycomb
@@ -38,7 +41,7 @@ from tests.server.conftest import (
     run,
     settle,
 )
-from tests.store.conftest import make_records
+from tests.store.conftest import make_record, make_records
 
 
 def drive_and_flush(server, hive, until):
@@ -225,6 +228,34 @@ class TestIngestSurface:
             assert aggregate["members"] == ["local"]
             secure = await client.secure_aggregate("t")
             assert secure["records"] == 40
+            await client.close()
+
+        run(scenario())
+
+    def test_an_infinite_reading_is_stored_but_not_summarised(self, sim):
+        """``Infinity`` passes the upload wire: the record is stored and
+        counted, but the window's value count, sum and percentiles skip
+        it, so the push stays finite, strict JSON."""
+        hive = make_hive(sim)
+        server = ReproServer(hive)
+
+        async def scenario():
+            client = await connect(server)
+            await client.subscribe(VIEW)
+            records = make_records(20, dt=10.0)
+            records[5] = make_record(time=records[5].time, value=float("inf"))
+            reply = await client.upload("d0", "u0", "t", records)
+            assert reply["accepted"] == 20
+            await drive_and_flush(server, hive, 1000.0)
+            await server.drain()
+            (push,) = [p for p in await settle(client) if p["kind"] == "snapshot"]
+            json.dumps(push, allow_nan=False)
+            window = push["snapshot"]
+            assert window["records"] == 20
+            assert math.isfinite(window["value_p50"]) and math.isfinite(window["value_p95"])
+            (snapshot,) = hive.streams.snapshots("t", VIEW)
+            assert snapshot.value_count == 19 and math.isfinite(snapshot.value_sum)
+            assert int(np.isinf(hive.store.scan("t").value).sum()) == 1
             await client.close()
 
         run(scenario())

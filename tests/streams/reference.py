@@ -24,8 +24,7 @@ import numpy as np
 from repro.geo.point import GeoPoint
 from repro.store import DatasetStore
 from repro.streams import PaneStats, StreamEngine
-from repro.streams.views import VIEW_QUANTILES
-from tests.store.reference import ReferenceP2Quantile
+from tests.store.reference import ReferenceSketch
 
 
 def scalar_of(values) -> float | None:
@@ -92,22 +91,20 @@ class ReferencePane(PaneStats):
 
     def __init__(self, start: float, end: float):
         super().__init__(start, end)
-        self.value_sketches = {p: ReferenceP2Quantile(p) for p in VIEW_QUANTILES}
-        self.lag_sketches = {p: ReferenceP2Quantile(p) for p in VIEW_QUANTILES}
+        self.value_sketch = ReferenceSketch()
+        self.lag_sketch = ReferenceSketch()
 
     def update(self, user, cell, value, lag) -> None:
         self.records += 1
         self.user_counts[user] = self.user_counts.get(user, 0) + 1
         if cell is not None:
             self.cells.add(cell)
-        if value is not None:
+        if value is not None and math.isfinite(value):
             self.value_count += 1
             self.value_sum += value
-            for sketch in self.value_sketches.values():
-                sketch.add(value)
+            self.value_sketch.extend((value,))
         if lag is not None:
-            for sketch in self.lag_sketches.values():
-                sketch.add(lag)
+            self.lag_sketch.extend((lag,))
 
 
 class ReferenceEngine(StreamEngine):

@@ -147,6 +147,24 @@ class TestPercentileAbove:
         assert percentile_above("value", 0.95, 50.0)(hot, []) is not None
         assert percentile_above("value", 0.95, 150.0)(hot, []) is None
 
+    def test_any_percentile_is_answered(self):
+        values = [float(v) for v in range(1, 101)]
+        snapshot = window(0.0, 60.0, users=["u"] * 100, values=values)
+        fired = percentile_above("value", 0.99, 10.0)(snapshot, [])
+        assert fired is not None and fired.startswith("value p99 ")
+        assert percentile_above("value", 0.99, 100.0)(snapshot, []) is None
+        assert snapshot.value_quantile(0.99) == pytest.approx(99.0, rel=0.01)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.5, float("nan")])
+    def test_percentile_outside_the_unit_interval_is_refused(self, p):
+        with pytest.raises(StreamError):
+            percentile_above("value", p, 10.0)
+        snapshot = window(0.0, 60.0, users=["u"] * 3, values=[1.0, 2.0, 3.0])
+        with pytest.raises(StreamError):
+            snapshot.value_quantile(p)
+        with pytest.raises(StreamError):
+            snapshot.lag_quantile(p)
+
     def test_lag_metric_reads_lag_sketches(self):
         stats = fill_pane(PaneStats(0.0, 60.0), ["u"] * 10, lags=[42.0] * 10)
         snapshot = snapshot_from_panes("t", "v", 0.0, 60.0, [stats])

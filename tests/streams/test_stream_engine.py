@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import StreamError
-from repro.store.quantiles import P2Quantile
+from repro.store.quantiles import QuantileSketch
 from repro.streams import ContinuousQuery, StreamEngine, WindowSpec, rate_below
 from tests.store.conftest import make_record, make_records
 from tests.streams.conftest import build_stream, replay
@@ -121,9 +121,9 @@ class TestLiveViewsMatchBatchGroundTruth:
         replay(sim, pipeline, records, batch=100)
         engine.finalize()
         snapshots = engine.snapshots("t", "w")
-        merged = P2Quantile.merge([s.value_quantiles[0.95] for s in snapshots])
+        merged = QuantileSketch.merge([s.value_sketch for s in snapshots])
         exact = float(np.percentile(values, 95.0))
-        assert merged.value() == pytest.approx(exact, abs=5.0)
+        assert merged.quantile(0.95) == pytest.approx(exact, abs=5.0)
 
     def test_boundary_timestamped_record_not_dropped(self, sim):
         """A record stamped exactly on a window boundary belongs to the

@@ -28,15 +28,15 @@ class TestPaneStats:
         assert stats.records == 3
         assert stats.user_counts == {"a": 2, "b": 1}
         assert stats.cells == {(0, 0), (0, 1)}
-        assert len(stats.value_sketches[0.5]) == 3
-        assert len(stats.lag_sketches[0.95]) == 3
+        assert len(stats.value_sketch) == 3
+        assert len(stats.lag_sketch) == 3
 
     def test_optional_fields_skipped(self):
         stats = fill_pane(pane(), ["a"])
         assert stats.records == 1
         assert stats.cells == set()
-        assert len(stats.value_sketches[0.5]) == 0
-        assert len(stats.lag_sketches[0.5]) == 0
+        assert len(stats.value_sketch) == 0
+        assert len(stats.lag_sketch) == 0
 
 
 class TestSnapshotFromPanes:
