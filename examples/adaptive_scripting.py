@@ -82,16 +82,15 @@ class AdaptiveEnvironmentScript(TaskScript):
 
 def build_task() -> SensingTask:
     """The task spec (also what ``python -m repro task vet`` loads)."""
-    return (
-        SensingTask.builder("adaptive-env")
-        .sensors("gps", "network", "battery")
-        .every(BASE_PERIOD)
-        .upload_every(1800.0)
-        .until(3 * DAY)
+    return SensingTask(
+        name="adaptive-env",
+        sensors=("gps", "network", "battery"),
+        sampling_period=BASE_PERIOD,
+        upload_period=1800.0,
+        end=3 * DAY,
         # A class, not an instance: every device instantiates its own
         # script, so per-device state (the timer handle) never collides.
-        .script(AdaptiveEnvironmentScript)
-        .build()
+        script=AdaptiveEnvironmentScript,
     )
 
 

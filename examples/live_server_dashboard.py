@@ -74,10 +74,7 @@ async def run_server(campaign: Campaign, server: ReproServer) -> list[list[dict]
     for day in range(1, N_DAYS + 1):
         await server.drive(day * DAY, slice_seconds=HOUR)
         campaign.end_day()
-    await server.drive(
-        N_DAYS * DAY + 2.0 * campaign.config.delivery_latency + 1.0,
-        slice_seconds=HOUR,
-    )
+    await server.drive(campaign.drain_horizon, slice_seconds=HOUR)
     hive.pipeline.flush_all()
     hive.streams.finalize()
     await server.drain()
@@ -140,10 +137,7 @@ def main() -> None:
     # holds request latency to a wall-clock budget the in-process
     # transport comfortably meets — the obs watcher sees it stay "ok".
     scraper = obs.MetricsScraper(cadence=HOUR, capacity=128)
-    scraper.start(
-        campaign.sim,
-        until=N_DAYS * DAY + 2.0 * campaign.config.delivery_latency + 1.0,
-    )
+    scraper.start(campaign.sim, until=campaign.drain_horizon)
     slos = obs.SLOTracker(
         scraper.store,
         [

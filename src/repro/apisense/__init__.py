@@ -7,13 +7,12 @@ The platform's architecture maps one-to-one onto the paper's Figure 1:
 - :class:`~repro.apisense.honeycomb.Honeycomb` endpoints upload tasks
   (described as scripts) and receive the collected datasets;
 - :mod:`repro.apisense.scripting` is the paper's scripting facade — the
-  v2 Sensing Script API: a :class:`~repro.apisense.scripting.TaskScript`
+  Sensing Script API: a :class:`~repro.apisense.scripting.TaskScript`
   registers periodic timers (re-schedulable at runtime for adaptive
   sampling), sensor-change triggers, and geofence handlers against a
   :class:`~repro.apisense.scripting.TaskContext` with lazy sensor
-  facades; the fluent :class:`~repro.apisense.scripting.TaskBuilder`
-  (``SensingTask.builder(...)``) is the declarative front door, and
-  legacy one-hook tasks run unchanged through an adapter;
+  facades; a :class:`SensingTask` carries one as its ``script``, and a
+  task without one runs :class:`~repro.apisense.scripting.CollectAll`;
 - :class:`~repro.apisense.device.MobileDevice` instances execute
   offloaded scripts through an event-driven
   :class:`~repro.apisense.scripting.TaskDispatcher` over their sensors,
@@ -34,10 +33,8 @@ from repro.apisense.tasks import SensingTask
 from repro.apisense.battery import Battery, BatteryModel
 from repro.apisense.scripting import (
     HandlerStats,
-    LegacyHookScript,
     ScriptRuntime,
     SensorReadRefused,
-    TaskBuilder,
     TaskContext,
     TaskDispatcher,
     TaskScript,
@@ -99,14 +96,12 @@ from repro.apisense.recruitment import (
 
 __all__ = [
     "SensingTask",
-    "TaskBuilder",
     "TaskScript",
     "TaskContext",
     "TaskDispatcher",
     "TimerHandle",
     "TriggerEvent",
     "HandlerStats",
-    "LegacyHookScript",
     "ScriptRuntime",
     "SensorReadRefused",
     "Battery",

@@ -190,7 +190,7 @@ class Campaign:
         # window allows — flush_all() guarantees nothing stays stranded
         # in the ingest pipeline.
         self._run_days = n_days
-        self.sim.run_until(n_days * DAY + 2.0 * self.config.delivery_latency + 1.0)
+        self.sim.run_until(self.drain_horizon)
         self.hive.pipeline.flush_all()
         final_total = sum(
             stats.records for stats in self.hive.stats.per_task.values()
@@ -198,6 +198,13 @@ class Campaign:
         if self._daily_records and final_total > self._records_counted:
             self._daily_records[-1] += final_total - self._records_counted
         return self.report()
+
+    @property
+    def drain_horizon(self) -> float:
+        """When the campaign's last uploads have reached the store: the
+        final day boundary plus two delivery hops (upload, then the
+        Honeycomb routing) and a second of slack."""
+        return self.config.n_days * DAY + 2.0 * self.config.delivery_latency + 1.0
 
     def end_day(self) -> None:
         """Close the simulated day at the current clock: the Hive's

@@ -1,10 +1,8 @@
-"""Sensing Script API v2: sensor facades, triggers, adaptive sampling.
+"""The Sensing Script API: sensor facades, triggers, adaptive sampling.
 
 The real APISENSE offloads *scripts* — event-driven JavaScript programmed
-against high-level sensor facades — onto phones.  Version 1 of the
-reproduction froze that contract into a single fixed-period hook
-(``SensingTask.script``); this module restores the paper's scripting
-facade as a Python API:
+against high-level sensor facades — onto phones.  This module is that
+scripting facade as a Python API:
 
 - a :class:`TaskScript` receives a :class:`TaskContext` once, when the
   task starts on a device, and registers event handlers against it;
@@ -19,16 +17,15 @@ facade as a Python API:
 - lazy sensor facades (``ctx.location``, ``ctx.battery``, ``ctx.network``,
   ``ctx.accel``) read sensors on demand — a task only drains battery for
   the sensors a handler actually reads;
-- :meth:`TaskContext.save` emits a trace record explicitly (v1 returned
-  values implicitly from the hook).
+- :meth:`TaskContext.save` emits a trace record; a handler firing that
+  returns without saving counts as a dropped sample.
 
 Execution is the same everywhere: a :class:`TaskDispatcher` drives the
 script's timers and triggers over a :class:`ScriptRuntime` — the bridge
 to a real :class:`~repro.apisense.device.MobileDevice` on phones, or to
 a synthetic trajectory + sensor stream when the Honeycomb vets a script
-(:mod:`repro.apisense.vetting`).  Legacy one-hook tasks run unchanged
-through :class:`LegacyHookScript`, an adapter that is itself an ordinary
-v2 script.
+(:mod:`repro.apisense.vetting`).  A task that declares no script runs
+:class:`CollectAll`, an ordinary script that saves every sensor each tick.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from repro.errors import PlatformError, TaskValidationError
+from repro.errors import PlatformError
 from repro.geo.bbox import BoundingBox
 from repro.geo.distance import haversine_m
 from repro.geo.point import GeoPoint
@@ -50,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: task context; the firing event is available as ``ctx.event``.
 Handler = Callable[["TaskContext"], None]
 
-#: v2 entry point signature (a bare function alternative to TaskScript).
+#: Script entry point signature (a bare function alternative to TaskScript).
 SetupFn = Callable[["TaskContext"], None]
 
 
@@ -71,6 +68,8 @@ class TaskRuntimeStats:
 
     samples_taken: int = 0
     samples_filtered: int = 0
+    #: Firings that returned without calling ``ctx.save`` (a raise or a
+    #: battery refusal counts in ``script_errors`` / ``samples_battery_refused``).
     samples_script_dropped: int = 0
     script_errors: int = 0
     samples_battery_refused: int = 0
@@ -495,8 +494,8 @@ class TaskContext:
         return value
 
     def read_all(self) -> dict[str, object]:
-        """Read every declared sensor in one acquisition (v1 semantics):
-        the energy cost of the full sensor tuple is paid at once."""
+        """Read every declared sensor in one acquisition: the energy
+        cost of the full sensor tuple is paid at once."""
         dispatcher = self._dispatcher
         runtime = dispatcher.runtime
         sensors = dispatcher.task.sensors
@@ -516,12 +515,13 @@ class TaskContext:
         The fence applies to *every* save, however the handler was
         triggered — geofence and sensor-change handlers may fire outside
         the task region (that is their job), but the task still only
-        collects inside it, exactly as v1 did.
+        collects inside it.
 
         ``values`` is copied here, once: the script may go on mutating
         or re-using its mapping, and nothing downstream copies again.
         """
         dispatcher = self._dispatcher
+        dispatcher._saved = True
         runtime = dispatcher.runtime
         now = dispatcher.sim.now
         region = dispatcher.task.region
@@ -541,7 +541,7 @@ class TaskContext:
 
 
 class TaskScript(ABC):
-    """A v2 sensing script: register handlers when the task starts."""
+    """A sensing script: register handlers when the task starts."""
 
     @abstractmethod
     def setup(self, ctx: TaskContext) -> None:
@@ -549,35 +549,20 @@ class TaskScript(ABC):
         timers/triggers on ``ctx`` here."""
 
 
-class LegacyHookScript(TaskScript):
-    """Adapter running a v1 ``script=`` hook on the v2 dispatcher.
-
-    Reproduces v1 semantics exactly: one timer at the task's sampling
-    period, all declared sensors read per tick (one batched energy
-    acquisition), the hook filtering/rewriting the values, and the
-    result saved through the privacy chain.  A ``None`` hook is the
-    scriptless v1 task: read everything, save everything.
-    """
-
-    def __init__(self, hook=None):
-        self._hook = hook
+class CollectAll(TaskScript):
+    """The script of a task that declares none: one timer at the task's
+    sampling period that reads every declared sensor in one acquisition
+    and saves the values as they are."""
 
     def setup(self, ctx: TaskContext) -> None:
         ctx.every(ctx.task.sampling_period, self._tick)
 
     def _tick(self, ctx: TaskContext) -> None:
-        values: Mapping[str, object] = ctx.read_all()
-        if self._hook is not None:
-            result = self._hook(values)
-            if result is None:
-                ctx.stats.samples_script_dropped += 1
-                return
-            values = result
-        ctx.save(values)
+        ctx.save(ctx.read_all())
 
 
 def resolve_script(task: "SensingTask") -> TaskScript:
-    """The script a task runs: its v2 script, or the legacy adapter.
+    """The script a task runs: its own, or :class:`CollectAll`.
 
     A TaskScript *class* is instantiated per resolution, so every device
     gets its own script instance and per-device state (timer handles,
@@ -586,14 +571,12 @@ def resolve_script(task: "SensingTask") -> TaskScript:
     scripts only); a bare ``setup(ctx)`` function is safe either way
     because each call builds fresh closures.
     """
-    script_v2 = task.script_v2
-    if script_v2 is None:
-        return LegacyHookScript(task.script)
-    if isinstance(script_v2, type) and issubclass(script_v2, TaskScript):
-        return script_v2()
-    if isinstance(script_v2, TaskScript):
-        return script_v2
-    return _FunctionScript(script_v2)
+    script = CollectAll if task.script is None else task.script
+    if isinstance(script, type):  # validated a TaskScript subclass
+        return script()
+    if isinstance(script, TaskScript):
+        return script
+    return _FunctionScript(script)
 
 
 class _FunctionScript(TaskScript):
@@ -635,6 +618,7 @@ class TaskDispatcher:
         self.error_messages: list[str] = []
         self._seen_errors: set[str] = set()
         self._current: HandlerStats | None = None
+        self._saved = False
         self._begin_token: CancelToken | None = None
         self._trigger_token: CancelToken | None = None
         self._cancelled = False
@@ -713,6 +697,7 @@ class TaskDispatcher:
     def _dispatch(self, stats: HandlerStats, event: TriggerEvent, fn: Handler) -> None:
         stats.fires += 1
         self._current = stats
+        self._saved = False
         self.ctx._event = event
         try:
             fn(self.ctx)
@@ -722,6 +707,9 @@ class TaskDispatcher:
             self.runtime.stats.script_errors += 1
             stats.errors += 1
             self._record_error(error)
+        else:
+            if not self._saved:
+                self.runtime.stats.samples_script_dropped += 1
         finally:
             self.ctx._event = None
             self._current = None
@@ -735,103 +723,3 @@ class TaskDispatcher:
     @property
     def total_fires(self) -> int:
         return sum(stats.fires for stats in self.handler_stats)
-
-
-# ----------------------------------------------------------------------
-# The declarative front door
-# ----------------------------------------------------------------------
-
-
-class TaskBuilder:
-    """Fluent construction of a :class:`SensingTask`::
-
-        task = (SensingTask.builder("noise")
-                .sensors("gps", "network")
-                .every(30)
-                .region(44.80, -0.63, 44.85, -0.55)
-                .script(my_script)
-                .build())
-
-    ``build()`` runs the task's full static validation.
-    """
-
-    def __init__(self, name: str):
-        self._name = name
-        self._sensors: tuple[str, ...] = ()
-        self._sampling_period: float | None = None
-        self._upload_period: float | None = None
-        self._start: float | None = None
-        self._end: float | None = None
-        self._region: BoundingBox | None = None
-        self._script = None
-        self._script_v2: TaskScript | SetupFn | None = None
-
-    def sensors(self, *names: str) -> "TaskBuilder":
-        """Declare the sensors the task may read."""
-        self._sensors = tuple(names)
-        return self
-
-    def every(self, period: float) -> "TaskBuilder":
-        """Base sampling period in seconds (timer + trigger cadence)."""
-        self._sampling_period = float(period)
-        return self
-
-    def upload_every(self, period: float) -> "TaskBuilder":
-        """Seconds between device-to-Hive buffer uploads."""
-        self._upload_period = float(period)
-        return self
-
-    def window(self, start: float, end: float) -> "TaskBuilder":
-        """Campaign window in simulation seconds."""
-        self._start = float(start)
-        self._end = float(end)
-        return self
-
-    def until(self, end: float) -> "TaskBuilder":
-        """Campaign end in simulation seconds (start stays at 0)."""
-        self._end = float(end)
-        return self
-
-    def region(self, *bounds) -> "TaskBuilder":
-        """Geographic fence: a BoundingBox or (south, west, north, east)."""
-        if len(bounds) == 1 and isinstance(bounds[0], BoundingBox):
-            self._region = bounds[0]
-        elif len(bounds) == 4:
-            south, west, north, east = bounds
-            self._region = BoundingBox(south=south, west=west, north=north, east=east)
-        else:
-            raise TaskValidationError(
-                "region() takes a BoundingBox or four floats (south, west, north, east)"
-            )
-        return self
-
-    def script(self, script_v2: TaskScript | SetupFn) -> "TaskBuilder":
-        """Attach a v2 script (TaskScript instance or setup function)."""
-        self._script_v2 = script_v2
-        return self
-
-    def hook(self, hook) -> "TaskBuilder":
-        """Attach a legacy v1 per-sample hook."""
-        self._script = hook
-        return self
-
-    def build(self) -> "SensingTask":
-        """Construct and validate the task."""
-        from repro.apisense.tasks import SensingTask
-
-        kwargs: dict[str, object] = {
-            "name": self._name,
-            "sensors": self._sensors,
-            "region": self._region,
-            "script": self._script,
-            "script_v2": self._script_v2,
-        }
-        if self._sampling_period is not None:
-            kwargs["sampling_period"] = self._sampling_period
-        if self._upload_period is not None:
-            kwargs["upload_period"] = self._upload_period
-        if self._start is not None:
-            kwargs["start"] = self._start
-        if self._end is not None:
-            kwargs["end"] = self._end
-        return SensingTask(**kwargs)  # type: ignore[arg-type]

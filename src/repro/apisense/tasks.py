@@ -2,16 +2,12 @@
 
 The real APISENSE describes tasks as JavaScript offloaded to phones.  The
 reproduction keeps the same contract — *a task is data plus behaviour* —
-as a declarative dataclass carrying either of two behaviour styles:
+as a declarative dataclass whose ``script`` is an event-driven script (a
+:class:`~repro.apisense.scripting.TaskScript` or bare ``setup(ctx)``
+function) that registers timers, sensor-change triggers, and geofence
+handlers against a :class:`~repro.apisense.scripting.TaskContext`.  A
+task without one runs :class:`~repro.apisense.scripting.CollectAll`.
 
-- ``script``: the legacy v1 per-sample hook (called with each tick's
-  sensor values, returns the record to keep or ``None``);
-- ``script_v2``: an event-driven v2 script (a
-  :class:`~repro.apisense.scripting.TaskScript` or bare ``setup(ctx)``
-  function) that registers timers, sensor-change triggers, and geofence
-  handlers against a :class:`~repro.apisense.scripting.TaskContext`.
-
-:meth:`SensingTask.builder` is the fluent front door for building tasks.
 The static validation performed here plays the role of the Honeycomb's
 script vetting step; which sensors are requestable is decided by the
 :data:`~repro.apisense.sensors.sensor_registry`, so custom sensors added
@@ -21,24 +17,20 @@ to a :class:`~repro.apisense.sensors.SensorSuite` become requestable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING
 
 from repro.errors import TaskValidationError
 from repro.geo.bbox import BoundingBox
 from repro.units import DAY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.apisense.scripting import SetupFn, TaskBuilder, TaskScript
+    from repro.apisense.scripting import SetupFn, TaskScript
 
 #: The built-in sensors every stock device ships with.  Kept for
 #: backwards compatibility; validation consults the live
 #: :data:`~repro.apisense.sensors.sensor_registry`, which starts from
 #: this set and grows as sensor suites register custom sensors.
 KNOWN_SENSORS = frozenset({"gps", "battery", "network", "accelerometer"})
-
-#: v1 script hook signature: receives the sampled values (sensor name ->
-#: value) and returns the record to keep, or ``None`` to drop the sample.
-SampleHook = Callable[[Mapping[str, object]], Mapping[str, object] | None]
 
 
 @dataclass(frozen=True)
@@ -51,11 +43,11 @@ class SensingTask:
         Unique task identifier.
     sensors:
         Sensors the task may read (must be registered in the sensor
-        registry).  v1 tasks sample all of them each tick; v2 scripts
-        read them lazily through facades.
+        registry).  Scripts read them lazily through facades;
+        :class:`~repro.apisense.scripting.CollectAll` reads all of them.
     sampling_period:
-        Seconds between samples on each device.  For v2 scripts this is
-        the trigger-evaluation cadence (and the default timer period).
+        Seconds between samples on each device: the trigger-evaluation
+        cadence and :class:`~repro.apisense.scripting.CollectAll`'s period.
     upload_period:
         Seconds between buffer uploads from device to Hive.
     start / end:
@@ -63,16 +55,11 @@ class SensingTask:
     region:
         Optional geographic fence; devices sample only inside it.
     script:
-        Optional v1 per-sample hook (the task's "script body").
-        Exceptions raised by the hook are counted and the sample
-        dropped — the device-side runtime never lets a bad script kill
-        collection.
-    script_v2:
-        Optional v2 event-driven script: a ``TaskScript`` subclass
+        Optional event-driven script: a ``TaskScript`` subclass
         (instantiated per device — the recommended style for stateful
         scripts), a ``TaskScript`` instance (shared across devices), or
-        a bare ``setup(ctx)`` callable.  Mutually exclusive with
-        ``script``.
+        a bare ``setup(ctx)`` callable.  Handler exceptions are counted
+        and contained — a bad script never kills collection.
     """
 
     name: str
@@ -82,21 +69,12 @@ class SensingTask:
     start: float = 0.0
     end: float = 7 * DAY
     region: BoundingBox | None = None
-    script: SampleHook | None = field(default=None, compare=False)
-    script_v2: "TaskScript | SetupFn | None" = field(default=None, compare=False)
+    script: "type[TaskScript] | TaskScript | SetupFn | None" = field(
+        default=None, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.validate()
-
-    @classmethod
-    def builder(cls, name: str) -> "TaskBuilder":
-        """Start a fluent :class:`~repro.apisense.scripting.TaskBuilder`::
-
-            SensingTask.builder("noise").sensors("gps").every(30).build()
-        """
-        from repro.apisense.scripting import TaskBuilder
-
-        return TaskBuilder(name)
 
     def validate(self) -> None:
         """Static validation; raises :class:`TaskValidationError`."""
@@ -131,27 +109,18 @@ class SensingTask:
             raise TaskValidationError(
                 f"task {self.name!r}: ends ({self.end}) before it starts ({self.start})"
             )
-        if self.script is not None and not callable(self.script):
-            raise TaskValidationError(f"task {self.name!r}: script is not callable")
-        if self.script_v2 is not None:
+        if self.script is not None:
             from repro.apisense.scripting import TaskScript
 
-            if isinstance(self.script_v2, type):
-                if not issubclass(self.script_v2, TaskScript):
+            if isinstance(self.script, type):
+                if not issubclass(self.script, TaskScript):
                     raise TaskValidationError(
-                        f"task {self.name!r}: script_v2 class must subclass TaskScript"
+                        f"task {self.name!r}: script class must subclass TaskScript"
                     )
-            elif not isinstance(self.script_v2, TaskScript) and not callable(
-                self.script_v2
-            ):
+            elif not isinstance(self.script, TaskScript) and not callable(self.script):
                 raise TaskValidationError(
-                    f"task {self.name!r}: script_v2 must be a TaskScript (class "
+                    f"task {self.name!r}: script must be a TaskScript (class "
                     "or instance) or a setup(ctx) callable"
-                )
-            if self.script is not None:
-                raise TaskValidationError(
-                    f"task {self.name!r}: declares both a v1 hook and a v2 "
-                    "script; pick one behaviour style"
                 )
 
     @property

@@ -1,13 +1,14 @@
 """Task script vetting: dry-run a task before offering it to the crowd.
 
 The real APISENSE vets uploaded JavaScript before offloading it onto
-phones.  The reproduction's equivalent runs the task's *full v2
+phones.  The reproduction's equivalent runs the task's *full script
 lifecycle* on the Honeycomb: a :class:`~repro.apisense.scripting.
-TaskDispatcher` drives the script — legacy hook or v2 event script —
+TaskDispatcher` drives the task's script (or
+:class:`~repro.apisense.scripting.CollectAll` for a scriptless task)
 over a :class:`SyntheticRuntime` that synthesizes a trajectory and
-sensor streams, so a crashing or over-aggressive script (and a trigger
-handler that never fires cleanly) is caught before it wastes a single
-device's battery.
+sensor streams, so a crashing, idle or over-aggressive script (and a
+trigger handler that never fires cleanly) is caught before it wastes a
+single device's battery.
 
 The synthetic trajectory is drawn *inside the task's own region* when
 the task has one, so region-fenced scripts are vetted against points
@@ -75,12 +76,13 @@ class DryRunReport:
     def acceptable(self, max_error_rate: float = 0.01, max_drop_rate: float = 0.95) -> bool:
         """Platform policy: scripts may filter but not crash or drop all.
 
-        A script whose setup crashes registers nothing and is rejected
-        outright; one erroring on more than ``max_error_rate`` of handler
-        firings is buggy; one dropping more than ``max_drop_rate`` would
-        waste the crowd's battery for almost no data.
+        A script whose setup crashes or registers no handler would
+        collect nothing and is rejected outright; one erroring on more
+        than ``max_error_rate`` of handler firings is buggy; one dropping
+        (returning without ``ctx.save``) on more than ``max_drop_rate``
+        would waste the crowd's battery for almost no data.
         """
-        if self.setup_error is not None:
+        if self.setup_error is not None or not self.handlers:
             return False
         return self.error_rate <= max_error_rate and self.drop_rate <= max_drop_rate
 
@@ -94,6 +96,8 @@ class DryRunReport:
         ]
         if self.setup_error is not None:
             lines.append(f"  setup FAILED: {self.setup_error}")
+        elif not self.handlers:
+            lines.append("  setup registered no handler: the task would collect nothing")
         for handler in self.handlers:
             lines.append(
                 f"  {handler.handler}: {handler.fires} fires, "
@@ -196,11 +200,10 @@ class SyntheticRuntime(ScriptRuntime):
 def dry_run_task(task: SensingTask, n_samples: int = 200, seed: int = 0) -> DryRunReport:
     """Vet a task by running its full lifecycle through the dispatcher.
 
-    The dispatcher executes the task's script — v2 event script or
-    legacy hook (via the adapter) — for ``n_samples`` sampling periods
-    of simulated time against synthetic trajectory and sensor streams,
-    counting firings, saves, drops, and errors per handler.  Error
-    messages are deduplicated and capped at ten.
+    The dispatcher executes the task's script for ``n_samples``
+    sampling periods of simulated time against synthetic trajectory and
+    sensor streams, counting firings, saves, drops, and errors per
+    handler.  Error messages are deduplicated and capped at ten.
     """
     sim = Simulator(start_time=task.start)
     window = n_samples * task.sampling_period
@@ -239,9 +242,7 @@ def describe_task(task: SensingTask) -> str:
     runtime = SyntheticRuntime(task, sim, window=task.duration, seed=0)
     dispatcher = TaskDispatcher(task, runtime)
     dispatcher.start()
-    mode = "v2 event script" if task.script_v2 is not None else (
-        "v1 sample hook" if task.script is not None else "no script (collect all)"
-    )
+    mode = "event script" if task.script is not None else "no script: CollectAll"
     lines = [
         f"task {task.name!r} [{mode}]",
         f"  sensors: {', '.join(task.sensors)}",

@@ -44,10 +44,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             await server.drive(day * DAY, slice_seconds=args.window)
             campaign.end_day()
             day += 1.0
-        await server.drive(
-            args.days * DAY + 2.0 * campaign.config.delivery_latency + 1.0,
-            slice_seconds=args.window,
-        )
+        await server.drive(campaign.drain_horizon, slice_seconds=args.window)
         hive.pipeline.flush_all()
         hive.streams.finalize()
         await server.drain()

@@ -67,14 +67,14 @@ class AdaptiveTrace(TaskScript):
         ctx.save({"gps": ctx.location.current, "battery": level})
 
 
-def _task(sensors: tuple[str, ...], script_v2=None) -> SensingTask:
+def _task(sensors: tuple[str, ...], script=None) -> SensingTask:
     return SensingTask(
         name=TASK,
         sensors=sensors,
         sampling_period=SAMPLING_SECONDS,
         upload_period=UPLOAD_SECONDS,
         end=DAY,
-        script_v2=script_v2,
+        script=script,
     )
 
 

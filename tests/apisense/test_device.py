@@ -112,13 +112,17 @@ class TestSamplingLoop:
     def test_script_filters_and_errors_counted(self, sim, bound_device):
         calls = {"n": 0}
 
-        def flaky_script(values):
+        def flaky_tick(ctx):
             calls["n"] += 1
+            values = ctx.read_all()
             if calls["n"] % 5 == 0:
                 raise RuntimeError("script bug")
             if calls["n"] % 2 == 0:
-                return None
-            return values
+                return
+            ctx.save(values)
+
+        def flaky_script(ctx):
+            ctx.every(ctx.task.sampling_period, flaky_tick)
 
         task = gps_task(end=6 * HOUR, script=flaky_script)
         bound_device.offer_task(task, 1.0)

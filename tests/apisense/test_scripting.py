@@ -11,9 +11,10 @@ from __future__ import annotations
 import pytest
 
 from repro.apisense.scripting import (
-    LegacyHookScript,
+    CollectAll,
     TaskDispatcher,
     TaskScript,
+    resolve_script,
 )
 from repro.apisense.tasks import SensingTask
 from repro.apisense.vetting import DEFAULT_VET_REGION, SyntheticRuntime, dry_run_task
@@ -56,7 +57,7 @@ def v2_task(setup, sensors=("gps", "battery"), **overrides) -> SensingTask:
         sampling_period=300.0,
         upload_period=3600.0,
         end=DAY,
-        script_v2=setup,
+        script=setup,
     )
     defaults.update(overrides)
     return SensingTask(**defaults)
@@ -433,70 +434,23 @@ class TestTaskScriptClasses:
         assert stats.script_errors == 1
         assert stats.samples_taken == 0
 
-    def test_legacy_adapter_is_a_task_script(self):
-        assert isinstance(LegacyHookScript(None), TaskScript)
+    def test_scriptless_task_resolves_to_collect_all(self):
+        script = resolve_script(SensingTask(name="t", sensors=("gps",)))
+        assert type(script) is CollectAll
+        assert isinstance(script, TaskScript)
 
 
 # ----------------------------------------------------------------------
-# Builder and validation
+# Validation
 # ----------------------------------------------------------------------
 
 
-class TestBuilder:
-    def test_fluent_chain(self):
-        fence = BoundingBox(south=44.8, west=-0.62, north=44.85, east=-0.55)
-        task = (
-            SensingTask.builder("noise")
-            .sensors("gps", "network")
-            .every(30)
-            .upload_every(1800)
-            .window(0, 2 * DAY)
-            .region(fence)
-            .build()
-        )
-        assert task.name == "noise"
-        assert task.sensors == ("gps", "network")
-        assert task.sampling_period == 30.0
-        assert task.upload_period == 1800.0
-        assert task.end == 2 * DAY
-        assert task.region == fence
-
-    def test_region_from_four_floats(self):
-        task = (
-            SensingTask.builder("t")
-            .sensors("gps")
-            .region(44.8, -0.62, 44.85, -0.55)
-            .build()
-        )
-        assert task.region == BoundingBox(44.8, -0.62, 44.85, -0.55)
-
-    def test_region_bad_arity_rejected(self):
+class TestScriptField:
+    def test_non_script_rejected(self):
         with pytest.raises(TaskValidationError):
-            SensingTask.builder("t").sensors("gps").region(44.8, -0.62).build()
-
-    def test_builder_attaches_v2_script(self):
-        def setup(ctx):
-            ctx.every(60.0, lambda c: None)
-
-        task = SensingTask.builder("t").sensors("gps").script(setup).build()
-        assert task.script_v2 is setup
-
-    def test_builder_validates(self):
+            SensingTask(name="t", sensors=("gps",), script="not-a-script")  # type: ignore[arg-type]
         with pytest.raises(TaskValidationError):
-            SensingTask.builder("t").build()  # no sensors
-
-    def test_both_behaviour_styles_rejected(self):
-        with pytest.raises(TaskValidationError):
-            SensingTask(
-                name="t",
-                sensors=("gps",),
-                script=lambda values: values,
-                script_v2=lambda ctx: None,
-            )
-
-    def test_non_script_v2_rejected(self):
-        with pytest.raises(TaskValidationError):
-            SensingTask(name="t", sensors=("gps",), script_v2="not-a-script")  # type: ignore[arg-type]
+            SensingTask(name="t", sensors=("gps",), script=int)  # a class, not a TaskScript
 
 
 # ----------------------------------------------------------------------
@@ -591,15 +545,17 @@ class TestV2Vetting:
         fence = BoundingBox(south=40.0, west=2.0, north=40.1, east=2.1)
         outside = []
 
-        def check_inside(values):
+        def check_inside(ctx):
+            values = ctx.read_all()
             if not fence.contains(values["gps"]):
                 outside.append(values["gps"])
-                return None
-            return values
+                return
+            ctx.save(values)
 
-        task = SensingTask(
-            name="fenced", sensors=("gps",), region=fence, script=check_inside
-        )
+        def setup(ctx):
+            ctx.every(ctx.task.sampling_period, check_inside)
+
+        task = SensingTask(name="fenced", sensors=("gps",), region=fence, script=setup)
         report = dry_run_task(task, n_samples=100)
         assert outside == []
         assert report.drop_rate == 0.0

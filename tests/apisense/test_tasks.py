@@ -65,8 +65,12 @@ class TestDerivedQuantities:
         assert task.expected_samples() == 60
 
     def test_script_attached(self):
-        def keep_fast(values):
-            return values if values.get("accelerometer", 0) > 1.0 else None
+        def keep_fast(ctx):
+            def tick(c):
+                if c.accel.magnitude > 1.0:
+                    c.save({"accelerometer": c.accel.magnitude})
+
+            ctx.every(60.0, tick)
 
         task = SensingTask(name="t", sensors=("accelerometer",), script=keep_fast)
         assert task.script is keep_fast

@@ -373,11 +373,8 @@ class TestTaskCommands:
             "    ctx.every(60.0, lambda c: c.save({'battery': c.battery.level}))\n"
             "    ctx.on_battery_below(0.5, lambda c: None)\n"
             "\n"
-            "TASK = (SensingTask.builder('spec-task')\n"
-            "        .sensors('gps', 'battery')\n"
-            "        .every(60)\n"
-            "        .script(_setup)\n"
-            "        .build())\n"
+            "TASK = SensingTask(name='spec-task', sensors=('gps', 'battery'),\n"
+            "                   sampling_period=60, script=_setup)\n"
         )
         return spec
 
@@ -400,8 +397,8 @@ class TestTaskCommands:
             "    ctx.every(60.0, bad)\n"
             "\n"
             "def build_task():\n"
-            "    return (SensingTask.builder('bad-task')\n"
-            "            .sensors('gps').every(60).script(_setup).build())\n"
+            "    return SensingTask(name='bad-task', sensors=('gps',),\n"
+            "                       sampling_period=60, script=_setup)\n"
         )
         code = main(["task", "vet", "--spec", str(spec)])
         assert code == 1
@@ -414,7 +411,7 @@ class TestTaskCommands:
         assert code == 0
         output = capsys.readouterr().out
         assert "spec-task" in output
-        assert "v2 event script" in output
+        assert "[event script]" in output
         assert "battery_below" in output
 
     def test_vet_example_spec(self, capsys):
@@ -434,16 +431,21 @@ class TestTaskCommands:
         assert code == 0
         assert "spec-task" in capsys.readouterr().out
 
-    def test_legacy_hook_spec_vets(self, tmp_path, capsys):
-        spec = tmp_path / "legacy_task.py"
+    def test_leftover_hook_spec_rejected(self, tmp_path, capsys):
+        # A per-sample hook in the script slot is a setup function that
+        # registers nothing: the task would collect nothing.
+        spec = tmp_path / "leftover_hook.py"
         spec.write_text(
             "from repro.apisense import SensingTask\n"
-            "TASK = SensingTask(name='legacy', sensors=('gps',),\n"
+            "TASK = SensingTask(name='leftover', sensors=('gps',),\n"
             "                   script=lambda values: values)\n"
         )
         code = main(["task", "vet", "--spec", str(spec)])
-        assert code == 0
-        assert "ACCEPTABLE" in capsys.readouterr().out
+        assert code == 1
+        output = capsys.readouterr().out
+        assert "registered no handler" in output
+        assert "REJECTED" in output
+
 
 
 class TestPrivacyCommands:
