@@ -122,21 +122,6 @@ class Hive:
         """The simulator this Hive schedules on (federation wiring)."""
         return self._sim
 
-    def obs_instances(self) -> frozenset:
-        """The ``instance`` labels this hive's tiers emit metrics under.
-
-        Federation scrapers use these to partition the shared registry:
-        one per-hive scraper selects exactly this set, and the router's
-        residual scraper takes everything no member claims.
-        """
-        return frozenset(
-            {
-                self.pipeline.obs.instance,
-                self.store.obs.instance,
-                self.streams.obs.instance,
-            }
-        )
-
     # ------------------------------------------------------------------
     # Community management
     # ------------------------------------------------------------------

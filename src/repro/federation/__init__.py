@@ -41,7 +41,6 @@ from repro.federation.query import (
 )
 from repro.federation.ring import ConsistentHashRing, PlacementDiff
 from repro.federation.streams import FederatedStreamMerger, SecureWindowTotals
-from repro.federation.timeseries import ROUTER_MEMBER, FederationScraper
 from repro.federation.router import (
     ControlPlaneStats,
     FederatedSyndicationReceipt,
@@ -66,6 +65,4 @@ __all__ = [
     "FederationHealthReport",
     "MemberHealth",
     "federation_snapshot",
-    "FederationScraper",
-    "ROUTER_MEMBER",
 ]

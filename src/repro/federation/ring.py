@@ -40,12 +40,6 @@ class PlacementDiff:
     def n_moved(self) -> int:
         return len(self.moved)
 
-    def moved_to(self, node: str) -> list[str]:
-        return [key for key, (_old, new) in self.moved.items() if new == node]
-
-    def moved_from(self, node: str) -> list[str]:
-        return [key for key, (old, _new) in self.moved.items() if old == node]
-
 
 class ConsistentHashRing:
     """A consistent-hash ring of named nodes with virtual replicas."""

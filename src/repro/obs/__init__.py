@@ -51,7 +51,6 @@ from repro.obs.timeseries import (
     ScrapeFrame,
     Series,
     TimeSeriesStore,
-    instance_select,
     series_id,
 )
 from repro.obs.tracing import Span, TraceLog, Tracer, record_paths, trace_tree
@@ -82,7 +81,6 @@ __all__ = [
     "TimeSeriesStore",
     "ScrapeFrame",
     "Series",
-    "instance_select",
     "series_id",
     # SLOs
     "SLODefinition",

@@ -21,16 +21,17 @@ server state over time (the CERN-RDA pattern in PAPERS.md):
   and cumulative histogram buckets into the trends the SLO module
   (:mod:`repro.obs.slo`) and the autoscaling roadmap items consume.
 
-Federation-wide rollup lives in :mod:`repro.federation.timeseries`:
-per-hive scrapers sampled at one aligned boundary, merged by summing
-series grouped without their ``instance`` label.
+A federation is scraped like a single hive: one scraper over the
+shared registry.  Every component's series carries its ``instance``
+label, so a query with ``instance=hive.pipeline.obs.instance`` reads one
+hive, and a query without ``instance`` folds the whole federation.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,7 +54,6 @@ __all__ = [
     "ScrapeFrame",
     "ScraperStats",
     "MetricsScraper",
-    "instance_select",
     "series_id",
 ]
 
@@ -62,38 +62,10 @@ __all__ = [
 #: (``<name>_bucket`` per ``le``, ``<name>_sum``, ``<name>_count``).
 SeriesKey = "tuple[str, tuple[tuple[str, str], ...]]"
 
-SelectFn = Callable[[str, Mapping[str, str]], bool]
-
 
 def series_id(name: str, labels: Mapping[str, str] | None = None) -> tuple:
     """Build the canonical :data:`SeriesKey` for (name, labels)."""
     return (name, _label_key(labels or {}))
-
-
-def instance_select(
-    instances: Iterable[str],
-    invert: bool = False,
-    include_unlabelled: bool | None = None,
-) -> SelectFn:
-    """A scraper filter keyed on the ``instance`` label.
-
-    ``invert=False`` keeps exactly the series whose ``instance`` is in
-    ``instances`` (one hive's tiers); ``invert=True`` keeps everything
-    *else* — the residual scraper a federation uses for components owned
-    by no member (routers, servers, secure-agg sessions).  Series with
-    no ``instance`` label follow ``include_unlabelled`` (default: the
-    ``invert`` side, so exactly one scraper of a partition claims them).
-    """
-    owned = frozenset(instances)
-    unlabelled = invert if include_unlabelled is None else include_unlabelled
-
-    def select(name: str, labels: Mapping[str, str]) -> bool:
-        instance = labels.get("instance")
-        if instance is None:
-            return unlabelled
-        return (instance in owned) != invert
-
-    return select
 
 
 class Series:
@@ -166,8 +138,6 @@ class TimeSeriesStore:
         self.frames_evicted = 0
         self.samples_appended = 0
         self.samples_evicted = 0
-        #: Bumped when a column is added (rollup re-mapping hook).
-        self.layout_version = 0
 
     # ------------------------------------------------------------------
     # Writing
@@ -192,7 +162,6 @@ class TimeSeriesStore:
                 if self._values.shape[1]:
                     grown[:, : self._values.shape[1]] = self._values
                 self._values = grown
-            self.layout_version += 1
         return col
 
     def open_frame(self, t: float) -> int:
@@ -232,7 +201,7 @@ class TimeSeriesStore:
         self.samples_appended += 1
 
     def append(self, t: float, samples: Mapping[tuple, float]) -> int:
-        """Convenience one-shot frame append (tests, rollups)."""
+        """Convenience one-shot frame append (synthetic fixtures)."""
         slot = self.open_frame(t)
         for key, value in samples.items():
             self.write_one(slot, self.column(key), value)
@@ -552,8 +521,8 @@ class MetricsScraper:
 
     - ``cadence`` is in **simulated seconds** (:meth:`start` schedules a
       periodic event);
-    - ``select`` optionally filters ``(name, labels)`` — the federation
-      uses this to scrape one hive's instances per member store;
+    - every series lands under its own labels, ``instance`` included:
+      per-hive and federation-wide numbers are queries on one store;
     - a disabled registry makes :meth:`scrape` a counted no-op, and a
       stalled clock never writes two frames at one timestamp.
     """
@@ -561,9 +530,7 @@ class MetricsScraper:
     def __init__(
         self,
         registry: MetricsRegistry | None = None,
-        store: TimeSeriesStore | None = None,
         cadence: float = 1.0,
-        select: SelectFn | None = None,
         clock: Callable[[], float] | None = None,
         capacity: int = 512,
     ):
@@ -574,9 +541,8 @@ class MetricsScraper:
 
             registry = _obs.metrics_registry()
         self.registry = registry
-        self.store = store if store is not None else TimeSeriesStore(capacity)
+        self.store = TimeSeriesStore(capacity)
         self.cadence = cadence
-        self._select = select
         self._clock = clock
         self.stats = ScraperStats()
         self._frame_callbacks: list[Callable[[ScrapeFrame], None]] = []
@@ -629,7 +595,6 @@ class MetricsScraper:
     def _rebuild_readers(self) -> None:
         registry = self.registry
         store = self.store
-        select = self._select
         plain: list = []
         plain_cols: list[int] = []
         fns: list = []
@@ -638,8 +603,6 @@ class MetricsScraper:
         for name in registry.families:
             family = registry.family(name)
             for key, child in family.children():
-                if select is not None and not select(name, dict(key)):
-                    continue
                 if isinstance(child, Histogram):
                     bucket_cols = [
                         store.column((f"{name}_bucket", key + (("le", _format(edge)),)))
@@ -686,7 +649,7 @@ class MetricsScraper:
         self._readers_version = registry.version
 
     def scrape(self, now: float | None = None) -> ScrapeFrame | None:
-        """Take one sample of every selected series; None when skipped."""
+        """Take one sample of every series; None when skipped."""
         registry = self.registry
         if not registry.enabled:
             self.stats.skipped_disabled += 1
@@ -724,7 +687,3 @@ class MetricsScraper:
         for callback in self._frame_callbacks:
             callback(frame)
         return frame
-
-    @property
-    def last_frame_time(self) -> float:
-        return self._last_t

@@ -87,7 +87,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.apisense.hive import Hive
     from repro.federation.router import FederationRouter
     from repro.federation.streams import FederatedStreamMerger
-    from repro.federation.timeseries import FederationScraper
     from repro.obs.slo import SLODefinition, SLOTracker
     from repro.obs.timeseries import MetricsScraper, ScrapeFrame
     from repro.simulation import Simulator
@@ -163,7 +162,7 @@ class ReproServer:
         sim: "Simulator | None" = None,
         middlewares: Sequence[ServerMiddleware] = (),
         queue_capacity: int = 256,
-        scraper: "MetricsScraper | FederationScraper | None" = None,
+        scraper: "MetricsScraper | None" = None,
         slos: "SLOTracker | Sequence[SLODefinition] | None" = None,
     ):
         anchors = sum(x is not None for x in (hive, router, engine))
@@ -206,9 +205,10 @@ class ReproServer:
         self._merged_done: dict[tuple[str, str], float] = {}
         for name, eng in self._engines.items():
             eng.on_window(lambda s, member=name: self._on_member_window(member, s))
-        #: Metrics-over-time feed: a scraper (single-hive MetricsScraper
-        #: or a federation rollup) whose frames drive the ``obs watch``
-        #: channel, plus an SLO tracker evaluated at every frame.
+        #: Metrics-over-time feed: a scraper whose frames drive the
+        #: ``obs watch`` channel (a federation's too: its series keep
+        #: their ``instance`` labels), plus an SLO tracker evaluated at
+        #: every frame.
         self._scraper = scraper
         self._slo_tracker: "SLOTracker | None" = None
         if slos is not None:
@@ -220,10 +220,7 @@ class ReproServer:
                     raise ServerError("slos= needs a scraper= to evaluate against")
                 self._slo_tracker = SLOTracker(scraper.store, slos)
         if scraper is not None:
-            # A federation rollup exposes on_rollup (merged frames);
-            # a plain scraper exposes on_frame.
-            subscribe = getattr(scraper, "on_rollup", None) or scraper.on_frame
-            subscribe(self._on_scrape_frame)
+            scraper.on_frame(self._on_scrape_frame)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.obs import MetricsScraper, TimeSeriesStore, instance_select
+from repro.obs import MetricsScraper, TimeSeriesStore
 from repro.simulation import Simulator
 
 
@@ -136,21 +136,6 @@ class TestReaderCache:
         scraper.scrape(3.0)
         assert scraper._readers_version != version
         assert scraper.store.series("repro_new_total").latest() == (3.0, 0.0)
-
-    def test_select_filter_limits_the_series(self):
-        registry, _, _ = make_workload()
-        registry.counter("repro_w_total", "x", ("instance",)).labels(
-            instance="b"
-        ).inc()
-        scraper = MetricsScraper(
-            registry=registry,
-            capacity=8,
-            select=instance_select({"a"}, include_unlabelled=False),
-        )
-        scraper.scrape(1.0)
-        keys = scraper.store.keys()
-        assert keys  # instance 'a' series are present
-        assert all(dict(key[1]).get("instance") == "a" for key in keys)
 
 
 class TestSimClockIntegration:

@@ -5,8 +5,10 @@ request timer inside the timed section) flips a latency
 :class:`SLODefinition` to burning, the
 ``ObsAlert`` reaches every ``obs watch`` subscriber **exactly once**,
 and recovery flips it back — on a single hive and on a 4-hive
-federation whose merged rollup series equal the sum of the per-hive
-scrapes at every aligned timestamp.  Request latency is read from a
+federation.  A federation is scraped like one hive, by one
+:class:`MetricsScraper` over the shared registry: a hive's number is a
+query with its ``instance`` label, the federation's the same query
+without it.  Request latency is read from a
 scripted clock, not the host's, so a host stall cannot fake a burn and
 the tests never sleep.
 """
@@ -17,7 +19,7 @@ import pytest
 
 from repro import obs
 from repro.errors import ServerError
-from repro.federation import FederationRouter, FederationScraper, ROUTER_MEMBER
+from repro.federation import FederationRouter
 from repro.obs import BurnRateRule, MetricsScraper, SLODefinition, latency_sli
 from repro.server import ReproServer, ServerMiddleware
 from repro.server import server as server_module
@@ -79,6 +81,14 @@ def alert_states(pushes) -> list[str]:
 
 def frame_times(pushes) -> list[float]:
     return [p["frame"]["t"] for p in pushes if p.get("kind") == "obs_frame"]
+
+
+ACCEPTED = "repro_pipeline_records_accepted_total"
+
+
+def instance_of(hive) -> dict[str, str]:
+    """The label set that selects ``hive``'s own pipeline series."""
+    return {"instance": hive.pipeline.obs.instance}
 
 
 class TestSingleHiveSLODemo:
@@ -182,15 +192,15 @@ class TestFederationSLODemo:
             hive = make_hive(sim, lateness=0.0)
             router.join(f"hive-{index}", hive)
             hives[f"hive-{index}"] = hive
-        fed = FederationScraper(router, cadence=1.0, capacity=64)
+        scraper = MetricsScraper(cadence=1.0, capacity=64)
         degrader = Degrader(clock)
         # The serving tier fronts hive-0; its request metrics carry the
-        # server instance, which no hive claims -> the @router member.
+        # server's own instance label beside the hives' instances.
         server = ReproServer(
             hives["hive-0"],
             sim=sim,
             middlewares=[degrader],
-            scraper=fed,
+            scraper=scraper,
             slos=[latency_slo()],
         )
 
@@ -203,21 +213,21 @@ class TestFederationSLODemo:
                     await client.request("query", "tasks", {})
 
             await requests(3)
-            # Every hive ingests different volumes between ticks, so
-            # the rollup-equality check sums genuinely distinct series.
-            fed.tick(1.0)
+            # Every hive ingests different volumes between scrapes, so
+            # the federation-wide sum folds genuinely distinct series.
+            scraper.scrape(1.0)
             for rank, hive in enumerate(hives.values()):
                 upload_window(hive, 0, n=10 * (rank + 1), user=f"u{rank}")
             await requests(8)
-            fed.tick(5.0)
+            scraper.scrape(5.0)
             degrader.delay = 0.05
             await requests(8)
             for rank, hive in enumerate(hives.values()):
                 upload_window(hive, 1, n=5 * (rank + 1), user=f"u{rank}")
-            fed.tick(12.0)
+            scraper.scrape(12.0)
             degrader.delay = 0.0
             await requests(8)
-            fed.tick(20.0)
+            scraper.scrape(20.0)
 
             pushes = await settle(client)
             return pushes
@@ -226,32 +236,78 @@ class TestFederationSLODemo:
         assert alert_states(pushes) == ["burning", "ok"]
         assert frame_times(pushes) == [1.0, 5.0, 12.0, 20.0]
 
-        # The acceptance equality: at every aligned timestamp, each
-        # rollup series equals the sum of the members' series.
-        assert ROUTER_MEMBER in fed.members
-        name = "repro_pipeline_records_accepted_total"
-        rollup_totals = series_totals(fed.store, name)
-        member_totals: dict[float, float] = {}
-        for member in fed.members:
-            for t, value in series_totals(fed.member_store(member), name).items():
-                member_totals[t] = member_totals.get(t, 0.0) + value
-        assert rollup_totals == pytest.approx(member_totals)
-        # Per-hive volumes really differ (the sum is not degenerate).
+        # One hive's number is a query with its instance ...
+        store = scraper.store
         finals = {
-            member: max(
-                series_totals(fed.member_store(member), name).values(),
-                default=0.0,
-            )
-            for member in fed.members
-            if member != ROUTER_MEMBER
+            name: store.latest(ACCEPTED, instance_of(hive))[1]
+            for name, hive in hives.items()
         }
+        assert finals == {
+            name: hive.pipeline.stats.accepted for name, hive in hives.items()
+        }
+        # Per-hive volumes really differ (the sum is not degenerate).
         assert len(set(finals.values())) == 4
+        # ... and the federation's is the same query without it.
+        deltas = [store.delta(ACCEPTED, instance_of(hive)) for hive in hives.values()]
+        assert store.delta(ACCEPTED) == sum(deltas) == sum(finals.values())
 
 
-def series_totals(store, name: str) -> dict[float, float]:
-    """``t -> sum over the store's series of ``name`` at ``t``."""
-    totals: dict[float, float] = {}
-    for series in store.select(name):
-        for t, value in zip(series.t, series.values):
-            totals[float(t)] = totals.get(float(t), 0.0) + float(value)
-    return totals
+class TestFederationScrape:
+    def test_hive_joining_after_the_scraper_is_filed_under_its_instance(self, sim):
+        router = FederationRouter(sim)
+        early = make_hive(sim, lateness=0.0)
+        router.join("hive-0", early)
+        scraper = MetricsScraper(cadence=1.0, capacity=64)
+        scraper.scrape(1.0)
+        late = make_hive(sim, lateness=0.0)
+        router.join("hive-1", late)
+
+        upload_window(early, 0, n=12, user="u0")
+        upload_window(late, 0, n=24, user="u1")
+        scraper.scrape(2.0)
+        upload_window(early, 1, n=7, user="u0")
+        upload_window(late, 1, n=14, user="u1")
+        scraper.scrape(3.0)
+
+        store = scraper.store
+        assert late.pipeline.stats.accepted == 38
+        assert store.latest(ACCEPTED, instance_of(late)) == (3.0, 38.0)
+        # A series counts from its first scrape: the late hive's 24
+        # records before t=2 are its baseline, not part of its delta.
+        deltas = [store.delta(ACCEPTED, instance_of(hive)) for hive in (early, late)]
+        assert deltas == [19.0, 14.0]
+        assert store.delta(ACCEPTED) == sum(deltas)
+
+    def test_obs_history_serves_one_series_per_hive(self, sim):
+        router = FederationRouter(sim)
+        hives = [make_hive(sim, lateness=0.0) for _ in range(2)]
+        for index, hive in enumerate(hives):
+            router.join(f"hive-{index}", hive)
+        scraper = MetricsScraper(cadence=1.0, capacity=64)
+        server = ReproServer(router=router, scraper=scraper)
+
+        async def scenario():
+            client = await connect(server)
+            scraper.scrape(1.0)
+            for index, hive in enumerate(hives):
+                upload_window(hive, 0, n=10 * (index + 1), user=f"u{index}")
+            scraper.scrape(3.0)
+            for index, hive in enumerate(hives):
+                upload_window(hive, 1, n=4 * (index + 1), user=f"u{index}")
+            scraper.scrape(5.0)
+            return await client.obs_history(ACCEPTED)
+
+        history = run(scenario())
+        series = {
+            entry["labels"]["instance"]: entry["points"]
+            for entry in history["series"]
+        }
+        assert set(series) == {hive.pipeline.obs.instance for hive in hives}
+        rates = []
+        for hive in hives:
+            (t0, v0), *_, (t1, v1) = series[hive.pipeline.obs.instance]
+            assert (t0, t1, v1) == (1.0, 5.0, hive.pipeline.stats.accepted)
+            rates.append((v1 - v0) / (t1 - t0))
+        assert rates == [14 / 4, 28 / 4]
+        assert history["rate"] == pytest.approx(sum(rates))
+
