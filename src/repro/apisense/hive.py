@@ -8,13 +8,11 @@ runs the incentive engine over the user community.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import obs
-
+from repro import obs as _obs
 from repro.apisense.device import MobileDevice, SensorRecord
 from repro.apisense.incentives import (
     IncentiveStrategy,
@@ -75,10 +73,13 @@ class Hive:
         pipeline: IngestPipeline | None = None,
         streams: StreamEngine | None = None,
         seed: int = 0,
+        obs: _obs.Obs | None = None,
     ):
         from repro.apisense.transport import Transport
 
         self._sim = sim
+        #: This deployment's registry and tracer, handed to its tiers.
+        self.obs_context = obs = obs or _obs.default()
         self.incentive = incentive or NoIncentive()
         self.delivery_latency = delivery_latency
         #: Wireless hop used for offers (downlink) and uploads (uplink).
@@ -97,9 +98,9 @@ class Hive:
             self.store = pipeline.store
             self.pipeline = pipeline
         else:
-            self.store = store or DatasetStore()
+            self.store = store or DatasetStore(obs=obs)
             self.pipeline = IngestPipeline(
-                sim, self.store, flush_delay=delivery_latency
+                sim, self.store, flush_delay=delivery_latency, obs=obs
             )
         # Exclusive: a pipeline routes to exactly one Hive (sharing one
         # would double-deliver every flush to the owning Honeycombs).
@@ -109,7 +110,7 @@ class Hive:
         #: registered it costs one no-op listener call per flush; once
         #: views/queries are registered (``hive.streams.register_view``)
         #: the operator dashboard (``monitoring.snapshot``) turns live.
-        self.streams = (streams or StreamEngine(sim=sim)).attach(self.pipeline)
+        self.streams = (streams or StreamEngine(sim=sim, obs=obs)).attach(self.pipeline)
         self._rng = np.random.default_rng(seed)
         self._devices: dict[str, MobileDevice] = {}
         self.community: dict[str, UserState] = {}
@@ -268,8 +269,9 @@ class Hive:
 
         Records the ingest gateway sheds (``reject`` backpressure) are
         neither counted nor rewarded — only admitted records enter the
-        platform statistics and the incentive engine.  Returns the
-        number of records accepted.
+        platform statistics and the incentive engine.  A sampled upload
+        becomes the root of a trace (:meth:`IngestPipeline.admit`).
+        Returns the number of records accepted.
         """
         if task_name not in self._tasks:
             raise PlatformError(f"upload for unknown task {task_name!r}")
@@ -277,30 +279,8 @@ class Hive:
         stats.uploads += 1
         self.stats.messages_sent += 1
 
-        # Observability: a sampled upload becomes the root of a trace —
-        # its records carry the trace id downstream (flush, store write,
-        # window close all happen in *later* simulator events, so the
-        # lineage travels with the data, not the call stack).
-        tracer = obs.tracer()
-        trace_id = tracer.new_trace() if records else None
-        if trace_id is not None:
-            records = [
-                dataclasses.replace(r, trace_id=trace_id) for r in records
-            ]
-
         dropped_before = self.pipeline.stats.dropped
-        if trace_id is not None:
-            with tracer.span(
-                "ingest.admit",
-                trace_id=trace_id,
-                device=device_id,
-                task=task_name,
-                batch=len(records),
-            ) as span:
-                span.add_records({trace_id: [r.time for r in records]})
-                accepted = self.pipeline.submit(records)
-        else:
-            accepted = self.pipeline.submit(records) if records else 0
+        accepted = self.pipeline.admit(records, device=device_id, task=task_name)
         stats.records += accepted
         if (
             stats.first_record_time is None
@@ -377,7 +357,9 @@ class Hive:
         from repro.federation.query import FederatedDataset
 
         kwargs.setdefault("profiles", self.secure_participants(task_name))
-        return FederatedDataset({"local": self.store}).secure_aggregate(
+        return FederatedDataset(
+            {"local": self.store}, obs=self.obs_context
+        ).secure_aggregate(
             task_name, **kwargs
         )
 

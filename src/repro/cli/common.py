@@ -5,8 +5,6 @@ store query path and the campaign set-up."""
 from __future__ import annotations
 
 import argparse
-import contextlib
-import dataclasses
 import itertools
 from typing import Callable, Iterator
 
@@ -139,20 +137,30 @@ class Replay:
     false — a stream engine with one view, ``"window"``, plus a metrics
     scraper when ``scrape``.  ``segment_capacity`` and the ``pipeline``
     keywords carry ``store stats``' flags; their defaults are the
-    components' own.  Built by :func:`replay`."""
+    components' own.  Every component reports to the replay's own
+    :attr:`obs_context` on its clock, traced at ``sample_rate`` if given."""
 
     def __init__(
-        self, args, sim, streams=True, scrape=False, segment_capacity=4096, **pipeline
+        self, args, sample_rate=None, streams=True, scrape=False, segment_capacity=4096,
+        **pipeline,
     ):
+        from repro.simulation import Simulator
         from repro.store import DatasetStore, IngestPipeline
         from repro.streams import StreamEngine, WindowSpec
 
+        self.sim = sim = Simulator()
+        self.obs_context = context = obs.Obs(
+            tracing=sample_rate is not None,
+            sample_rate=1.0 if sample_rate is None else sample_rate,
+            clock=lambda: sim.now,
+        )
         self.args = args
         self.records = csv_records(args)
-        self.sim = sim
         self.scraper = self.engine = None
         if scrape:
-            self.scraper = obs.MetricsScraper(cadence=args.cadence, capacity=args.retain)
+            self.scraper = obs.MetricsScraper(
+                context.registry, cadence=args.cadence, capacity=args.retain
+            )
             if self.records:
                 # Bounded past the last record's window close, so the
                 # periodic scrape cannot keep the drained simulator alive.
@@ -166,11 +174,14 @@ class Replay:
                 allowed_lateness=args.lateness,
                 cell_deg=args.cell_deg,
                 history=args.history,
+                obs=context,
             )
             self.engine.register_view("window", WindowSpec(size=args.window, slide=slide))
-        self.store = DatasetStore(n_shards=args.shards, segment_capacity=segment_capacity)
+        self.store = DatasetStore(
+            n_shards=args.shards, segment_capacity=segment_capacity, obs=context
+        )
         self.pipeline = IngestPipeline(
-            sim, self.store, flush_delay=args.flush_delay, **pipeline
+            sim, self.store, flush_delay=args.flush_delay, obs=context, **pipeline
         )
         if self.engine is not None:
             self.engine.attach(self.pipeline)
@@ -185,20 +196,9 @@ class Replay:
         flush batching, not submit slicing.  Groups pass the Hive
         gateway's traced admit gate: sampled ones carry a trace id.
         """
-        tracer = obs.tracer()
         for timestamp, group in itertools.groupby(self.records, key=lambda r: r.time):
             yield timestamp
-            batch = list(group)
-            trace_id = tracer.new_trace()
-            if trace_id is None:
-                self.pipeline.submit(batch)
-                continue
-            batch = [dataclasses.replace(r, trace_id=trace_id) for r in batch]
-            with tracer.span(
-                "ingest.admit", trace_id=trace_id, task=self.args.task_name, batch=len(batch)
-            ) as span:
-                span.add_records({trace_id: [r.time for r in batch]})
-                self.pipeline.submit(batch)
+            self.pipeline.admit(list(group), task=self.args.task_name)
         self.sim.run()
         self.pipeline.flush_all()
         if self.engine is not None:
@@ -235,20 +235,6 @@ class Replay:
             await client.close()
 
         asyncio.run(run())
-
-
-@contextlib.contextmanager
-def replay(args, sample_rate: float | None = None, **options) -> Iterator[Replay]:
-    """A :class:`Replay` of ``--input`` (``options`` as for its constructor)
-    with its own obs registry and tracer on the replay's simulator clock
-    (:func:`repro.obs.scoped`), tracing on at ``sample_rate`` if given.
-    Read the registry and the trace log inside the block."""
-    from repro.simulation import Simulator
-
-    sim = Simulator()
-    tracing = sample_rate is not None
-    with obs.scoped(tracing=tracing, sample_rate=sample_rate, clock=lambda: sim.now):
-        yield Replay(args, sim, **options)
 
 
 async def pump_pushes(client, show: Callable[[list], None]) -> None:

@@ -8,7 +8,7 @@
     repro obs watch   --input raw.csv --window 3600 --names repro_pipeline
 
 Each verb replays the CSV through the record path and reads what the
-metrics registry, the trace log or the scraped history kept; ``slo``
+replay's own metrics registry, trace log or scraped history kept; ``slo``
 exits 1 while an SLO burns.
 """
 
@@ -53,21 +53,22 @@ SLO.add_argument(
 
 def cmd_obs_dump(args: argparse.Namespace) -> int:
     """Replay a CSV through the record path, dump the metrics registry."""
-    with common.replay(args) as workload:
-        workload.run()
-        if args.json:
-            rows = [sample.to_dict() for sample in obs.metrics_registry().exposition()]
-            print(json.dumps(rows, indent=2))
-        else:
-            print(obs.render_prometheus(), end="")
+    workload = common.Replay(args)
+    workload.run()
+    context = workload.obs_context
+    if args.json:
+        rows = [sample.to_dict() for sample in context.registry.exposition()]
+        print(json.dumps(rows, indent=2))
+    else:
+        print(context.render_prometheus(), end="")
     return 0
 
 
 def cmd_obs_top(args: argparse.Namespace) -> int:
     """Replay a CSV and print the hot-path latency table."""
-    with common.replay(args) as workload:
-        workload.run()
-        rows = obs.hot_paths()
+    workload = common.Replay(args)
+    workload.run()
+    rows = workload.obs_context.hot_paths()
     if args.json:
         print(json.dumps([row.to_dict() for row in rows[: args.limit]], indent=2))
         return 0
@@ -80,9 +81,9 @@ def cmd_obs_top(args: argparse.Namespace) -> int:
 
 def cmd_obs_trace(args: argparse.Namespace) -> int:
     """Replay a CSV with record tracing on, print end-to-end traces."""
-    with common.replay(args, sample_rate=args.sample_rate) as workload:
-        workload.run()
-        log = obs.tracer().log
+    workload = common.Replay(args, sample_rate=args.sample_rate)
+    workload.run()
+    log = workload.obs_context.tracer.log
     ids = log.trace_ids()
     print(
         f"trace log: {log.total} spans ({log.dropped} evicted), "
@@ -111,8 +112,8 @@ def cmd_obs_trace(args: argparse.Namespace) -> int:
 
 def cmd_obs_history(args: argparse.Namespace) -> int:
     """Replay a CSV while scraping the registry, then query the history."""
-    with common.replay(args, scrape=True) as workload:
-        workload.run()
+    workload = common.Replay(args, scrape=True)
+    workload.run()
     scraper = workload.scraper
     store = scraper.store
     stats = scraper.stats
@@ -177,10 +178,10 @@ def default_slos(args: argparse.Namespace) -> list:
 
 def cmd_obs_slo(args: argparse.Namespace) -> int:
     """Replay a CSV evaluating the stock SLO set with burn-rate rules."""
-    with common.replay(args, scrape=True) as workload:
-        tracker = obs.SLOTracker(workload.scraper.store, default_slos(args))
-        workload.scraper.on_frame(lambda frame: tracker.evaluate(frame.t))
-        workload.run()
+    workload = common.Replay(args, scrape=True)
+    tracker = obs.SLOTracker(workload.scraper.store, default_slos(args))
+    workload.scraper.on_frame(lambda frame: tracker.evaluate(frame.t))
+    workload.run()
     print(
         f"evaluated {len(tracker.definitions)} SLOs over "
         f"{workload.scraper.stats.scrapes} scrape frames:"
@@ -225,12 +226,12 @@ def cmd_obs_watch(args: argparse.Namespace) -> int:
                     f"@ t={alert['time']:.0f}s: {alert['message']}"
                 )
 
-    with common.replay(args, scrape=True) as workload:
-        workload.watch(
-            lambda client: client.watch_obs(names=args.names or None),
-            show,
-            slos=default_slos(args),
-        )
+    workload = common.Replay(args, scrape=True)
+    workload.watch(
+        lambda client: client.watch_obs(names=args.names or None),
+        show,
+        slos=default_slos(args),
+    )
     scraper = workload.scraper
     print(
         f"watched {pushed['obs_frame']} scrape frames and {pushed['obs_alert']} SLO "

@@ -14,14 +14,14 @@ from repro.cli import common
 
 def cmd_store_stats(args: argparse.Namespace) -> int:
     """Ingest through the pipeline and report store health."""
-    with common.replay(
+    ingest = common.Replay(
         args,
         streams=False,
         segment_capacity=args.segment_capacity,
         policy=args.policy,
         buffer_capacity=args.buffer_capacity,
-    ) as ingest:
-        ingest.run()
+    )
+    ingest.run()
     store, pipeline = ingest.store, ingest.pipeline
     print(store.stats().to_text())
     stats = pipeline.stats

@@ -53,8 +53,8 @@ def register_queries(args: argparse.Namespace, engine) -> None:
 
 def cmd_stream_views(args: argparse.Namespace) -> int:
     """Replay a CSV and print the closed windowed views."""
-    with common.replay(args) as live:
-        live.run()
+    live = common.Replay(args)
+    live.run()
     engine = live.engine
     stats = engine.stats
     print(
@@ -69,9 +69,9 @@ def cmd_stream_views(args: argparse.Namespace) -> int:
 
 def cmd_stream_alerts(args: argparse.Namespace) -> int:
     """Replay with continuous queries; exit 1 if any fired."""
-    with common.replay(args) as live:
-        register_queries(args, live.engine)
-        live.run()
+    live = common.Replay(args)
+    register_queries(args, live.engine)
+    live.run()
     engine = live.engine
     log = engine.alerts
     print(
@@ -103,9 +103,9 @@ def cmd_stream_watch(args: argparse.Namespace) -> int:
             ):
                 print(window_text(push["snapshot"]))
 
-    with common.replay(args) as live:
-        register_queries(args, live.engine)
-        live.watch(lambda client: client.subscribe("window", alerts=True), show)
+    live = common.Replay(args)
+    register_queries(args, live.engine)
+    live.watch(lambda client: client.subscribe("window", alerts=True), show)
     engine = live.engine
     print(
         f"watched {engine.stats.windows_emitted} windows over the server channel "

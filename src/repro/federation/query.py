@@ -39,6 +39,7 @@ from repro.store.quantiles import QuantileSketch, reading
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.federation.router import FederationRouter
+    from repro.obs import Obs
     from repro.simulation import FaultInjector
 
 
@@ -123,10 +124,11 @@ class FederatedSecureAggregate:
 class FederatedDataset:
     """Read-side federation: scans and aggregates over member stores."""
 
-    def __init__(self, stores: Mapping[str, DatasetStore]):
+    def __init__(self, stores: Mapping[str, DatasetStore], obs: Obs | None = None):
         if not stores:
             raise StoreError("federated dataset needs at least one member store")
         self._stores = dict(stores)
+        self._obs = obs  # for the secure-aggregation sessions it runs
 
     @classmethod
     def from_router(cls, router: "FederationRouter") -> "FederatedDataset":
@@ -135,7 +137,10 @@ class FederatedDataset:
         Down members are included: their stores are durable and the
         query plane reads storage, not processes.
         """
-        return cls({name: router.hive(name).store for name in router.member_names})
+        return cls(
+            {name: router.hive(name).store for name in router.member_names},
+            obs=router.obs_context,
+        )
 
     @property
     def member_names(self) -> list[str]:
@@ -373,6 +378,7 @@ class FederatedDataset:
             components=components,
             policy=policy,
             rng=rng,
+            obs=self._obs,
         )
         result = session.run(contributions, down=expanded_down)
 

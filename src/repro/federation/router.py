@@ -33,7 +33,7 @@ import time as _time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro import obs
+from repro import obs as _obs
 from repro.apisense.hive import Hive, TaskStats
 from repro.obs.instruments import FederationInstruments
 from repro.apisense.tasks import SensingTask
@@ -123,6 +123,7 @@ class FederationRouter:
         replicas: int = 128,
         control_retry_delay: float = 5.0,
         control_max_retries: int = 8,
+        obs: _obs.Obs | None = None,
     ):
         self._sim = sim
         #: Inter-hive hop for task announcements and membership gossip;
@@ -143,10 +144,10 @@ class FederationRouter:
         self.membership_log: list[MembershipEvent] = []
         self.migration_log: list[MigrationEvent] = []
         self.stats = ControlPlaneStats()
-        self.obs = FederationInstruments(
-            obs.metrics_registry(), obs.next_instance("federation"), self.stats
-        )
-        self._tracer = obs.tracer()
+        #: Handed to the merged views and queries built on the router.
+        self.obs_context = obs = obs or _obs.default()
+        self.obs = FederationInstruments(obs.registry, self.stats)
+        self._tracer = obs.tracer
 
     # ------------------------------------------------------------------
     # Introspection

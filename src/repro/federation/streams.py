@@ -25,7 +25,7 @@ import time as _time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping
 
-from repro import obs
+from repro import obs as _obs
 from repro.crypto import FixedPointCodec, MaskedAggregation, MaskingParticipant
 from repro.errors import StreamError
 from repro.obs.instruments import MergerInstruments
@@ -82,18 +82,22 @@ class SecureWindowTotals:
 class FederatedStreamMerger:
     """One live windowed view over every member Hive's stream engine."""
 
-    def __init__(self, engines: Mapping[str, StreamEngine]):
+    def __init__(
+        self, engines: Mapping[str, StreamEngine], obs: _obs.Obs | None = None
+    ):
         if not engines:
             raise StreamError("federated stream merger needs at least one engine")
         self._engines = dict(engines)
-        self.obs = MergerInstruments(obs.metrics_registry(), obs.next_instance("merger"))
-        self._tracer = obs.tracer()
+        obs = obs or _obs.default()
+        self.obs = MergerInstruments(obs.registry)
+        self._tracer = obs.tracer
 
     @classmethod
     def from_router(cls, router: "FederationRouter") -> "FederatedStreamMerger":
         """The live view of a federation's current members."""
         return cls(
-            {name: router.hive(name).streams for name in router.member_names}
+            {name: router.hive(name).streams for name in router.member_names},
+            obs=router.obs_context,
         )
 
     @property

@@ -10,9 +10,11 @@ that object and makes the child a read view of the field
 (:meth:`~repro.obs.registry._Family.read`).
 
 Every instrument carries an ``instance`` label (``pipeline-1``,
-``hive-2``...) allocated by :func:`repro.obs.next_instance`, so
-multi-hive federations keep tiers separable in the exposition while
-``MetricsRegistry.total(name)`` still folds them platform-wide.
+``store-2``...) the bundle allocates from its registry
+(:meth:`~repro.obs.registry.MetricsRegistry.next_instance`), so
+multi-hive federations on one registry keep tiers separable in the
+exposition while ``MetricsRegistry.total(name)`` still folds them
+platform-wide.
 
 Naming follows the Prometheus convention the exposition implies:
 ``repro_<tier>_<what>_total`` for counters, ``..._seconds`` for
@@ -48,11 +50,9 @@ __all__ = [
 class PipelineInstruments:
     """IngestPipeline: admission accounting (read from its stats) + flush timing."""
 
-    def __init__(
-        self, registry: MetricsRegistry, instance: str, stats: "PipelineStats"
-    ):
+    def __init__(self, registry: MetricsRegistry, stats: "PipelineStats"):
         self.registry = registry
-        self.instance = instance
+        self.instance = instance = registry.next_instance("pipeline")
         r = registry
         lbl = {"instance": instance}
         r.counter(
@@ -97,9 +97,9 @@ class PipelineInstruments:
 class StoreInstruments:
     """DatasetStore: append / scan / compaction timing."""
 
-    def __init__(self, registry: MetricsRegistry, instance: str):
+    def __init__(self, registry: MetricsRegistry):
         self.registry = registry
-        self.instance = instance
+        self.instance = instance = registry.next_instance("store")
         r = registry
         lbl = {"instance": instance}
         self.records_appended = r.counter(
@@ -137,9 +137,9 @@ class StoreInstruments:
 class StreamInstruments:
     """StreamEngine: pane updates, window closes, alerts (read from its stats)."""
 
-    def __init__(self, registry: MetricsRegistry, instance: str, stats: "StreamStats"):
+    def __init__(self, registry: MetricsRegistry, stats: "StreamStats"):
         self.registry = registry
-        self.instance = instance
+        self.instance = instance = registry.next_instance("stream")
         r = registry
         lbl = {"instance": instance}
         r.counter(
@@ -180,11 +180,9 @@ class StreamInstruments:
 class FederationInstruments:
     """FederationRouter: control plane (read from its stats), gossip, migrations."""
 
-    def __init__(
-        self, registry: MetricsRegistry, instance: str, stats: "ControlPlaneStats"
-    ):
+    def __init__(self, registry: MetricsRegistry, stats: "ControlPlaneStats"):
         self.registry = registry
-        self.instance = instance
+        self.instance = instance = registry.next_instance("federation")
         r = registry
         lbl = {"instance": instance}
         sent = r.counter(
@@ -219,9 +217,9 @@ class FederationInstruments:
 class MergerInstruments:
     """FederatedStreamMerger: cross-hive window folds."""
 
-    def __init__(self, registry: MetricsRegistry, instance: str):
+    def __init__(self, registry: MetricsRegistry):
         self.registry = registry
-        self.instance = instance
+        self.instance = instance = registry.next_instance("merger")
         r = registry
         lbl = {"instance": instance}
         self.merges = r.counter(
@@ -239,9 +237,9 @@ class MergerInstruments:
 class SecureAggInstruments:
     """SecureAggregationSession: round phases, protocols, dropouts."""
 
-    def __init__(self, registry: MetricsRegistry, instance: str):
+    def __init__(self, registry: MetricsRegistry):
         self.registry = registry
-        self.instance = instance
+        self.instance = instance = registry.next_instance("secure_agg")
         r = registry
         self._lbl = {"instance": instance}
         self._phase_seconds = r.histogram(
@@ -270,9 +268,9 @@ class SecureAggInstruments:
 class ServerInstruments:
     """ReproServer: surfaces, sessions, pushes; denials read from its stats."""
 
-    def __init__(self, registry: MetricsRegistry, instance: str, stats: "ServerStats"):
+    def __init__(self, registry: MetricsRegistry, stats: "ServerStats"):
         self.registry = registry
-        self.instance = instance
+        self.instance = instance = registry.next_instance("server")
         r = registry
         self._lbl = {"instance": instance}
         self._requests = r.counter(
@@ -335,9 +333,9 @@ class ServerInstruments:
 class MiddlewareInstruments:
     """MetricsMiddleware: per-hook traffic on the shared registry."""
 
-    def __init__(self, registry: MetricsRegistry, instance: str):
+    def __init__(self, registry: MetricsRegistry):
         self.registry = registry
-        self.instance = instance
+        self.instance = instance = registry.next_instance("middleware")
         r = registry
         self._lbl = {"instance": instance}
         self._hooks = r.counter(

@@ -1,11 +1,11 @@
 """The metrics registry: labeled counters, gauges, fixed-bucket histograms.
 
-One process-wide :class:`MetricsRegistry` is the *observable* surface
-of the platform: every tier registers its instruments here (labeled at
-least by ``instance``), the ``obs`` surfaces and scrapers read it, and
-:meth:`MetricsRegistry.render_prometheus` exposes the whole platform in
-the Prometheus text format — over the serving tier's ``obs`` surface or
-the ``python -m repro obs dump`` CLI.
+A :class:`MetricsRegistry` is the *observable* surface of one
+deployment: every tier registers its instruments here (labeled at least
+by an ``instance`` unique in the registry), the ``obs`` surfaces and
+scrapers read it, and :meth:`MetricsRegistry.render_prometheus` exposes
+the deployment in the Prometheus text format — over the serving tier's
+``obs`` surface or the ``python -m repro obs dump`` CLI.
 
 Design constraints, in order:
 
@@ -293,12 +293,13 @@ class StageTiming:
 
 
 class MetricsRegistry:
-    """Process-wide instrument registry with a text exposition."""
+    """One deployment's instrument registry with a text exposition."""
 
     def __init__(self, enabled: bool = True, clock: Callable[[], float] | None = None):
         self.enabled = enabled
         self._clock = clock
         self._families: dict[str, _Family] = {}
+        self._instances: dict[str, int] = {}
         #: Topology counter: bumped whenever a family or child appears,
         #: so scrapers can cache their flat reader lists and only
         #: rebuild when the set of live series actually changed.
@@ -357,6 +358,11 @@ class MetricsRegistry:
         if not buckets or list(buckets) != sorted(buckets):
             raise ObsError(f"histogram buckets must be sorted and non-empty: {buckets}")
         return self._register(name, "histogram", help, labelnames, buckets)
+
+    def next_instance(self, prefix: str) -> str:
+        """An ``instance`` label unique in this registry (``pipeline-1``...)."""
+        n = self._instances[prefix] = self._instances.get(prefix, 0) + 1
+        return f"{prefix}-{n}"
 
     def set_clock(self, clock: Callable[[], float] | None) -> None:
         """Bind the deployment's simulator clock (sim-time exposition)."""

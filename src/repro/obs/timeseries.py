@@ -294,10 +294,12 @@ class TimeSeriesStore:
         return (t0, t1)
 
     def _pick(self, name: str, labels: Mapping[str, str] | None) -> list[Series]:
-        """The one series with ``labels``, or every label set of ``name``."""
-        picked = [self.series(name, labels)] if labels is not None else self.select(name)
+        """Every series of ``name`` whose labels include ``labels``: the
+        one matching rule, :meth:`select`'s."""
+        picked = self.select(name, **(labels or {}))
         if not picked:
-            raise ObsError(f"unknown series {name!r}")
+            wanted = f" with labels {dict(labels)}" if labels else ""
+            raise ObsError(f"unknown series {name!r}{wanted}")
         return picked
 
     def delta(
@@ -309,8 +311,8 @@ class TimeSeriesStore:
     ) -> float:
         """Counter increase over the lookback window (newest - oldest).
 
-        Sums over every matching label set when ``labels`` is None, so
-        per-instance counters fold platform-wide like
+        Sums over every series whose labels include ``labels``, so
+        counters fold platform-wide (``None``) or per instance, like
         :meth:`MetricsRegistry.total` does for point-in-time reads.
         """
         t0, t1 = self._window_bounds(window, at)
@@ -387,8 +389,7 @@ class TimeSeriesStore:
         """Aggregate a gauge's samples over the lookback window.
 
         ``agg`` is one of ``mean | min | max | sum | last | count``;
-        with ``labels=None`` the matching label sets' samples pool
-        before aggregating.
+        the matching series' samples pool before aggregating.
         """
         if agg not in ("mean", "min", "max", "sum", "last", "count"):
             raise ObsError(f"unknown windowed agg {agg!r}")
@@ -539,7 +540,7 @@ class MetricsScraper:
         if registry is None:
             from repro import obs as _obs
 
-            registry = _obs.metrics_registry()
+            registry = _obs.default().registry
         self.registry = registry
         self.store = TimeSeriesStore(capacity)
         self.cadence = cadence

@@ -185,6 +185,7 @@ class SecureAggregationSession:
         rng: random.Random | None = None,
         faults: "FaultInjector | None" = None,
         fault_prefix: str = "device:",
+        obs: _obs.Obs | None = None,
     ):
         self.task = task
         self.policy = policy or SecureAggregationPolicy()
@@ -241,10 +242,9 @@ class SecureAggregationSession:
         self.threshold: int | None = None
         self._setup_done = False
         self._ran = False
-        self.obs = SecureAggInstruments(
-            _obs.metrics_registry(), _obs.next_instance("secure_agg")
-        )
-        self._tracer = _obs.tracer()
+        obs = obs or _obs.default()
+        self.obs = SecureAggInstruments(obs.registry)
+        self._tracer = obs.tracer
 
     # ------------------------------------------------------------------
     # Enrolment-time work

@@ -378,9 +378,7 @@ class MetricsMiddleware(ServerMiddleware):
     """
 
     def __init__(self, log_capacity: int = 256):
-        self.obs = MiddlewareInstruments(
-            obs.metrics_registry(), obs.next_instance("middleware")
-        )
+        self.obs = MiddlewareInstruments(obs.default().registry)
         self.counters = MiddlewareCounters(self.obs)
         self.log: list[str] = []
         self._log_capacity = log_capacity

@@ -50,7 +50,6 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
-from repro import obs as _obs
 from repro.errors import ReproError, ServerError
 from repro.obs.instruments import ServerInstruments
 from repro.server.middleware import (
@@ -183,21 +182,21 @@ class ReproServer:
             self._engines = {
                 name: router.hive(name).streams for name in router.member_names
             }
-            self._merger = FederatedStreamMerger(self._engines)
+            self._merger = FederatedStreamMerger(self._engines, obs=router.obs_context)
         else:
             assert engine is not None
             self._sim = sim
             self._engines = {"local": engine}
+        #: The anchor's obs context: the ``obs`` surface reports on it.
+        self.obs_context = (hive or router or engine).obs_context
         self.chain = MiddlewareChain(middlewares)
         self.queue_capacity = queue_capacity
         self.stats = ServerStats()
-        self.obs = ServerInstruments(
-            _obs.metrics_registry(), _obs.next_instance("server"), self.stats
-        )
+        self.obs = ServerInstruments(self.obs_context.registry, self.stats)
         # Live levels: read the server's own properties at scrape time.
         self.obs.sessions.read_weakly(self, "sessions_active")
         self.obs.subscriptions.read_weakly(self, "subscriptions_active")
-        self._tracer = _obs.tracer()
+        self._tracer = self.obs_context.tracer
         self._sessions: dict[int, Session] = {}
         #: Sessions with pushes for this loop turn's delivery pass.
         self._ready: list[Session] = []
@@ -478,7 +477,7 @@ class ReproServer:
         if self._router is not None:
             return FederatedDataset.from_router(self._router)
         if self._hive is not None:
-            return FederatedDataset({"local": self._hive.store})
+            return FederatedDataset({"local": self._hive.store}, obs=self.obs_context)
         raise ServerError("this server exposes no query surface")
 
     def _handle_query(self, request: ServerRequest) -> Message:
@@ -507,18 +506,20 @@ class ReproServer:
     def _handle_obs(self, request: ServerRequest) -> Message:
         """Observability surface: registry dump / hot paths / traces.
 
-        Read-only by construction — it reports on the process-wide
-        registry and trace log, never mutates them — so middlewares can
-        expose it to low-privilege dashboards safely.
+        Read-only by construction — it reports on the registry and trace
+        log of the platform the server is anchored on (its hive, router
+        or engine), never mutates them — so middlewares can expose it to
+        low-privilege dashboards safely.
         """
         payload = request.payload
+        context = self.obs_context
         if request.action == "dump":
-            return {"format": "prometheus", "text": _obs.render_prometheus()}
+            return {"format": "prometheus", "text": context.render_prometheus()}
         if request.action == "top":
             limit = wire_field(payload, "limit", int, 10)
-            return {"stages": [t.to_dict() for t in _obs.hot_paths()[:limit]]}
+            return {"stages": [t.to_dict() for t in context.hot_paths()[:limit]]}
         if request.action == "trace":
-            log = _obs.tracer().log
+            log = context.tracer.log
             trace_id = wire_field(payload, "trace_id", int)
             if trace_id is None:
                 return {

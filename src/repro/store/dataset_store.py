@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro import obs
+from repro import obs as _obs
 from repro.errors import StoreError
 from repro.obs.instruments import StoreInstruments
 from repro.store.aggregates import StoreAggregates, TaskAggregate
@@ -197,6 +197,7 @@ class DatasetStore:
         n_shards: int = 4,
         segment_capacity: int = 4096,
         coverage_cell_deg: float = 0.005,
+        obs: _obs.Obs | None = None,
     ):
         if n_shards <= 0:
             raise StoreError(f"shard count must be positive: {n_shards}")
@@ -208,8 +209,9 @@ class DatasetStore:
         self._user_ids: dict[str, int] = {}
         self._user_table: list[str] = []
         self.aggregates = StoreAggregates(cell_deg=coverage_cell_deg)
-        self.obs = StoreInstruments(obs.metrics_registry(), obs.next_instance("store"))
-        self._tracer = obs.tracer()
+        obs = obs or _obs.default()
+        self.obs = StoreInstruments(obs.registry)
+        self._tracer = obs.tracer
 
     # ------------------------------------------------------------------
     # Routing / identity

@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro import obs
+from repro import obs as _obs
 from repro.errors import StoreError
 from repro.obs.instruments import PipelineInstruments
 from repro.simulation import Simulator
@@ -130,6 +130,7 @@ class IngestPipeline:
         policy: str = "spill",
         buffer_capacity: int = 4096,
         flush_delay: float = 0.2,
+        obs: _obs.Obs | None = None,
     ):
         if policy not in POLICIES:
             raise StoreError(f"unknown backpressure policy {policy!r}; one of {POLICIES}")
@@ -148,10 +149,9 @@ class IngestPipeline:
         self.stats = PipelineStats()
         #: Registry instruments: read views of :attr:`stats` plus the
         #: flush-timing histogram the object counters cannot express.
-        self.obs = PipelineInstruments(
-            obs.metrics_registry(), obs.next_instance("pipeline"), self.stats
-        )
-        self._tracer = obs.tracer()
+        obs = obs or _obs.default()
+        self.obs = PipelineInstruments(obs.registry, self.stats)
+        self._tracer = obs.tracer
 
     # ------------------------------------------------------------------
     # Wiring
@@ -204,6 +204,23 @@ class IngestPipeline:
     # ------------------------------------------------------------------
     # Ingest path
     # ------------------------------------------------------------------
+
+    def admit(self, records: Sequence[SensorRecord], **span_attrs) -> int:
+        """:meth:`submit` behind the traced gate: a sampled batch's records
+        carry its trace id downstream (the lineage travels with the data)
+        and submit inside an ``ingest.admit`` span tagged ``span_attrs``.
+        An empty batch takes no sampling slot."""
+        if not records:
+            return 0
+        trace_id = self._tracer.new_trace()
+        if trace_id is None:
+            return self.submit(records)
+        records = [replace(r, trace_id=trace_id) for r in records]
+        with self._tracer.span(
+            "ingest.admit", trace_id=trace_id, **span_attrs, batch=len(records)
+        ) as span:
+            span.add_records({trace_id: [r.time for r in records]})
+            return self.submit(records)
 
     def submit(self, records: Sequence[SensorRecord]) -> int:
         """Offer a batch to the gateway; returns how many were accepted.

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from repro import obs
+from repro import obs as _obs
 from repro.errors import StreamError
 from repro.obs.instruments import StreamInstruments
 from repro.geo.grid import SpatialGrid
@@ -83,6 +83,7 @@ class StreamEngine:
         grid: SpatialGrid | None = None,
         history: int = 64,
         alert_capacity: int = 256,
+        obs: _obs.Obs | None = None,
     ):
         if pane_seconds <= 0:
             raise StreamError(f"pane size must be positive: {pane_seconds}")
@@ -110,13 +111,13 @@ class StreamEngine:
         self.alerts = AlertLog(capacity=alert_capacity)
         self.stats = StreamStats()
         self._last_window_rate = 0.0
-        self.obs = StreamInstruments(
-            obs.metrics_registry(), obs.next_instance("stream"), self.stats
-        )
+        #: Read by a server anchored on the engine.
+        self.obs_context = obs = obs or _obs.default()
+        self.obs = StreamInstruments(obs.registry, self.stats)
         # Callback-backed: the scraper reads the live watermark without
         # the engine ever touching the gauge on its hot path.
         self.obs.watermark.read_weakly(self, "watermark")
-        self._tracer = obs.tracer()
+        self._tracer = obs.tracer
         #: Trace lineage parked per (task, pane): ``{trace_id: [times]}``
         #: of the traced records folded into each open pane, attached to
         #: the ``stream.window`` span when the pane's windows close and

@@ -1,8 +1,9 @@
 """Shared fixtures for the observability-tier tests.
 
-The registry and tracer are process-wide singletons; every test here
-starts from a fresh pair (and leaves the process-wide defaults —
-metrics on, tracing off — behind for whatever suite runs next).
+A component built without ``obs=`` reports to the default context;
+every test here starts it from a fresh registry and tracer (and leaves
+the defaults — metrics on, tracing off — behind for whatever suite
+runs next).
 """
 
 from __future__ import annotations

@@ -184,3 +184,60 @@ class TestScrapedQueries:
         series = scraper.store.series("repro_c_total")
         assert list(series.t) == [10.0, 20.0, 30.0, 40.0, 50.0]
         assert scraper.store.delta("repro_c_total") == 5.0
+
+
+class TestPerInstanceQueries:
+    """``labels=`` is a subset match in every query, as in :meth:`select`:
+    a query with only ``instance`` folds that component's other labels."""
+
+    REFUSED = "repro_pipeline_records_refused_total"
+
+    def test_instance_query_sums_the_outcome_series(self):
+        from repro.apisense.hive import Hive
+        from repro.apisense.honeycomb import Honeycomb
+        from repro.apisense.tasks import SensingTask
+        from repro.server import ReproServer
+        from repro.store import DatasetStore, IngestPipeline
+        from tests.server.conftest import connect, run
+        from tests.server.test_channel import upload_window
+
+        sim = Simulator()
+        pipeline = IngestPipeline(sim, DatasetStore(), policy="reject", buffer_capacity=8)
+        hive = Hive(sim, pipeline=pipeline)
+        owner = Honeycomb("tests", hive)
+        task = SensingTask(
+            name="t", sensors=("gps",), sampling_period=60.0, upload_period=300.0
+        )
+        owner.register_task(task)
+        hive.adopt_task(task, owner)
+        scraper = MetricsScraper(capacity=16)
+        server = ReproServer(hive, sim=sim, scraper=scraper)
+        instance = {"instance": pipeline.obs.instance}
+
+        async def scenario():
+            client = await connect(server)
+            scraper.scrape(1.0)
+            for window in (0, 1):
+                assert upload_window(hive, window, n=6) == 6
+                assert upload_window(hive, window, n=6) == 0  # bounced whole
+                pipeline.flush_all()
+                scraper.scrape(3.0 + 2 * window)
+            return await client.obs_history(self.REFUSED, labels=instance)
+
+        history = run(scenario())
+        store = scraper.store
+        outcomes = [
+            store.delta(self.REFUSED, {**instance, "outcome": outcome})
+            for outcome in ("rejected", "dropped")
+        ]
+        assert outcomes == [12.0, 0.0]
+        assert store.delta(self.REFUSED, instance) == sum(outcomes)
+        assert store.rate(self.REFUSED, instance) == pytest.approx(12.0 / 4.0)
+        assert store.windowed_agg(self.REFUSED, "max", instance) == 12.0
+        assert sorted(e["labels"]["outcome"] for e in history["series"]) == [
+            "dropped",
+            "rejected",
+        ]
+        assert history["rate"] == pytest.approx(12.0 / 4.0)
+        with pytest.raises(ObsError, match="unknown series"):
+            store.delta(self.REFUSED, {"instance": "pipeline-99"})

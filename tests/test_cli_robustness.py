@@ -2,7 +2,7 @@
 
 Input the parser cannot check but the library refuses ends like a usage
 error (exit 2, one ``repro: error:`` line, no traceback), and a command
-that replays a workload in-process leaves the process-wide obs state —
+that replays a workload in-process leaves the default obs context —
 registry, tracer switches, clocks, instance counters — as it found it.
 """
 
@@ -10,7 +10,6 @@ import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.errors import ObsError
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +91,7 @@ def process_obs():
     quarter, a clock reading 7 s, one pipeline label already handed out."""
     obs.reset(metrics=True, tracing=True)
     obs.configure(sample_rate=0.25, clock=lambda: 7.0)
-    obs.next_instance("pipeline")
+    obs.metrics_registry().next_instance("pipeline")
     yield
     obs.reset()
 
@@ -110,13 +109,4 @@ def test_replay_leaves_process_obs_state_alone(argv, csv_path, process_obs, caps
     with tracer.span("probe") as probe:
         pass
     assert probe.span.sim_time == 7.0
-    assert obs.next_instance("pipeline") == "pipeline-2"
-
-
-def test_scoped_restores_on_error(process_obs):
-    before = obs.metrics_registry(), obs.tracer()
-    with pytest.raises(ObsError, match="sample_rate"):
-        with obs.scoped(sample_rate=2.0):
-            pass
-    assert (obs.metrics_registry(), obs.tracer()) == before
-    assert obs.next_instance("pipeline") == "pipeline-2"
+    assert obs.metrics_registry().next_instance("pipeline") == "pipeline-2"
