@@ -137,6 +137,11 @@ class ServerMiddleware:
     that connection's hooks and requests.
     """
 
+    def bind(self, context: "obs.Obs") -> None:
+        """Called by the server installing the chain, with the server's
+        obs context: a middleware that keeps metrics registers them
+        there, so they land in that server's own exposition."""
+
     async def connect(
         self,
         *,
@@ -374,14 +379,28 @@ class MetricsMiddleware(ServerMiddleware):
     Wraps ``next`` and inspects the returned result, so denials and
     redirects issued by *later* middlewares (or the terminal handler)
     are counted too — place it first in the chain.  ``log`` keeps the
-    most recent ``log_capacity`` human-readable lines.
+    most recent ``log_capacity`` human-readable lines.  Its instruments
+    live on the registry of the server that installs it (:meth:`bind`);
+    a chain run without a server counts on ``obs.default()``.
     """
 
     def __init__(self, log_capacity: int = 256):
-        self.obs = MiddlewareInstruments(obs.default().registry)
-        self.counters = MiddlewareCounters(self.obs)
+        self._instruments: MiddlewareInstruments | None = None
         self.log: list[str] = []
         self._log_capacity = log_capacity
+
+    def bind(self, context: "obs.Obs") -> None:
+        self._instruments = MiddlewareInstruments(context.registry)
+
+    @property
+    def obs(self) -> MiddlewareInstruments:
+        if self._instruments is None:
+            self.bind(obs.default())
+        return self._instruments
+
+    @property
+    def counters(self) -> MiddlewareCounters:
+        return MiddlewareCounters(self.obs)
 
     def _note(self, line: str) -> None:
         self.log.append(line)

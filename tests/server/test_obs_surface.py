@@ -154,6 +154,27 @@ class TestMetricsMiddlewareFolding:
         ) == 1
         assert 'repro_middleware_requests_total' in obs.render_prometheus()
 
+    def test_counts_land_in_the_servers_own_exposition(self, sim):
+        # A server on its own obs context: the middleware it installs
+        # counts there, not on the process default.
+        from repro.apisense.hive import Hive
+
+        metrics = MetricsMiddleware()
+        server = ReproServer(Hive(sim, obs=obs.Obs()), sim=sim, middlewares=[metrics])
+
+        async def scenario():
+            client = await connect(server)
+            await client.request("query", "tasks")
+            text = (await client.request("obs", "dump"))["text"]
+            await client.close()
+            return text
+
+        text = run(scenario())
+        assert 'repro_middleware_requests_total{instance="middleware-1",surface="query"} 1' in text
+        assert 'repro_middleware_events_total{hook="connect",instance="middleware-1"} 1' in text
+        assert metrics.counters.requests == 2
+        assert "repro_middleware" not in obs.render_prometheus()
+
     def test_denials_counted_on_registry_and_in_log(self, sim):
         class DenyQueries(ServerMiddleware):
             async def request(self, *, request, session, next):
