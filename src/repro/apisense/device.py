@@ -1,26 +1,81 @@
 """The simulated mobile device: task runtime, sensors, privacy layer.
 
-A device is driven entirely by simulator events: when it accepts a task
-it hands execution to a :class:`~repro.apisense.scripting.TaskDispatcher`
-— the event-driven runtime behind the v2 scripting API — and schedules
-its own upload ticks.  Every sample a script saves passes through the
-user's privacy filter chain before it is buffered, and the buffer leaves
-the device only on upload ticks — mirroring the real APISENSE client's
+A device is driven by simulator events: when it accepts a task it hands
+execution to a :class:`~repro.apisense.scripting.TaskDispatcher` — the
+event-driven runtime behind the scripting API — and schedules its own
+upload ticks.  Every sample a script saves passes through the user's
+privacy filter chain before it is buffered, and the buffer leaves the
+device only on upload ticks — mirroring the real APISENSE client's
 store-and-forward design.
+
+Tick grids.  A scriptless task (``task.script is None``, so it runs
+:class:`~repro.apisense.scripting.CollectAll`) schedules no event per
+sample.  Its runtime, a :class:`TickGrid`, keeps CollectAll's timer as
+a grid of instants, each the previous one plus the period (the sum the
+event path computes), and the device samples every tick since it last
+settled in one pass: positions from one
+:meth:`~repro.geo.trajectory.Trajectory.sample` call per block of
+ticks, then per tick what ``CollectAll._tick`` does through the
+dispatcher (quiet hours, region fence, battery, sensor reads in task
+order, filter chain, counters, record).  What a campaign stores, its
+counters, battery levels and RNG streams are the event path's, bit for
+bit; only the simulator's event count differs.
+
+Settle points.  A tick touches the battery, the device RNG, its task's
+buffer and counters, the timer's ``HandlerStats`` and the filter chain
+(the blur grid's lazy anchor), so the device settles before anything
+else touches them:
+
+- the task's own upload;
+- :meth:`MobileDevice.offer_task`, :meth:`~MobileDevice.stop_task`,
+  :meth:`~MobileDevice.dispatcher` and the :attr:`~MobileDevice.stats`
+  property;
+- the :attr:`~MobileDevice.battery` property: every battery read from
+  outside (the Hive's secure-aggregation profiles, monitoring,
+  recruitment, scheduling, virtual sensors, the campaign report),
+  :meth:`~MobileDevice.read_sensor` and
+  :meth:`~MobileDevice.is_available` go through it;
+- a second task on the device: a scripted one goes through the battery
+  property before each drain (so before each RNG draw) and battery
+  read; a grid task settles when its timer is armed, and the ticks of
+  two grid tasks are taken in one merged pass.
+
+Same-instant rules.  A settle at clock ``t`` takes every tick at or
+before ``t``: the reader is ordered as if it was scheduled at ``t``,
+after the tick at ``t``, which was scheduled one period earlier.  The
+event path agrees whenever the reader was scheduled less than one
+sampling period before it runs: any call between two ``run_until``
+calls, an offer delivery, a scripted task's tick at a shorter period.
+An upload at ``t`` ships the tick at ``t`` only when the task samples at
+its upload period and started at once (the tick was scheduled before
+the upload); otherwise that tick rides the next upload.  Ticks of two
+grid tasks at one instant run in the event path's order: the one whose
+previous tick is older first (it was scheduled first), and between
+equal periods in the order their chains were set up, a setup scheduled
+before the other chain's tick at its instant going first.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from itertools import groupby, repeat
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
 from repro.apisense.battery import Battery
 from repro.apisense.filters import PrivacyFilterChain
 from repro.apisense.preferences import UserPreferences
-from repro.apisense.scripting import ScriptRuntime, TaskDispatcher, TaskRuntimeStats
-from repro.apisense.sensors import SensorSuite
+from repro.apisense.scripting import (
+    ScriptRuntime,
+    TaskDispatcher,
+    TaskRuntimeStats,
+    TimerHandle,
+)
+from repro.apisense.sensors import GpsSensor, SensorSuite
 from repro.apisense.tasks import SensingTask
 from repro.errors import PlatformError
 from repro.geo.point import GeoPoint
@@ -30,7 +85,13 @@ from repro.simulation import CancelToken, Simulator
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.apisense.hive import Hive
 
-__all__ = ["MobileDevice", "SensorRecord", "TaskRuntimeStats", "DeviceScriptRuntime"]
+__all__ = [
+    "MobileDevice",
+    "SensorRecord",
+    "TaskRuntimeStats",
+    "DeviceScriptRuntime",
+    "TickGrid",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,13 +123,15 @@ class DeviceScriptRuntime(ScriptRuntime):
     the device's simulated state for free — it drives trigger predicates.
     Actual sensor reads pay the battery cost via :meth:`acquire`, and
     emitted samples run the privacy filter chain before landing in the
-    task's store-and-forward buffer.
+    task's store-and-forward buffer.  Battery reads and drains go through
+    :attr:`MobileDevice.battery`, which settles the device's tick grids
+    first: a second task shares the battery and the RNG.
     """
 
     def __init__(self, device: "MobileDevice", task: SensingTask):
         assert device._sim is not None
         self.sim = device._sim
-        self.stats = device.stats[task.name]
+        self.stats = device._stats[task.name]
         self._device = device
         # What no sample changes, resolved once: the task's sensors (the
         # offer was declined unless the device has them all), its
@@ -107,6 +170,113 @@ class DeviceScriptRuntime(ScriptRuntime):
         return True
 
 
+class TickGrid(DeviceScriptRuntime):
+    """The runtime of a scriptless task: CollectAll's timer as a grid of
+    tick instants the device samples when it settles (module docstring).
+
+    The grid is computed ahead in blocks of :attr:`BLOCK` ticks, each
+    block's positions by one :meth:`~repro.geo.trajectory.Trajectory.
+    sample` call.  ``prev_at`` is the instant of the chain's last event
+    (its setup, then its last sampled tick) and ``prev_from`` the
+    instant that event was scheduled at: what orders two chains' ticks
+    at one instant.
+    """
+
+    BLOCK = 128
+
+    def __init__(self, device: "MobileDevice", task: SensingTask):
+        super().__init__(device, task)
+        self._setup_scheduled_at = self.sim.now
+        self._region = task.region
+        self._sensor_names = task.sensors
+        self._reads = tuple(
+            (name, None if type(sensor) is GpsSensor else sensor.read)
+            for name, sensor in self._sensors.items()
+        )
+        self.timer: TimerHandle | None = None
+        self.period = task.sampling_period
+        self.next_at = math.inf
+        self.prev_at = self.prev_from = self.sim.now
+
+    def arm_timer(self, timer: TimerHandle, at: float) -> None:
+        self.timer = timer
+        self.prev_at, self.prev_from = self.sim.now, self._setup_scheduled_at
+        self._blocks = self._sample_blocks(at, timer._end)
+        self._ahead: list[tuple[float, float, float]] = next(self._blocks, [])
+        self._next = 0
+        self.next_at = self._ahead[0][0] if self._ahead else math.inf
+        self._device._add_grid(self)
+
+    def _sample_blocks(self, t: float, end: float):
+        """The grid's ``(time, lat, lon)`` up to ``end``, a block at a
+        time: each instant the previous one plus the period, as the
+        event path sums them."""
+        period, sample = self.period, self._device.trajectory.sample
+        while t <= end:
+            times = []
+            while t <= end and len(times) < self.BLOCK:
+                times.append(t)
+                t += period
+            lat, lon = sample(np.array(times))
+            yield list(zip(times, lat.tolist(), lon.tolist()))
+
+    def take(self, until: float) -> tuple[list[tuple[float, float, float]], float]:
+        """Advance the grid past ``until``: the ``(time, lat, lon)`` of its
+        ticks at or before it, and the instant of the event before the
+        first of them."""
+        before = self.prev_at
+        ticks: list[tuple[float, float, float]] = []
+        while self.next_at <= until:
+            end = bisect_right(self._ahead, (until, math.inf), self._next)
+            ticks += self._ahead[self._next : end]
+            if end == len(self._ahead):
+                self._ahead, end = next(self._blocks, []), 0
+            self._next = end
+            self.next_at = self._ahead[end][0] if self._ahead else math.inf
+        if ticks:
+            self.prev_from = ticks[-2][0] if len(ticks) > 1 else before
+            self.prev_at = ticks[-1][0]
+        return ticks, before
+
+    def run(self, ticks: Iterable[tuple[float, float, float]]) -> None:
+        """CollectAll's tick at each ``(time, lat, lon)``, in one frame:
+        what ``_dispatch_timer``, ``_tick``, ``read_all`` and ``save``
+        do through the dispatcher, with the position already sampled."""
+        device = self._device
+        drain, apply = device._battery.drain_sample, device._filters.apply
+        rng, preferences = device._rng, device.preferences
+        quiet = preferences.in_quiet_hours if preferences.quiet_hours else None
+        stats, append = self.stats, self._buffer.append
+        device_id, user, task = self._record_head
+        region, reads, sensors = self._region, self._reads, self._sensor_names
+        handler = self.timer._stats
+        for time, lat, lon in ticks:
+            if quiet is not None and quiet(time):
+                stats.samples_filtered += 1
+                continue
+            point = GeoPoint(lat, lon)
+            if region is not None and not region.contains(point):
+                continue
+            handler.fires += 1
+            try:
+                if not drain(sensors, time):
+                    stats.samples_battery_refused += 1
+                    continue
+                values = {}
+                for name, read in reads:
+                    values[name] = point if read is None else read(device, time, rng)
+                filtered = apply(values, time)
+            except Exception as error:  # noqa: BLE001 - contained, counted
+                self.timer._dispatcher.count_error(handler, error)
+                continue
+            if filtered is None:
+                stats.samples_filtered += 1
+                continue
+            stats.samples_taken += 1
+            append(SensorRecord(device_id, user, task, time, filtered))
+            handler.saves += 1
+
+
 class MobileDevice:
     """One participant's phone."""
 
@@ -124,7 +294,7 @@ class MobileDevice:
         self.user = user
         self.trajectory = trajectory
         self.sensors = sensors
-        self.battery = battery
+        self._battery = battery
         self.preferences = preferences or UserPreferences()
         self._filters = PrivacyFilterChain.from_preferences(self.preferences)
         self._rng = np.random.default_rng(seed)
@@ -134,7 +304,11 @@ class MobileDevice:
         self._buffers: dict[str, list[SensorRecord]] = {}
         self._dispatchers: dict[str, TaskDispatcher] = {}
         self._upload_tokens: dict[str, CancelToken] = {}
-        self.stats: dict[str, TaskRuntimeStats] = {}
+        self._stats: dict[str, TaskRuntimeStats] = {}
+        #: Running grid tasks, in the order their same-instant ticks run.
+        self._grids: list[TickGrid] = []
+        #: The earliest unsampled grid tick (inf: none, or a pass running).
+        self._next_tick = math.inf
 
     # ------------------------------------------------------------------
     # Binding / physical context
@@ -156,6 +330,22 @@ class MobileDevice:
         return self.trajectory.point_at_time(time)
 
     @property
+    def battery(self) -> Battery:
+        """The device's battery, with every grid tick up to now paid."""
+        self._settle()
+        return self._battery
+
+    @battery.setter
+    def battery(self, battery: Battery) -> None:
+        self._battery = battery
+
+    @property
+    def stats(self) -> dict[str, TaskRuntimeStats]:
+        """Per-task runtime counters, with every grid tick up to now counted."""
+        self._settle()
+        return self._stats
+
+    @property
     def running_tasks(self) -> list[str]:
         return list(self._dispatchers)
 
@@ -163,7 +353,56 @@ class MobileDevice:
         """The running dispatcher of a task (introspection / tests)."""
         if task_name not in self._dispatchers:
             raise PlatformError(f"task {task_name!r} not running on {self.device_id}")
+        self._settle()
         return self._dispatchers[task_name]
+
+    # ------------------------------------------------------------------
+    # Tick grids
+    # ------------------------------------------------------------------
+
+    def _settle(self) -> None:
+        """Sample every grid tick at or before the clock, in the event
+        path's order (see the module docstring)."""
+        due = self._next_tick
+        if due == math.inf or due > self._sim.now:
+            return
+        self._next_tick = math.inf  # a read the pass makes settles nothing
+        try:
+            now = self._sim.now
+            if len(self._grids) == 1:
+                self._grids[0].run(self._grids[0].take(now)[0])
+                return
+            merged = []
+            for rank, grid in enumerate(self._grids):
+                ticks, before = grid.take(now)
+                previous = [before, *(t for t, _, _ in ticks[:-1])]
+                merged += zip(ticks, previous, repeat(rank), repeat(grid))
+            merged.sort(key=lambda tick: (tick[0][0], tick[1], tick[2]))
+            for grid, run in groupby(merged, key=itemgetter(3)):
+                grid.run(tick for tick, _, _, _ in run)
+        finally:
+            self._next_tick = min((g.next_at for g in self._grids), default=math.inf)
+
+    def _add_grid(self, grid: TickGrid) -> None:
+        """Start sampling a grid task whose timer was just armed.
+
+        Its ticks tie with those of a chain of the same period that
+        ticked (or was set up) at this very instant; the new chain goes
+        first only if its setup was scheduled before that chain's event.
+        """
+        self._settle()
+        now = self._sim.now
+        at = len(self._grids)
+        for index, other in enumerate(self._grids):
+            if (
+                other.prev_at == now
+                and other.period == grid.period
+                and grid.prev_from < other.prev_from
+            ):
+                at = index
+                break
+        self._grids.insert(at, grid)
+        self._next_tick = min(self._next_tick, grid.next_at)
 
     # ------------------------------------------------------------------
     # Task lifecycle
@@ -184,6 +423,7 @@ class MobileDevice:
             return False
         if not all(sensor in self.sensors for sensor in task.sensors):
             return False
+        self._settle()
         if self._rng.uniform() > acceptance_probability:
             return False
         self._start_task(task)
@@ -191,15 +431,22 @@ class MobileDevice:
 
     def _start_task(self, task: SensingTask) -> None:
         assert self._sim is not None
+        now = self._sim.now
         self._buffers[task.name] = []
-        self.stats[task.name] = TaskRuntimeStats()
-        dispatcher = TaskDispatcher(task, DeviceScriptRuntime(self, task))
+        self._stats[task.name] = TaskRuntimeStats()
+        runtime = (TickGrid if task.script is None else DeviceScriptRuntime)(self, task)
+        dispatcher = TaskDispatcher(task, runtime)
         dispatcher.start()
         self._dispatchers[task.name] = dispatcher
-        start = max(task.start, self._sim.now)
+        # A grid tick at an upload instant rides that upload only if it
+        # was scheduled first: same period, and the timer armed just now.
+        rides_next = task.script is None and not (
+            task.sampling_period == task.upload_period and task.start <= now
+        )
+        start = max(task.start, now)
         self._upload_tokens[task.name] = self._sim.schedule_periodic(
             task.upload_period,
-            lambda: self._upload(task),
+            lambda: self._upload(task.name, rides_next),
             until=task.end + task.upload_period,
             first_at=start + task.upload_period,
         )
@@ -209,7 +456,11 @@ class MobileDevice:
         dispatcher = self._dispatchers.pop(task_name, None)
         if dispatcher is None:
             return
+        self._settle()
         dispatcher.cancel()
+        if dispatcher.runtime in self._grids:
+            self._grids.remove(dispatcher.runtime)
+            self._next_tick = min((g.next_at for g in self._grids), default=math.inf)
         token = self._upload_tokens.pop(task_name, None)
         if token is not None:
             token.cancel()
@@ -219,30 +470,38 @@ class MobileDevice:
     # Upload ticks
     # ------------------------------------------------------------------
 
-    def _upload(self, task: SensingTask) -> None:
-        self._flush(task.name)
+    def _upload(self, task_name: str, rides_next: bool) -> None:
+        self._settle()
+        self._flush(task_name, self._sim.now if rides_next else math.inf)
 
-    def _flush(self, task_name: str) -> None:
+    def _flush(self, task_name: str, held_from: float = math.inf) -> None:
         """Attempt to upload the buffer; on transport loss the buffer is
-        retained and retried at the next upload tick (store-and-forward)."""
+        retained and retried at the next upload tick (store-and-forward).
+
+        A record taken at or after ``held_from`` (the tick at this upload
+        instant) stays for the next upload.
+        """
         assert self._hive is not None
         buffer = self._buffers.get(task_name)
         if not buffer:
             return
-        batch = list(buffer)
-        stats = self.stats[task_name]
+        n = len(buffer) - (buffer[-1].time >= held_from)
+        if not n:
+            return
+        batch = buffer[:n]
+        stats = self._stats[task_name]
         if self._transport is None:
-            buffer.clear()
+            del buffer[:n]
             stats.uploads += 1
             self._deliver_upload(task_name, batch)
             return
         delivered = self._transport.send(
             self._sim,
             lambda: self._deliver_upload(task_name, batch),
-            payload_items=len(batch),
+            payload_items=n,
         )
         if delivered:
-            buffer.clear()
+            del buffer[:n]
             stats.uploads += 1
         else:
             stats.uploads_failed += 1
@@ -260,7 +519,7 @@ class MobileDevice:
             self.device_id, self.user, task_name, batch
         )
         if accepted == 0 and batch:
-            stats = self.stats.get(task_name)
+            stats = self._stats.get(task_name)
             if stats is not None:
                 stats.uploads_rejected += 1
             buffer = self._buffers.get(task_name)

@@ -26,6 +26,15 @@ to a real :class:`~repro.apisense.device.MobileDevice` on phones, or to
 a synthetic trajectory + sensor stream when the Honeycomb vets a script
 (:mod:`repro.apisense.vetting`).  A task that declares no script runs
 :class:`CollectAll`, an ordinary script that saves every sensor each tick.
+
+A timer is a mechanism (a grid of tick instants, each the previous one
+plus the period) and its handler the policy (what one tick does).  The
+runtime arms every timer (:meth:`ScriptRuntime.arm_timer`): by default
+each tick is one simulator event that dispatches the handler.  A device
+arms :class:`CollectAll`'s timer as a tick grid instead and samples all
+the ticks since it last settled in one pass (see
+:mod:`repro.apisense.device`); the vetting runtime keeps one event per
+tick.
 """
 
 from __future__ import annotations
@@ -136,6 +145,10 @@ class ScriptRuntime(ABC):
     @abstractmethod
     def read_sensor(self, name: str, time: float) -> object:
         """One raw sensor reading (energy already paid via acquire)."""
+
+    def arm_timer(self, timer: "TimerHandle", at: float) -> None:
+        """Start ``timer``, first firing at ``at``: one event per tick."""
+        timer._schedule_next(at)
 
     @abstractmethod
     def emit(self, values: Mapping[str, object], time: float) -> bool:
@@ -422,7 +435,7 @@ class TaskContext:
         stats = self._dispatcher._register("timer", fn)
         timer = TimerHandle(self._dispatcher, period, stats, fn)
         self._dispatcher.timers.append(timer)
-        timer._schedule_next(self.now + period)
+        self._dispatcher.runtime.arm_timer(timer, self.now + period)
         return timer
 
     def on_location_changed(self, min_distance_m: float, fn: Handler) -> None:
@@ -552,7 +565,9 @@ class TaskScript(ABC):
 class CollectAll(TaskScript):
     """The script of a task that declares none: one timer at the task's
     sampling period that reads every declared sensor in one acquisition
-    and saves the values as they are."""
+    and saves the values as they are.  A device samples this timer as a
+    tick grid (:meth:`ScriptRuntime.arm_timer`); :meth:`_tick` is what
+    each of its ticks does, and what every tick of a vetting run does."""
 
     def setup(self, ctx: TaskContext) -> None:
         ctx.every(ctx.task.sampling_period, self._tick)
@@ -704,15 +719,19 @@ class TaskDispatcher:
         except SensorReadRefused:
             pass  # refusal counters already updated; not a script bug
         except Exception as error:  # noqa: BLE001 - contained, counted
-            self.runtime.stats.script_errors += 1
-            stats.errors += 1
-            self._record_error(error)
+            self.count_error(stats, error)
         else:
             if not self._saved:
                 self.runtime.stats.samples_script_dropped += 1
         finally:
             self.ctx._event = None
             self._current = None
+
+    def count_error(self, stats: HandlerStats, error: Exception) -> None:
+        """Contain one handler's exception: count it, keep its message."""
+        self.runtime.stats.script_errors += 1
+        stats.errors += 1
+        self._record_error(error)
 
     def _record_error(self, error: Exception) -> None:
         message = f"{type(error).__name__}: {error}"

@@ -1,7 +1,10 @@
 """The event loop: a time-ordered heap of callbacks.
 
-Every sample of every device, every upload and every pipeline flush is
-one event here, so an event costs what it must and no more.  A heap
+Every upload, transport delivery and pipeline flush is one event here,
+and so is every tick of a scripted task's timers (a scriptless task's
+samples are taken in one pass per upload, see
+:mod:`repro.apisense.device`), so an event costs what it must and no
+more.  A heap
 entry is a plain ``(time, seq, callback, token)`` tuple: ``seq`` is
 unique, so tuple comparison is decided by ``(time, seq)`` in C and never
 reaches the callback — same-time events fire in insertion order and two
