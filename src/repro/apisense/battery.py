@@ -50,6 +50,10 @@ class BatteryModel:
         return time_of_day >= start or time_of_day < end
 
 
+#: The longest span integrated at one charging regime (15 minutes).
+_SLAB = 15 * 60.0
+
+
 class Battery:
     """Mutable battery state of one device, lazily integrated over time."""
 
@@ -75,16 +79,20 @@ class Battery:
             return  # a second reading within one tick
         if time < cursor:
             raise PlatformError(f"battery time went backwards: {cursor} -> {time}")
+        # Called once per sample: plain comparisons, not min()/max().
         model = self.model
+        charging = model.is_charging_time
         level = self._level
         while cursor < time:
-            span = min(time - cursor, 15 * 60.0)  # integrate in <= 15 min slabs
-            if model.is_charging_time(cursor):
+            span = time - cursor
+            if span > _SLAB:  # integrate in <= 15 min slabs
+                span = _SLAB
+            if charging(cursor):
                 level += model.charge_per_hour * span / HOUR
             else:
                 level -= model.baseline_drain_per_hour * span / HOUR
             cursor += span
-        self._level = min(1.0, max(0.0, level))
+        self._level = (level if level < 1.0 else 1.0) if level > 0.0 else 0.0
         self._last_update = time
 
     def level(self, time: float) -> float:

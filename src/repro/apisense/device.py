@@ -209,16 +209,17 @@ class TickGrid(DeviceScriptRuntime):
 
     def _sample_blocks(self, t: float, end: float):
         """The grid's ``(time, lat, lon)`` up to ``end``, a block at a
-        time: each instant the previous one plus the period, as the
-        event path sums them."""
+        time: each instant the previous one plus the period, the
+        sequential sum ``np.cumsum`` computes, as the event path sums."""
         period, sample = self.period, self._device.trajectory.sample
         while t <= end:
-            times = []
-            while t <= end and len(times) < self.BLOCK:
-                times.append(t)
-                t += period
-            lat, lon = sample(np.array(times))
-            yield list(zip(times, lat.tolist(), lon.tolist()))
+            times = np.full(self.BLOCK, period)
+            times[0] = t
+            times = np.cumsum(times)
+            times = times[: np.searchsorted(times, end, side="right")]
+            t = float(times[-1]) + period
+            lat, lon = sample(times)
+            yield list(zip(times.tolist(), lat.tolist(), lon.tolist()))
 
     def take(self, until: float) -> tuple[list[tuple[float, float, float]], float]:
         """Advance the grid past ``until``: the ``(time, lat, lon)`` of its

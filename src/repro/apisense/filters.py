@@ -121,8 +121,11 @@ class PrivacyFilterChain(PrivacyFilter):
 
     @classmethod
     def from_preferences(cls, preferences: UserPreferences) -> "PrivacyFilterChain":
-        """Compile a user's preferences into the device filter chain."""
-        filters: list[PrivacyFilter] = [QuietHoursFilter(preferences)]
+        """Compile a user's preferences into the device filter chain: a
+        filter for each preference the user set, none for one left empty."""
+        filters: list[PrivacyFilter] = []
+        if preferences.quiet_hours:
+            filters.append(QuietHoursFilter(preferences))
         if preferences.forbidden_zones:
             filters.append(AreaFenceFilter(preferences.forbidden_zones))
         if preferences.blur_cell_m > 0:
