@@ -186,7 +186,6 @@ class TickGrid(DeviceScriptRuntime):
 
     def __init__(self, device: "MobileDevice", task: SensingTask):
         super().__init__(device, task)
-        self._setup_scheduled_at = self.sim.now
         self._region = task.region
         self._sensor_names = task.sensors
         self._reads = tuple(
@@ -196,11 +195,12 @@ class TickGrid(DeviceScriptRuntime):
         self.timer: TimerHandle | None = None
         self.period = task.sampling_period
         self.next_at = math.inf
+        # The chain's setup is scheduled now, by the dispatcher's start.
         self.prev_at = self.prev_from = self.sim.now
 
     def arm_timer(self, timer: TimerHandle, at: float) -> None:
         self.timer = timer
-        self.prev_at, self.prev_from = self.sim.now, self._setup_scheduled_at
+        self.prev_at = self.sim.now
         self._blocks = self._sample_blocks(at, timer._end)
         self._ahead: list[tuple[float, float, float]] = next(self._blocks, [])
         self._next = 0
@@ -209,8 +209,8 @@ class TickGrid(DeviceScriptRuntime):
 
     def _sample_blocks(self, t: float, end: float):
         """The grid's ``(time, lat, lon)`` up to ``end``, a block at a
-        time: each instant the previous one plus the period, the
-        sequential sum ``np.cumsum`` computes, as the event path sums."""
+        time.  Each instant is the previous one plus the period, summed
+        in order as the event path sums (``np.cumsum`` is sequential)."""
         period, sample = self.period, self._device.trajectory.sample
         while t <= end:
             times = np.full(self.BLOCK, period)
@@ -371,7 +371,8 @@ class MobileDevice:
         try:
             now = self._sim.now
             if len(self._grids) == 1:
-                self._grids[0].run(self._grids[0].take(now)[0])
+                grid = self._grids[0]
+                grid.run(grid.take(now)[0])
                 return
             merged = []
             for rank, grid in enumerate(self._grids):

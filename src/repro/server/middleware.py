@@ -39,7 +39,7 @@ import functools
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Mapping, Sequence, TYPE_CHECKING
 
-from repro import obs
+from repro import obs as _obs
 from repro.errors import ServerError
 from repro.obs.instruments import MiddlewareInstruments
 
@@ -137,10 +137,10 @@ class ServerMiddleware:
     that connection's hooks and requests.
     """
 
-    def bind(self, context: "obs.Obs") -> None:
-        """Called by the server installing the chain, with the server's
-        obs context: a middleware that keeps metrics registers them
-        there, so they land in that server's own exposition."""
+    def bind(self, context: "_obs.Obs") -> None:
+        """Called by the chain installing it, with the chain's obs
+        context: a middleware that keeps metrics registers them there,
+        so they land in that server's own exposition."""
 
     async def connect(
         self,
@@ -176,15 +176,24 @@ class MiddlewareChain:
     :meth:`run` nests the hooks so the first middleware is outermost:
     it sees the payload first and the result last — exactly the onion
     every HTTP framework builds.  A hook that returns without awaiting
-    ``next`` short-circuits everything below it.
+    ``next`` short-circuits everything below it.  Every middleware is
+    bound to the chain's obs context (a server's own; ``obs.default()``
+    for a chain built on its own).
     """
 
-    def __init__(self, middlewares: Sequence[ServerMiddleware] = ()):
+    def __init__(
+        self,
+        middlewares: Sequence[ServerMiddleware] = (),
+        obs: "_obs.Obs | None" = None,
+    ):
         for middleware in middlewares:
             if not isinstance(middleware, ServerMiddleware):
                 raise ServerError(
                     f"middleware {middleware!r} does not extend ServerMiddleware"
                 )
+        context = obs or _obs.default()
+        for middleware in middlewares:
+            middleware.bind(context)
         self._middlewares = tuple(middlewares)
 
     def __len__(self) -> int:
@@ -380,27 +389,18 @@ class MetricsMiddleware(ServerMiddleware):
     redirects issued by *later* middlewares (or the terminal handler)
     are counted too — place it first in the chain.  ``log`` keeps the
     most recent ``log_capacity`` human-readable lines.  Its instruments
-    live on the registry of the server that installs it (:meth:`bind`);
-    a chain run without a server counts on ``obs.default()``.
+    live on the registry of the chain that installs it (:meth:`bind`).
     """
 
     def __init__(self, log_capacity: int = 256):
-        self._instruments: MiddlewareInstruments | None = None
+        self.obs: MiddlewareInstruments | None = None
+        self.counters: MiddlewareCounters | None = None
         self.log: list[str] = []
         self._log_capacity = log_capacity
 
-    def bind(self, context: "obs.Obs") -> None:
-        self._instruments = MiddlewareInstruments(context.registry)
-
-    @property
-    def obs(self) -> MiddlewareInstruments:
-        if self._instruments is None:
-            self.bind(obs.default())
-        return self._instruments
-
-    @property
-    def counters(self) -> MiddlewareCounters:
-        return MiddlewareCounters(self.obs)
+    def bind(self, context: "_obs.Obs") -> None:
+        self.obs = MiddlewareInstruments(context.registry)
+        self.counters = MiddlewareCounters(self.obs)
 
     def _note(self, line: str) -> None:
         self.log.append(line)

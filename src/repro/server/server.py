@@ -189,9 +189,7 @@ class ReproServer:
             self._engines = {"local": engine}
         #: The anchor's obs context: the ``obs`` surface reports on it.
         self.obs_context = (hive or router or engine).obs_context
-        self.chain = MiddlewareChain(middlewares)
-        for middleware in self.chain.middlewares:
-            middleware.bind(self.obs_context)
+        self.chain = MiddlewareChain(middlewares, obs=self.obs_context)
         self.queue_capacity = queue_capacity
         self.stats = ServerStats()
         self.obs = ServerInstruments(self.obs_context.registry, self.stats)
