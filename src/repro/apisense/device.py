@@ -26,43 +26,50 @@ buffer and counters, the timer's ``HandlerStats`` and the filter chain
 (the blur grid's lazy anchor), so the device settles before anything
 else touches them:
 
-- the task's own upload;
+- every event of the device's own: an upload, and a scripted task's
+  setup, timer firing and trigger tick (a scripted task reads and drains
+  the battery through the battery property and saves through
+  :meth:`DeviceScriptRuntime.emit`, both of which settle); a grid task
+  settles when its timer is armed, and the ticks of two grid tasks are
+  taken in one merged pass;
 - :meth:`MobileDevice.offer_task`, :meth:`~MobileDevice.stop_task`,
   :meth:`~MobileDevice.dispatcher` and the :attr:`~MobileDevice.stats`
   property;
-- the :attr:`~MobileDevice.battery` property: every battery read from
-  outside (the Hive's secure-aggregation profiles, monitoring,
-  recruitment, scheduling, virtual sensors, the campaign report),
-  :meth:`~MobileDevice.read_sensor` and
-  :meth:`~MobileDevice.is_available` go through it;
-- a second task on the device: a scripted one goes through the battery
-  property before each drain (so before each RNG draw) and battery
-  read; a grid task settles when its timer is armed, and the ticks of
-  two grid tasks are taken in one merged pass.
+- the :attr:`~MobileDevice.battery` property, read or replaced: every
+  battery read from outside (the Hive's secure-aggregation profiles,
+  monitoring, recruitment, scheduling, virtual sensors, the campaign
+  report), :meth:`~MobileDevice.read_sensor` and
+  :meth:`~MobileDevice.is_available` go through it.
 
-Same-instant rules.  A settle at clock ``t`` takes every tick at or
-before ``t``: the reader is ordered as if it was scheduled at ``t``,
-after the tick at ``t``, which was scheduled one period earlier.  The
-event path agrees whenever the reader was scheduled less than one
-sampling period before it runs: any call between two ``run_until``
-calls, an offer delivery, a scripted task's tick at a shorter period.
-An upload at ``t`` ships the tick at ``t`` only when the task samples at
-its upload period and started at once (the tick was scheduled before
-the upload); otherwise that tick rides the next upload.  Ticks of two
-grid tasks at one instant run in the event path's order: the one whose
-previous tick is older first (it was scheduled first), and between
-equal periods in the order their chains were set up, a setup scheduled
-before the other chain's tick at its instant going first.
+Same-instant rules.  The simulator runs the events of one instant in
+the order they were scheduled, and a grid tick would have been
+scheduled by the chain's previous event (its previous tick, or its
+setup).  So each of the device's own events remembers where it was
+scheduled (:meth:`MobileDevice._schedule`): the instant, and which
+grids' events at that instant had already run.  While it runs, a settle
+takes a grid tick at the clock only if that tick was scheduled first:
+at an earlier instant, or at the same instant by a grid event that had
+run by then.  A settle from anywhere else (a call between two
+``run_until`` calls, an offer delivery, a federation move) takes every
+tick at or before the clock: the caller is taken to run after the
+ticks of its instant.  An upload at ``t`` ships the tick at ``t`` only
+when the task samples at its upload period and started at once (the
+tick was scheduled first); otherwise that tick rides the next upload,
+even if an earlier settle at ``t`` took it.  Ticks of two grid tasks at
+one instant run in the event path's order: the one whose previous tick
+is older first, and between equal periods in the order their chains
+were set up, a setup running before another chain's tick at its
+instant going first.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby, repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -134,10 +141,12 @@ class DeviceScriptRuntime(ScriptRuntime):
         self.stats = device._stats[task.name]
         self._device = device
         # What no sample changes, resolved once: the task's sensors (the
-        # offer was declined unless the device has them all), its
-        # store-and-forward buffer and a record's constant fields.
+        # offer was declined unless the device has them all), the filter
+        # chain, its store-and-forward buffer and a record's constant
+        # fields.
         self._sensors = {name: device.sensors.get(name) for name in task.sensors}
-        self._buffer = device._buffers[task.name]
+        self._filter = device._filters.apply
+        self._append = device._buffers[task.name].append
         self._record_head = (device.device_id, device.user, task.name)
 
     def position(self, time: float) -> GeoPoint:
@@ -156,17 +165,25 @@ class DeviceScriptRuntime(ScriptRuntime):
         device = self._device
         return self._sensors[name].read(device, time, device._rng)
 
+    def schedule_at(self, at: float, callback: Callable[[], None]) -> CancelToken:
+        return self._device._schedule(at, callback)
+
     def emit(self, values: Mapping[str, object], time: float) -> bool:
+        self._device._settle()  # the blur filter anchors on its first fix
+        return self._keep(values, time)
+
+    def _keep(self, values: Mapping[str, object], time: float) -> bool:
+        """Run one sample through the filter chain into the buffer."""
         # ``values`` is the copy ``TaskContext.save`` took at the script
         # boundary: the filters never write to it (one that rewrites
         # builds its own mapping) and the record keeps whichever mapping
         # comes out of the chain.
-        filtered = self._device._filters.apply(values, time)
+        filtered = self._filter(values, time)
         if filtered is None:
             self.stats.samples_filtered += 1
             return False
         self.stats.samples_taken += 1
-        self._buffer.append(SensorRecord(*self._record_head, time, filtered))
+        self._append(SensorRecord(*self._record_head, time, filtered))
         return True
 
 
@@ -177,9 +194,9 @@ class TickGrid(DeviceScriptRuntime):
     The grid is computed ahead in blocks of :attr:`BLOCK` ticks, each
     block's positions by one :meth:`~repro.geo.trajectory.Trajectory.
     sample` call.  ``prev_at`` is the instant of the chain's last event
-    (its setup, then its last sampled tick) and ``prev_from`` the
-    instant that event was scheduled at: what orders two chains' ticks
-    at one instant.
+    (its setup, then its last sampled tick): the instant its next tick
+    was scheduled at, what orders that tick among the device's other
+    events at its instant.
     """
 
     BLOCK = 128
@@ -195,8 +212,7 @@ class TickGrid(DeviceScriptRuntime):
         self.timer: TimerHandle | None = None
         self.period = task.sampling_period
         self.next_at = math.inf
-        # The chain's setup is scheduled now, by the dispatcher's start.
-        self.prev_at = self.prev_from = self.sim.now
+        self.prev_at = self.sim.now
 
     def arm_timer(self, timer: TimerHandle, at: float) -> None:
         self.timer = timer
@@ -221,21 +237,21 @@ class TickGrid(DeviceScriptRuntime):
             lat, lon = sample(times)
             yield list(zip(times.tolist(), lat.tolist(), lon.tolist()))
 
-    def take(self, until: float) -> tuple[list[tuple[float, float, float]], float]:
-        """Advance the grid past ``until``: the ``(time, lat, lon)`` of its
-        ticks at or before it, and the instant of the event before the
-        first of them."""
+    def take(self, bound: tuple) -> tuple[list[tuple[float, float, float]], float]:
+        """Advance the grid to ``bound``: the ``(time, lat, lon)`` of its
+        ticks before it, and the instant of the event before the first
+        of them.  ``(t, inf)`` takes the ticks at or before ``t``,
+        ``(t,)`` those before ``t``."""
         before = self.prev_at
         ticks: list[tuple[float, float, float]] = []
-        while self.next_at <= until:
-            end = bisect_right(self._ahead, (until, math.inf), self._next)
+        while (self.next_at,) < bound:
+            end = bisect_left(self._ahead, bound, self._next)
             ticks += self._ahead[self._next : end]
             if end == len(self._ahead):
                 self._ahead, end = next(self._blocks, []), 0
             self._next = end
             self.next_at = self._ahead[end][0] if self._ahead else math.inf
         if ticks:
-            self.prev_from = ticks[-2][0] if len(ticks) > 1 else before
             self.prev_at = ticks[-1][0]
         return ticks, before
 
@@ -244,11 +260,10 @@ class TickGrid(DeviceScriptRuntime):
         what ``_dispatch_timer``, ``_tick``, ``read_all`` and ``save``
         do through the dispatcher, with the position already sampled."""
         device = self._device
-        drain, apply = device._battery.drain_sample, device._filters.apply
+        drain, keep = device._battery.drain_sample, self._keep
         rng, preferences = device._rng, device.preferences
         quiet = preferences.in_quiet_hours if preferences.quiet_hours else None
-        stats, append = self.stats, self._buffer.append
-        device_id, user, task = self._record_head
+        stats = self.stats
         region, reads, sensors = self._region, self._reads, self._sensor_names
         handler = self.timer._stats
         for time, lat, lon in ticks:
@@ -266,16 +281,10 @@ class TickGrid(DeviceScriptRuntime):
                 values = {}
                 for name, read in reads:
                     values[name] = point if read is None else read(device, time, rng)
-                filtered = apply(values, time)
+                if keep(values, time):
+                    handler.saves += 1
             except Exception as error:  # noqa: BLE001 - contained, counted
                 self.timer._dispatcher.count_error(handler, error)
-                continue
-            if filtered is None:
-                stats.samples_filtered += 1
-                continue
-            stats.samples_taken += 1
-            append(SensorRecord(device_id, user, task, time, filtered))
-            handler.saves += 1
 
 
 class MobileDevice:
@@ -310,6 +319,8 @@ class MobileDevice:
         self._grids: list[TickGrid] = []
         #: The earliest unsampled grid tick (inf: none, or a pass running).
         self._next_tick = math.inf
+        #: Where the device's running event was scheduled (see _schedule).
+        self._running: tuple[float, tuple[TickGrid, ...]] | None = None
 
     # ------------------------------------------------------------------
     # Binding / physical context
@@ -338,6 +349,7 @@ class MobileDevice:
 
     @battery.setter
     def battery(self, battery: Battery) -> None:
+        self._settle()  # the ticks up to now drain the old battery
         self._battery = battery
 
     @property
@@ -362,47 +374,94 @@ class MobileDevice:
     # ------------------------------------------------------------------
 
     def _settle(self) -> None:
-        """Sample every grid tick at or before the clock, in the event
-        path's order (see the module docstring)."""
+        """Sample every grid tick that comes before the running code, in
+        the event path's order (see the module docstring)."""
         due = self._next_tick
         if due == math.inf or due > self._sim.now:
             return
+        now = self._sim.now
         self._next_tick = math.inf  # a read the pass makes settles nothing
+        running = self._running
         try:
-            now = self._sim.now
-            if len(self._grids) == 1:
-                grid = self._grids[0]
-                grid.run(grid.take(now)[0])
+            if running is None:
+                self._take(self._grids, (now, math.inf))
                 return
-            merged = []
-            for rank, grid in enumerate(self._grids):
-                ticks, before = grid.take(now)
-                previous = [before, *(t for t, _, _ in ticks[:-1])]
-                merged += zip(ticks, previous, repeat(rank), repeat(grid))
-            merged.sort(key=lambda tick: (tick[0][0], tick[1], tick[2]))
-            for grid, run in groupby(merged, key=itemgetter(3)):
-                grid.run(tick for tick, _, _, _ in run)
+            self._take(self._grids, (now,))
+            scheduled_at, seen = running
+            first = [
+                grid
+                for grid in self._grids
+                if grid.next_at == now
+                and (
+                    grid.prev_at < scheduled_at
+                    or (grid.prev_at == scheduled_at and grid in seen)
+                )
+            ]
+            if first:
+                self._take(first, (now, math.inf))
         finally:
+            # A tick left at the clock waits for the running event to end
+            # (_run): no later settle within the event would take it.
+            self._next_tick = min(
+                (g.next_at for g in self._grids if running is None or g.next_at > now),
+                default=math.inf,
+            )
+
+    def _take(self, grids: list[TickGrid], bound: tuple) -> None:
+        """Run the ticks of ``grids`` before ``bound`` (see
+        :meth:`TickGrid.take`): by instant, then by the instant each was
+        scheduled at, then in the order of ``grids``."""
+        if len(grids) == 1:
+            grid = grids[0]
+            grid.run(grid.take(bound)[0])
+            return
+        merged = []
+        for rank, grid in enumerate(grids):
+            ticks, before = grid.take(bound)
+            previous = [before, *(t for t, _, _ in ticks[:-1])]
+            merged += zip(ticks, previous, repeat(rank), repeat(grid))
+        merged.sort(key=lambda tick: (tick[0][0], tick[1], tick[2]))
+        for grid, run in groupby(merged, key=itemgetter(3)):
+            grid.run(tick for tick, _, _, _ in run)
+
+    def _schedule(self, at: float, callback: Callable[[], None]) -> CancelToken:
+        """Schedule one of the device's own events (an upload, a script's
+        setup, timer firing or trigger tick).  The event remembers where
+        it was scheduled: the instant, and the grids whose event at that
+        instant had run.  A grid tick at the instant the event runs went
+        first in the event path exactly when it was scheduled earlier."""
+        self._settle()
+        now = self._sim.now
+        seen = tuple(grid for grid in self._grids if grid.prev_at == now)
+        return self._sim.schedule_at(at, lambda: self._run(now, seen, callback))
+
+    def _run(
+        self, scheduled_at: float, seen: tuple[TickGrid, ...], callback: Callable[[], None]
+    ) -> None:
+        self._running = scheduled_at, seen
+        try:
+            callback()
+        finally:
+            self._running = None
             self._next_tick = min((g.next_at for g in self._grids), default=math.inf)
 
     def _add_grid(self, grid: TickGrid) -> None:
         """Start sampling a grid task whose timer was just armed.
 
-        Its ticks tie with those of a chain of the same period that
-        ticked (or was set up) at this very instant; the new chain goes
-        first only if its setup was scheduled before that chain's event.
+        Its ticks tie with those of a chain of the same period whose
+        event at this instant comes after the setup that is running: the
+        new chain's ticks go before that chain's.
         """
         self._settle()
         now = self._sim.now
-        at = len(self._grids)
-        for index, other in enumerate(self._grids):
-            if (
-                other.prev_at == now
-                and other.period == grid.period
-                and grid.prev_from < other.prev_from
-            ):
-                at = index
-                break
+        at = next(
+            (
+                index
+                for index, other in enumerate(self._grids)
+                if other.period == grid.period and other.next_at == now
+            ),
+            len(self._grids),
+        )
         self._grids.insert(at, grid)
         self._next_tick = min(self._next_tick, grid.next_at)
 
@@ -445,13 +504,7 @@ class MobileDevice:
         rides_next = task.script is None and not (
             task.sampling_period == task.upload_period and task.start <= now
         )
-        start = max(task.start, now)
-        self._upload_tokens[task.name] = self._sim.schedule_periodic(
-            task.upload_period,
-            lambda: self._upload(task.name, rides_next),
-            until=task.end + task.upload_period,
-            first_at=start + task.upload_period,
-        )
+        self._arm_upload(task, max(task.start, now) + task.upload_period, rides_next)
 
     def stop_task(self, task_name: str) -> None:
         """Cancel a running task and flush its buffer."""
@@ -472,9 +525,18 @@ class MobileDevice:
     # Upload ticks
     # ------------------------------------------------------------------
 
-    def _upload(self, task_name: str, rides_next: bool) -> None:
+    def _arm_upload(self, task: SensingTask, at: float, rides_next: bool) -> None:
+        if at <= task.end + task.upload_period:
+            self._upload_tokens[task.name] = self._schedule(
+                at, lambda: self._upload(task, rides_next)
+            )
+
+    def _upload(self, task: SensingTask, rides_next: bool) -> None:
         self._settle()
-        self._flush(task_name, self._sim.now if rides_next else math.inf)
+        now = self._sim.now
+        self._flush(task.name, now if rides_next else math.inf)
+        if task.name in self._upload_tokens:  # not stopped meanwhile
+            self._arm_upload(task, now + task.upload_period, rides_next)
 
     def _flush(self, task_name: str, held_from: float = math.inf) -> None:
         """Attempt to upload the buffer; on transport loss the buffer is

@@ -29,7 +29,8 @@ a synthetic trajectory + sensor stream when the Honeycomb vets a script
 
 A timer is a mechanism (a grid of tick instants, each the previous one
 plus the period) and its handler the policy (what one tick does).  The
-runtime arms every timer (:meth:`ScriptRuntime.arm_timer`): by default
+runtime arms every timer (:meth:`ScriptRuntime.arm_timer`) and schedules
+every event of the script (:meth:`ScriptRuntime.schedule_at`): by default
 each tick is one simulator event that dispatches the handler.  A device
 arms :class:`CollectAll`'s timer as a tick grid instead and samples all
 the ticks since it last settled in one pass (see
@@ -150,6 +151,11 @@ class ScriptRuntime(ABC):
         """Start ``timer``, first firing at ``at``: one event per tick."""
         timer._schedule_next(at)
 
+    def schedule_at(self, at: float, callback: Callable[[], None]) -> CancelToken:
+        """Schedule one of the script's events (setup, timer firing,
+        trigger tick) on the simulator."""
+        return self.sim.schedule_at(at, callback)
+
     @abstractmethod
     def emit(self, values: Mapping[str, object], time: float) -> bool:
         """Record one trace sample; returns whether it was kept.
@@ -266,7 +272,7 @@ class TimerHandle:
         if self._cancelled or at > self._end:
             self._pending = None
             return
-        self._pending = self._sim.schedule_at(at, self._fire)
+        self._pending = self._dispatcher.runtime.schedule_at(at, self._fire)
 
     def _fire(self) -> None:
         if self._cancelled:
@@ -645,7 +651,7 @@ class TaskDispatcher:
         if self.sim.now >= self.task.start:
             self._begin()
         else:
-            self._begin_token = self.sim.schedule_at(self.task.start, self._begin)
+            self._begin_token = self.runtime.schedule_at(self.task.start, self._begin)
 
     def _begin(self) -> None:
         if self._cancelled:
@@ -678,13 +684,18 @@ class TaskDispatcher:
 
     def _ensure_trigger_tick(self) -> None:
         """Arm the trigger-evaluation tick on first trigger registration."""
-        if self._trigger_token is not None or self._cancelled:
-            return
-        self._trigger_token = self.sim.schedule_periodic(
-            self.task.sampling_period,
-            self._evaluate_triggers,
-            until=self.task.end,
-        )
+        if self._trigger_token is None:
+            self._arm_trigger_tick(self.sim.now + self.task.sampling_period)
+
+    def _arm_trigger_tick(self, at: float) -> None:
+        if self._cancelled or at > self.task.end:
+            self._trigger_token = CancelToken(cancelled=True)
+        else:
+            self._trigger_token = self.runtime.schedule_at(at, self._trigger_tick)
+
+    def _trigger_tick(self) -> None:
+        self._evaluate_triggers()
+        self._arm_trigger_tick(self.sim.now + self.task.sampling_period)
 
     # -- dispatch ------------------------------------------------------
 
