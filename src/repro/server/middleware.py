@@ -389,18 +389,38 @@ class MetricsMiddleware(ServerMiddleware):
     redirects issued by *later* middlewares (or the terminal handler)
     are counted too — place it first in the chain.  ``log`` keeps the
     most recent ``log_capacity`` human-readable lines.  Its instruments
-    live on the registry of the chain that installs it (:meth:`bind`).
+    live on the registry of the chain that installs it (:meth:`bind`),
+    so one instance counts for one server: build one per server.
     """
 
     def __init__(self, log_capacity: int = 256):
-        self.obs: MiddlewareInstruments | None = None
-        self.counters: MiddlewareCounters | None = None
+        self._context: "_obs.Obs | None" = None
+        self._obs: MiddlewareInstruments | None = None
         self.log: list[str] = []
         self._log_capacity = log_capacity
 
     def bind(self, context: "_obs.Obs") -> None:
-        self.obs = MiddlewareInstruments(context.registry)
-        self.counters = MiddlewareCounters(self.obs)
+        if self._context is context:
+            return
+        if self._context is not None:
+            raise ServerError(
+                "MetricsMiddleware already counts on another obs context; "
+                "build one per server"
+            )
+        self._context = context
+        self._obs = MiddlewareInstruments(context.registry)
+
+    @property
+    def obs(self) -> MiddlewareInstruments:
+        """The instruments, on the installing chain's registry."""
+        if self._obs is None:
+            raise ServerError("MetricsMiddleware is not installed on a chain yet")
+        return self._obs
+
+    @property
+    def counters(self) -> MiddlewareCounters:
+        """Read view of the counts (see :class:`MiddlewareCounters`)."""
+        return MiddlewareCounters(self.obs)
 
     def _note(self, line: str) -> None:
         self.log.append(line)
@@ -409,25 +429,25 @@ class MetricsMiddleware(ServerMiddleware):
 
     def _observe(self, result: ChainResult, what: str) -> ChainResult:
         if isinstance(result, Deny):
-            self.obs.denied.inc()
+            self._obs.denied.inc()
             self._note(f"DENY {what}: {result.reason}")
         elif isinstance(result, Redirect):
-            self.obs.redirected.inc()
+            self._obs.redirected.inc()
             self._note(f"REDIRECT {what} -> {result.target}")
         else:
             self._note(f"OK {what}")
         return result
 
     async def connect(self, *, request, session, next):
-        self.obs.connects.inc()
+        self._obs.connects.inc()
         return self._observe(await next(), f"connect from {request.remote}")
 
     async def request(self, *, request, session, next):
-        self.obs.request(request.surface).inc()
+        self._obs.request(request.surface).inc()
         return self._observe(
             await next(), f"{request.surface}/{request.action}"
         )
 
     async def channel_message(self, *, message, session, next):
-        self.obs.channel_messages.inc()
+        self._obs.channel_messages.inc()
         return self._observe(await next(), f"channel/{message.action}")

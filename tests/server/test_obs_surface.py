@@ -175,6 +175,24 @@ class TestMetricsMiddlewareFolding:
         assert metrics.counters.requests == 2
         assert "repro_middleware" not in obs.render_prometheus()
 
+    def test_binds_to_one_context(self, sim):
+        # Uninstalled, it has no registry to read from; installed, it
+        # keeps its instruments when its own chain binds it again and
+        # refuses a second server, whose counts would mix with the first.
+        from repro.apisense.hive import Hive
+
+        metrics = MetricsMiddleware()
+        with pytest.raises(ServerError, match="not installed"):
+            metrics.counters
+        context = obs.Obs()
+        ReproServer(Hive(sim, obs=context), sim=sim, middlewares=[metrics])
+        instruments = metrics.obs
+        metrics.bind(context)
+        assert metrics.obs is instruments
+        with pytest.raises(ServerError, match="one per server"):
+            ReproServer(Hive(sim, obs=obs.Obs()), sim=sim, middlewares=[metrics])
+        assert metrics.obs is instruments
+
     def test_denials_counted_on_registry_and_in_log(self, sim):
         class DenyQueries(ServerMiddleware):
             async def request(self, *, request, session, next):
