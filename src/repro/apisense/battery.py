@@ -79,7 +79,7 @@ class Battery:
             return  # a second reading within one tick
         if time < cursor:
             raise PlatformError(f"battery time went backwards: {cursor} -> {time}")
-        # Called once per sample: plain comparisons, not min()/max().
+        # Called once per sample: clamp and cap by comparison, no call.
         model = self.model
         charging = model.is_charging_time
         level = self._level
