@@ -14,9 +14,10 @@ grid run processes fewer simulator events.
 Hypothesis draws the sampling and upload periods and the start, the
 sensors, the user's privacy preferences (quiet hours, a forbidden zone,
 a blur cell), uplink loss, ``reject`` backpressure, multi-day churn and
-rejoin, a second task on every device (in the grid run, scriptless or a
-``PerTick`` script: a scripted task and a grid then share the battery
-and the RNG) and a virtual-sensor read at a tick instant.  The examples
+rejoin, a second task on every device (scriptless in the grid run, or a
+``PerTick`` or ``Triggered`` script in both runs: a scripted task and a
+grid then share the battery and the RNG) and a virtual-sensor read at a
+tick instant.  The examples
 are derandomized (``tests/conftest.py``).
 """
 
@@ -53,6 +54,25 @@ class PerTick(TaskScript):
         ctx.save(ctx.read_all())
 
 
+class Triggered(TaskScript):
+    """A second task's script with trigger ticks and an adaptive timer:
+    its events are scheduled at other instants than a timer's."""
+
+    def setup(self, ctx: TaskContext) -> None:
+        self._timer = ctx.every(ctx.task.sampling_period, self._tick)
+        ctx.on_location_changed(50.0, self._moved)
+        ctx.on_battery_below(0.9999, self._back_off)
+
+    def _tick(self, ctx: TaskContext) -> None:
+        ctx.save({"battery": ctx.battery.level(), "gps": ctx.location.current()})
+
+    def _moved(self, ctx: TaskContext) -> None:
+        ctx.save({"network": ctx.network.rssi()})
+
+    def _back_off(self, ctx: TaskContext) -> None:
+        self._timer.reschedule(3 * ctx.task.sampling_period)
+
+
 @functools.lru_cache(maxsize=None)
 def population():
     config = GeneratorConfig(n_users=2, n_days=N_DAYS, sampling_period=120.0)
@@ -82,7 +102,7 @@ scenarios = st.fixed_dictionaries(
         "second_task": st.sampled_from(
             [None, "same", "double", "half", "later", "other"]
         ),
-        "second_scripted": st.booleans(),
+        "second_script": st.sampled_from(["same", "per_tick", "triggered"]),
         "virtual_read": st.booleans(),
         "seed": st.integers(0, 3),
     }
@@ -129,7 +149,9 @@ def tasks_of(scenario: dict, script) -> list[SensingTask]:
                 upload_period=4 * period2,
                 start=start2,
                 end=N_DAYS * DAY,
-                script=PerTick if scenario["second_scripted"] else script,
+                script={"same": script, "per_tick": PerTick, "triggered": Triggered}[
+                    scenario["second_script"]
+                ],
             )
         )
     return tasks
@@ -270,7 +292,7 @@ JOINS_FIRST = {
     "reject": False,
     "churn": False,
     "second_task": "later",
-    "second_scripted": False,
+    "second_script": "same",
     "virtual_read": True,
     "seed": 0,
 }
@@ -283,13 +305,20 @@ JOINS_FIRST = {
 SCRIPTED_AT_TWICE_THE_PERIOD = {
     **JOINS_FIRST,
     "second_task": "double",
-    "second_scripted": True,
+    "second_script": "per_tick",
 }
 
 #: The same at half the period: the grid's tick goes first.
 SCRIPTED_AT_HALF_THE_PERIOD = {
     **SCRIPTED_AT_TWICE_THE_PERIOD,
     "second_task": "half",
+}
+
+#: A trigger script at 2P whose timer backs off: trigger ticks and a
+#: rescheduled timer beside the grid.
+TRIGGERED_AT_TWICE_THE_PERIOD = {
+    **SCRIPTED_AT_TWICE_THE_PERIOD,
+    "second_script": "triggered",
 }
 
 
@@ -302,6 +331,7 @@ SCRIPTED_AT_HALF_THE_PERIOD = {
 @example(scenario=JOINS_FIRST)
 @example(scenario=SCRIPTED_AT_TWICE_THE_PERIOD)
 @example(scenario=SCRIPTED_AT_HALF_THE_PERIOD)
+@example(scenario=TRIGGERED_AT_TWICE_THE_PERIOD)
 def test_grid_equals_per_tick_path(scenario: dict) -> None:
     grid = run_world(scenario, None)
     per_tick = run_world(scenario, PerTick)
