@@ -5,6 +5,8 @@ Expensive fixtures are session-scoped; tests treat them as read-only.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -47,6 +49,31 @@ def test_city() -> City:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(2024)
+
+
+class Calls(Counter):
+    """How often each shimmed function ran since the last ``clear()``.
+
+    A count reads the same on every host and every run, where a
+    wall-clock budget could not tell a 3x regression from a busy
+    machine: cost and scaling claims are pinned as counts of calls.
+    """
+
+    def shim(self, monkeypatch, owner, name: str) -> None:
+        """Count calls of ``owner.name``, then run the real thing."""
+        real = getattr(owner, name)
+        key = name.lstrip("_")
+
+        def counted(*args, **kwargs):
+            self[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.fixture()
+def calls() -> Calls:
+    return Calls()
 
 
 def make_trajectory(

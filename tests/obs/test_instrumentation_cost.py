@@ -17,7 +17,6 @@ Seconds are the end-to-end benchmark's business
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -34,6 +33,7 @@ from repro.simulation import Simulator
 from repro.store import DatasetStore
 from repro.streams import StreamEngine, WindowSpec
 from repro.units import DAY
+from tests.conftest import Calls
 from tests.obs.conftest import stored_columns
 from tests.store.conftest import make_record
 
@@ -43,24 +43,8 @@ VIEW = "tumbling"
 TASK = "cost"
 
 
-class Calls(Counter):
-    """How often each shimmed function ran since the last ``clear()``."""
-
-    def shim(self, monkeypatch, owner, name: str) -> None:
-        """Count calls of ``owner.name``, then run the real thing."""
-        real = getattr(owner, name)
-        key = name.lstrip("_")
-
-        def counted(*args, **kwargs):
-            self[key] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-
-
 @pytest.fixture()
-def calls(monkeypatch) -> Calls:
-    calls = Calls()
+def calls(calls: Calls, monkeypatch) -> Calls:
     # Every timed path reads the clock as ``time.perf_counter()`` (an
     # attribute of the module at call time), so one shim sees them all.
     calls.shim(monkeypatch, time, "perf_counter")
