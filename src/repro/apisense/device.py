@@ -493,8 +493,10 @@ class MobileDevice:
     def _start_task(self, task: SensingTask) -> None:
         assert self._sim is not None
         now = self._sim.now
-        self._buffers[task.name] = []
-        self._stats[task.name] = TaskRuntimeStats()
+        # A rejoin keeps the buffer a lost stop flush left (it rides the
+        # first upload after the rejoin) and the counters that took it.
+        self._buffers.setdefault(task.name, [])
+        self._stats.setdefault(task.name, TaskRuntimeStats())
         runtime = (TickGrid if task.script is None else DeviceScriptRuntime)(self, task)
         dispatcher = TaskDispatcher(task, runtime)
         dispatcher.start()

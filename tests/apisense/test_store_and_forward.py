@@ -135,6 +135,33 @@ class TestStoreAndForward:
         assert hive.store.n_records == honeycomb.n_records("saf")
         assert hive.store.aggregate("saf").records == device.stats["saf"].samples_taken
 
+    def test_records_kept_through_a_lost_stop_flush_ride_the_rejoin(
+        self, small_population, sensor_suite
+    ):
+        """A churned user's lost stop flush leaves records on the device;
+        when the user rejoins, they ride the first upload after it."""
+        sim = Simulator()
+        # Send #0 is the upload at t=1800, send #1 the stop flush.
+        transport = ScriptedLossTransport(lose={1})
+        hive = Hive(sim, transport=transport, seed=3)
+        device = build_device(small_population, sensor_suite, index=0)
+        hive.register_device(device)
+        honeycomb = Honeycomb("lab", hive)
+        honeycomb.deploy(TASK, recruitment=_Nobody())
+        assert device.offer_task(TASK, acceptance_probability=1.0)
+        sim.run_until(2500.0)
+        device.stop_task("saf")
+        taken_before_churn = device.stats["saf"].samples_taken
+        assert transport.stats.messages_lost == 1
+        assert device.offer_task(TASK, acceptance_probability=1.0)
+        sim.run_until(TASK.end + 2 * TASK.upload_period)
+
+        view = honeycomb.dataset_view("saf")
+        assert int((view.time <= 2500.0).sum()) == taken_before_churn > 0
+        # The runtime counters carry over the rejoin like the buffer does.
+        assert len(view) == device.stats["saf"].samples_taken
+        assert len(set(view.time.tolist())) == len(view)
+
 
 class TestGatewayBackpressureRetry:
     def test_rejected_upload_rebuffers_and_retries(
