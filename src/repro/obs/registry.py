@@ -36,7 +36,8 @@ import bisect
 import math
 import weakref
 from functools import partial
-from typing import Callable, Iterator, Mapping, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import ObsError
 
@@ -74,6 +75,34 @@ def _label_key(labels: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
 def _render_labels(key: tuple[tuple[str, str], ...]) -> str:
     parts = [f'{k}="{v}"' for k, v in key]
     return "{" + ",".join(parts) + "}" if parts else ""
+
+
+def bucket_quantile(
+    q: float, edges: Sequence[float], cumulative: Iterable[float], total: float
+) -> float:
+    """Bucket-interpolated q-quantile of ``total`` observations (exact data is gone).
+
+    ``edges`` are the finite ``le`` edges in ascending order and
+    ``cumulative`` the observations at or below each.  Returns the upper
+    edge of the bucket holding the q-th observation, linearly
+    interpolated inside it; observations past the last finite edge
+    report that edge.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ObsError(f"quantile must be in [0, 1]: {q}")
+    if total <= 0:
+        return 0.0
+    rank = q * total
+    seen = 0.0
+    lower = 0.0
+    for edge, upto in zip(edges, cumulative):
+        in_bucket = upto - seen
+        if upto >= rank and in_bucket > 0:
+            fraction = (rank - seen) / in_bucket
+            return lower + (edge - lower) * min(1.0, max(0.0, fraction))
+        seen = upto
+        lower = edge
+    return edges[-1] if edges else 0.0
 
 
 class _Child:
@@ -173,26 +202,10 @@ class Histogram(_Child):
         return self._sum / self._count if self._count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Bucket-interpolated quantile estimate (exact data is gone).
-
-        Returns the upper edge of the bucket holding the q-th
-        observation, linearly interpolated inside it; observations past
-        the last finite bucket report that bucket's edge.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ObsError(f"quantile must be in [0, 1]: {q}")
-        if self._count == 0:
-            return 0.0
-        rank = q * self._count
-        seen = 0.0
-        lower = 0.0
-        for edge, in_bucket in zip(self.buckets, self.bucket_counts):
-            if seen + in_bucket >= rank and in_bucket:
-                fraction = (rank - seen) / in_bucket
-                return lower + (edge - lower) * min(1.0, max(0.0, fraction))
-            seen += in_bucket
-            lower = edge
-        return self.buckets[-1] if self.buckets else lower
+        """Bucket-interpolated quantile estimate; see :func:`bucket_quantile`."""
+        return bucket_quantile(
+            q, self.buckets, accumulate(self.bucket_counts), self._count
+        )
 
 
 class _Family:

@@ -42,6 +42,7 @@ from repro.obs.registry import (
     _format,
     _label_key,
     _render_labels,
+    bucket_quantile,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -437,25 +438,10 @@ class TimeSeriesStore:
                 by_edge[edge] = by_edge.get(edge, 0.0) + float(
                     clip.values[-1] - clip.values[0]
                 )
-        if not by_edge:
-            return 0.0
         edges = sorted(by_edge)
-        total = by_edge.get(math.inf, by_edge[edges[-1]])
-        if total <= 0:
-            return 0.0
-        rank = q * total
-        seen = 0.0
-        lower = 0.0
+        total = by_edge.get(math.inf, by_edge[edges[-1]]) if edges else 0.0
         finite = [edge for edge in edges if math.isfinite(edge)]
-        for edge in finite:
-            cumulative = by_edge[edge]
-            in_bucket = cumulative - seen
-            if cumulative >= rank and in_bucket > 0:
-                fraction = (rank - seen) / in_bucket
-                return lower + (edge - lower) * min(1.0, max(0.0, fraction))
-            seen = cumulative
-            lower = edge
-        return finite[-1] if finite else 0.0
+        return bucket_quantile(q, finite, [by_edge[edge] for edge in finite], total)
 
 
 class ScrapeFrame:
