@@ -12,10 +12,10 @@ aggregates into one :class:`FederatedTaskAggregate`.
 Because placement homes each device on exactly one member, the same
 record is never stored twice — merged counts equal what a single
 monolithic Hive would have collected, which is the federation's no-loss
-/ no-duplication invariant (asserted by ``benchmarks/
-test_bench_federation.py``).  The lag percentiles are read off the sum
-of the members' lag sketches, so they too are what one store holding
-every record would report.
+/ no-duplication invariant (asserted by ``tests/federation/test_query.py``
+and, at 1/2/4/8 hives, ``tests/federation/test_scaleout.py``).  The lag
+percentiles are read off the sum of the members' lag sketches, so they
+too are what one store holding every record would report.
 """
 
 from __future__ import annotations
