@@ -493,8 +493,7 @@ class MobileDevice:
     def _start_task(self, task: SensingTask) -> None:
         assert self._sim is not None
         now = self._sim.now
-        # A rejoin keeps the buffer a lost stop flush left (it rides the
-        # first upload after the rejoin) and the counters that took it.
+        # A rejoin keeps what a lost stop flush left buffered, and its counters.
         self._buffers.setdefault(task.name, [])
         self._stats.setdefault(task.name, TaskRuntimeStats())
         runtime = (TickGrid if task.script is None else DeviceScriptRuntime)(self, task)

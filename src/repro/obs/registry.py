@@ -80,14 +80,9 @@ def _render_labels(key: tuple[tuple[str, str], ...]) -> str:
 def bucket_quantile(
     q: float, edges: Sequence[float], cumulative: Iterable[float], total: float
 ) -> float:
-    """Bucket-interpolated q-quantile of ``total`` observations (exact data is gone).
-
-    ``edges`` are the finite ``le`` edges in ascending order and
-    ``cumulative`` the observations at or below each.  Returns the upper
-    edge of the bucket holding the q-th observation, linearly
-    interpolated inside it; observations past the last finite edge
-    report that edge.
-    """
+    """The q-quantile of ``total`` observations counted ``cumulative`` at or
+    below each finite ``le`` edge: the q-th observation's bucket edge,
+    linearly interpolated inside it (past the last edge, that edge)."""
     if not 0.0 <= q <= 1.0:
         raise ObsError(f"quantile must be in [0, 1]: {q}")
     if total <= 0:
@@ -203,9 +198,8 @@ class Histogram(_Child):
 
     def quantile(self, q: float) -> float:
         """Bucket-interpolated quantile estimate; see :func:`bucket_quantile`."""
-        return bucket_quantile(
-            q, self.buckets, accumulate(self.bucket_counts), self._count
-        )
+        counts = accumulate(self.bucket_counts)
+        return bucket_quantile(q, self.buckets, counts, self._count)
 
 
 class _Family:

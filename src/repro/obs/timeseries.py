@@ -438,9 +438,8 @@ class TimeSeriesStore:
                 by_edge[edge] = by_edge.get(edge, 0.0) + float(
                     clip.values[-1] - clip.values[0]
                 )
-        edges = sorted(by_edge)
-        total = by_edge.get(math.inf, by_edge[edges[-1]]) if edges else 0.0
-        finite = [edge for edge in edges if math.isfinite(edge)]
+        finite = sorted(edge for edge in by_edge if math.isfinite(edge))
+        total = by_edge.get(math.inf, by_edge[finite[-1]] if finite else 0.0)
         return bucket_quantile(q, finite, [by_edge[edge] for edge in finite], total)
 
 
