@@ -97,7 +97,7 @@ def test_fold_work_is_the_same_at_every_view_count(shimmed):
     assert all(work == folds[1] for work in folds.values()), folds
 
 
-def test_window_assembly_grows_with_views_not_records(shimmed):
+def test_window_assembly_does_not_grow_with_records(shimmed):
     for n in VIEW_COUNTS:
         single = run_views(shimmed, n, PER_UPLOAD)["emit_windows"]
         double = run_views(shimmed, n, 2 * PER_UPLOAD)["emit_windows"]
