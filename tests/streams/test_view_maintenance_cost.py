@@ -78,6 +78,7 @@ def run_views(calls: Calls, n_views: int, per_upload: int) -> Calls:
 def shimmed(calls: Calls, monkeypatch) -> Calls:
     fold = StreamEngine._fold
 
+    # ``Calls`` counts calls; the rows each fold call takes are counted here.
     def folding(engine, batch, live):
         calls["fold_rows"] += len(live)
         return fold(engine, batch, live)
