@@ -12,6 +12,10 @@ hashes with crc32, so the counts are the same on every host and run.
 
 from __future__ import annotations
 
+from functools import cache
+
+import pytest
+
 from repro.apisense.device import SensorRecord
 from repro.apisense.hive import Hive
 from repro.apisense.honeycomb import Honeycomb
@@ -28,6 +32,7 @@ RING_SIZES = (1, 2, 4, 8)
 TASK = "scaleout"
 
 
+@cache
 def upload_batches() -> list[tuple[str, str, list[SensorRecord]]]:
     """Every device uploads ``PER_UPLOAD`` fixes every 30 minutes."""
     batches = []
@@ -53,14 +58,16 @@ def upload_batches() -> list[tuple[str, str, list[SensorRecord]]]:
     return batches
 
 
-def run_federation(batches, n_hives: int) -> FederationRouter:
+@cache
+def run_federation(n_hives: int) -> FederationRouter:
+    """The fixed workload through an ``n_hives`` ring; built once per size."""
     sim = Simulator()
     router = FederationRouter(sim)
     for index in range(n_hives):
         router.join(f"hive-{index}", Hive(sim, seed=index))
     owner = Honeycomb("scaleout-lab", router.hive("hive-0"))
     router.syndicate(gps_task(TASK), owner, home="hive-0")
-    for device_id, user, records in batches:
+    for device_id, user, records in upload_batches():
         sim.run_until(max(sim.now, records[0].time))
         router.route_upload(device_id, user, TASK, records)
     sim.run()
@@ -69,20 +76,31 @@ def run_federation(batches, n_hives: int) -> FederationRouter:
     return router
 
 
+@pytest.mark.parametrize("n_hives", RING_SIZES)
+def test_every_record_is_flushed_and_scanned_once(n_hives):
+    router = run_federation(n_hives)
+    flushed = [
+        router.hive(name).pipeline.stats.flushed_records
+        for name in router.member_names
+    ]
+    assert sum(flushed) == N_RECORDS
+    federated = FederatedDataset.from_router(router)
+    assert len(federated.scan(TASK)) == N_RECORDS
+    assert federated.aggregate(TASK).records == N_RECORDS
+    assert federated.aggregate(TASK).n_users == N_DEVICES
+
+
 def test_per_hive_work_shrinks_as_the_ring_grows():
-    batches = upload_batches()
     work = {}
     for n_hives in RING_SIZES:
-        router = run_federation(batches, n_hives)
+        router = run_federation(n_hives)
         stats = [router.hive(name).pipeline.stats for name in router.member_names]
         flushed = [s.flushed_records for s in stats]
-        assert sum(flushed) == N_RECORDS
-        federated = FederatedDataset.from_router(router)
         work[n_hives] = (
             max(flushed),
             sum(flushed) / n_hives,
             max(s.flushes for s in stats),
-            len(federated.scan(TASK)),
+            len(FederatedDataset.from_router(router).scan(TASK)),
         )
     for smaller, larger in zip(RING_SIZES, RING_SIZES[1:]):
         max_small, mean_small, flushes_small, _ = work[smaller]
