@@ -314,6 +314,8 @@ class MobileDevice:
         self._buffers: dict[str, list[SensorRecord]] = {}
         self._dispatchers: dict[str, TaskDispatcher] = {}
         self._upload_tokens: dict[str, CancelToken] = {}
+        #: Stopped tasks retrying what their last upload left behind.
+        self._drain_tokens: dict[str, CancelToken] = {}
         self._stats: dict[str, TaskRuntimeStats] = {}
         #: Running grid tasks, in the order their same-instant ticks run.
         self._grids: list[TickGrid] = []
@@ -493,7 +495,11 @@ class MobileDevice:
     def _start_task(self, task: SensingTask) -> None:
         assert self._sim is not None
         now = self._sim.now
-        # A rejoin keeps what a lost stop flush left buffered, and its counters.
+        # A rejoin keeps what a lost stop flush left buffered, and its
+        # counters; its uploads carry the buffer from now on.
+        token = self._drain_tokens.pop(task.name, None)
+        if token is not None:
+            token.cancel()
         self._buffers.setdefault(task.name, [])
         self._stats.setdefault(task.name, TaskRuntimeStats())
         runtime = (TickGrid if task.script is None else DeviceScriptRuntime)(self, task)
@@ -508,7 +514,12 @@ class MobileDevice:
         self._arm_upload(task, max(task.start, now) + task.upload_period, rides_next)
 
     def stop_task(self, task_name: str) -> None:
-        """Cancel a running task and flush its buffer."""
+        """Cancel a running task and flush its buffer.
+
+        When that last upload is lost (or the gateway sheds it), what it
+        carried is retried every upload period until the buffer is empty
+        or the task rejoins (:meth:`_drain`).
+        """
         dispatcher = self._dispatchers.pop(task_name, None)
         if dispatcher is None:
             return
@@ -520,7 +531,10 @@ class MobileDevice:
         token = self._upload_tokens.pop(task_name, None)
         if token is not None:
             token.cancel()
-        self._flush(task_name)
+        task = dispatcher.task
+        self._flush(task)
+        if self._buffers.get(task_name):
+            self._arm_drain(task)
 
     # ------------------------------------------------------------------
     # Upload ticks
@@ -535,11 +549,26 @@ class MobileDevice:
     def _upload(self, task: SensingTask, rides_next: bool) -> None:
         self._settle()
         now = self._sim.now
-        self._flush(task.name, now if rides_next else math.inf)
+        self._flush(task, now if rides_next else math.inf)
         if task.name in self._upload_tokens:  # not stopped meanwhile
             self._arm_upload(task, now + task.upload_period, rides_next)
 
-    def _flush(self, task_name: str, held_from: float = math.inf) -> None:
+    def _arm_drain(self, task: SensingTask) -> None:
+        """Retry a stopped task's buffer one upload period from now."""
+        if task.name not in self._drain_tokens:
+            self._drain_tokens[task.name] = self._schedule(
+                self._sim.now + task.upload_period, lambda: self._drain(task)
+            )
+
+    def _drain(self, task: SensingTask) -> None:
+        """One retry of a stopped task's buffer; the next is armed while
+        anything is left (a shed upload re-arms on delivery)."""
+        del self._drain_tokens[task.name]
+        self._flush(task)
+        if self._buffers.get(task.name):
+            self._arm_drain(task)
+
+    def _flush(self, task: SensingTask, held_from: float = math.inf) -> None:
         """Attempt to upload the buffer; on transport loss the buffer is
         retained and retried at the next upload tick (store-and-forward).
 
@@ -547,22 +576,22 @@ class MobileDevice:
         instant) stays for the next upload.
         """
         assert self._hive is not None
-        buffer = self._buffers.get(task_name)
+        buffer = self._buffers.get(task.name)
         if not buffer:
             return
         n = len(buffer) - (buffer[-1].time >= held_from)
         if not n:
             return
         batch = buffer[:n]
-        stats = self._stats[task_name]
+        stats = self._stats[task.name]
         if self._transport is None:
             del buffer[:n]
             stats.uploads += 1
-            self._deliver_upload(task_name, batch)
+            self._deliver_upload(task, batch)
             return
         delivered = self._transport.send(
             self._sim,
-            lambda: self._deliver_upload(task_name, batch),
+            lambda: self._deliver_upload(task, batch),
             payload_items=n,
         )
         if delivered:
@@ -571,25 +600,28 @@ class MobileDevice:
         else:
             stats.uploads_failed += 1
 
-    def _deliver_upload(self, task_name: str, batch: list[SensorRecord]) -> None:
+    def _deliver_upload(self, task: SensingTask, batch: list[SensorRecord]) -> None:
         """Hand a delivered batch to the Hive's ingest gateway.
 
         A gateway that sheds the whole batch (``reject`` backpressure)
         is the server-side analogue of a lost upload: the records go
-        back to the front of the buffer and ride the next upload tick,
-        so backpressure costs freshness, not data.
+        back to the front of the buffer and ride the next upload tick
+        (a stopped task's next drain), so backpressure costs freshness,
+        not data.
         """
         assert self._hive is not None
         accepted = self._hive.receive_upload(
-            self.device_id, self.user, task_name, batch
+            self.device_id, self.user, task.name, batch
         )
         if accepted == 0 and batch:
-            stats = self._stats.get(task_name)
+            stats = self._stats.get(task.name)
             if stats is not None:
                 stats.uploads_rejected += 1
-            buffer = self._buffers.get(task_name)
+            buffer = self._buffers.get(task.name)
             if buffer is not None:
                 buffer[0:0] = batch
+                if task.name not in self._dispatchers:
+                    self._arm_drain(task)
 
     # ------------------------------------------------------------------
     # Direct reads (virtual sensors)

@@ -163,6 +163,35 @@ class TestStoreAndForward:
         assert len(set(view.time.tolist())) == len(view)
 
 
+    def test_a_lost_stop_flush_is_retried_without_a_rejoin(
+        self, small_population, sensor_suite
+    ):
+        """A churned user who never rejoins: the records a lost stop flush
+        left on the device leave on a drain upload one upload period later."""
+        sim = Simulator()
+        # Send #0 is the upload at t=1800, send #1 the stop flush.
+        transport = ScriptedLossTransport(lose={1})
+        hive = Hive(sim, transport=transport, seed=3)
+        device = build_device(small_population, sensor_suite, index=0)
+        hive.register_device(device)
+        honeycomb = Honeycomb("lab", hive)
+        honeycomb.deploy(TASK, recruitment=_Nobody())
+        assert device.offer_task(TASK, acceptance_probability=1.0)
+        sim.run_until(2500.0)
+        device.stop_task("saf")
+        assert transport.stats.messages_lost == 1
+        assert device._buffers["saf"]
+        sim.run_until(2500.0 + 10 * TASK.upload_period)
+
+        stats = device.stats["saf"]
+        assert device._buffers["saf"] == []
+        assert (stats.uploads, stats.uploads_failed) == (2, 1)
+        assert transport.stats.messages_sent == 3  # one drain, then none
+        view = honeycomb.dataset_view("saf")
+        assert len(view) == stats.samples_taken == 8
+        assert len(set(view.time.tolist())) == len(view)
+
+
 class TestGatewayBackpressureRetry:
     def test_rejected_upload_rebuffers_and_retries(
         self, small_population, sensor_suite
