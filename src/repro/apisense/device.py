@@ -4,9 +4,14 @@ A device is driven by simulator events: when it accepts a task it hands
 execution to a :class:`~repro.apisense.scripting.TaskDispatcher` — the
 event-driven runtime behind the scripting API — and schedules its own
 upload ticks.  Every sample a script saves passes through the user's
-privacy filter chain before it is buffered, and the buffer leaves the
-device only on upload ticks — mirroring the real APISENSE client's
-store-and-forward design.
+privacy filter chain before it is buffered, as one ``(time, lat, lon,
+value)`` row (:func:`~repro.store.columns.row_of`), and the buffer
+leaves the device only on upload ticks, as one
+:class:`~repro.store.columns.UploadChunk` of columns — mirroring the
+real APISENSE client's store-and-forward design.  A sample builds no
+:class:`SensorRecord`; a task stopped while its last upload was lost
+retries it every upload period until the buffer is empty or the task
+rejoins.
 
 Tick grids.  A scriptless task (``task.script is None``, so it runs
 :class:`~repro.apisense.scripting.CollectAll`) schedules no event per
@@ -17,9 +22,12 @@ settled in one pass: positions from one
 :meth:`~repro.geo.trajectory.Trajectory.sample` call per block of
 ticks, then per tick what ``CollectAll._tick`` does through the
 dispatcher (quiet hours, region fence, battery, sensor reads in task
-order, filter chain, counters, record).  What a campaign stores, its
-counters, battery levels and RNG streams are the event path's, bit for
-bit; only the simulator's event count differs.
+order, filter chain, counters, row).  Unless a filter of the user's
+reads samples (a forbidden zone, a blur), a tick builds no ``GeoPoint``
+and no values mapping: its row is the sampled position and the first
+real reading.  What a campaign stores, its counters, battery levels and
+RNG streams are the event path's, bit for bit; only the simulator's
+event count differs.
 
 Settle points.  A tick touches the battery, the device RNG, its task's
 buffer and counters, the timer's ``HandlerStats`` and the filter chain
@@ -88,6 +96,7 @@ from repro.errors import PlatformError
 from repro.geo.point import GeoPoint
 from repro.geo.trajectory import Trajectory
 from repro.simulation import CancelToken, Simulator
+from repro.store.columns import NAN, Row, UploadChunk, row_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.apisense.hive import Hive
@@ -103,12 +112,14 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class SensorRecord:
-    """One collected sample as it travels device -> Hive -> Honeycomb.
+    """One sample as a record: what a gateway client may upload, and
+    what a Honeycomb hook reads.
 
     Carries both the device id (platform routing) and the user id (data
     attribution), so endpoints never need to resolve devices through a
     specific Hive — which is what lets federated deployments route data
-    across communities.
+    across communities.  A device keeps and uploads rows, not records
+    (:class:`~repro.store.columns.UploadChunk`).
     """
 
     device_id: str
@@ -142,12 +153,10 @@ class DeviceScriptRuntime(ScriptRuntime):
         self._device = device
         # What no sample changes, resolved once: the task's sensors (the
         # offer was declined unless the device has them all), the filter
-        # chain, its store-and-forward buffer and a record's constant
-        # fields.
+        # chain and its store-and-forward buffer.
         self._sensors = {name: device.sensors.get(name) for name in task.sensors}
         self._filter = device._filters.apply
         self._append = device._buffers[task.name].append
-        self._record_head = (device.device_id, device.user, task.name)
 
     def position(self, time: float) -> GeoPoint:
         return self._device.position(time)
@@ -176,14 +185,14 @@ class DeviceScriptRuntime(ScriptRuntime):
         """Run one sample through the filter chain into the buffer."""
         # ``values`` is the copy ``TaskContext.save`` took at the script
         # boundary: the filters never write to it (one that rewrites
-        # builds its own mapping) and the record keeps whichever mapping
-        # comes out of the chain.
+        # builds its own mapping) and the row is read from whichever
+        # mapping comes out of the chain.
         filtered = self._filter(values, time)
         if filtered is None:
             self.stats.samples_filtered += 1
             return False
         self.stats.samples_taken += 1
-        self._append(SensorRecord(*self._record_head, time, filtered))
+        self._append(row_of(time, filtered))
         return True
 
 
@@ -196,19 +205,32 @@ class TickGrid(DeviceScriptRuntime):
     sample` call.  ``prev_at`` is the instant of the chain's last event
     (its setup, then its last sampled tick): the instant its next tick
     was scheduled at, what orders that tick among the device's other
-    events at its instant.
+    events at its instant.  A kept tick is one row in the task's
+    buffer; unless the user's filter chain reads samples, no
+    ``GeoPoint`` or values mapping is built for it.
     """
 
     BLOCK = 128
 
     def __init__(self, device: "MobileDevice", task: SensingTask):
         super().__init__(device, task)
-        self._region = task.region
+        region = task.region
+        self._box = None if region is None else (
+            region.south, region.north, region.west, region.east
+        )
         self._sensor_names = task.sensors
         self._reads = tuple(
             (name, None if type(sensor) is GpsSensor else sensor.read)
             for name, sensor in self._sensors.items()
         )
+        # Unless a filter reads the samples, or a sensor other than the
+        # GPS is called "gps", a tick's row is its sampled position (when
+        # the task reads gps) and the first real reading of the others.
+        self._direct = not device._filters.reads_samples and all(
+            (read is None) == (name == "gps") for name, read in self._reads
+        )
+        self._located = "gps" in task.sensors
+        self._others = tuple((name, read) for name, read in self._reads if read is not None)
         self.timer: TimerHandle | None = None
         self.period = task.sampling_period
         self.next_at = math.inf
@@ -260,24 +282,34 @@ class TickGrid(DeviceScriptRuntime):
         what ``_dispatch_timer``, ``_tick``, ``read_all`` and ``save``
         do through the dispatcher, with the position already sampled."""
         device = self._device
-        drain, keep = device._battery.drain_sample, self._keep
+        drain, keep, append = device._battery.drain_sample, self._keep, self._append
         rng, preferences = device._rng, device.preferences
         quiet = preferences.in_quiet_hours if preferences.quiet_hours else None
         stats = self.stats
-        region, reads, sensors = self._region, self._reads, self._sensor_names
+        box, reads, sensors = self._box, self._reads, self._sensor_names
+        direct, located, others = self._direct, self._located, self._others
         handler = self.timer._stats
         for time, lat, lon in ticks:
             if quiet is not None and quiet(time):
                 stats.samples_filtered += 1
                 continue
-            point = GeoPoint(lat, lon)
-            if region is not None and not region.contains(point):
+            if box is not None and not (box[0] <= lat <= box[1] and box[2] <= lon <= box[3]):
                 continue
             handler.fires += 1
             try:
                 if not drain(sensors, time):
                     stats.samples_battery_refused += 1
                     continue
+                if direct:
+                    value = NAN
+                    if others:  # every sensor is read, in task order
+                        values = {name: read(device, time, rng) for name, read in others}
+                        value = row_of(time, values)[3]
+                    append((time, lat, lon, value) if located else (time, NAN, NAN, value))
+                    stats.samples_taken += 1
+                    handler.saves += 1
+                    continue
+                point = GeoPoint(lat, lon)
                 values = {}
                 for name, read in reads:
                     values[name] = point if read is None else read(device, time, rng)
@@ -311,7 +343,8 @@ class MobileDevice:
         self._sim: Simulator | None = None
         self._hive: "Hive | None" = None
         self._transport = None
-        self._buffers: dict[str, list[SensorRecord]] = {}
+        #: Per task, the kept samples not yet uploaded, one row each.
+        self._buffers: dict[str, list[Row]] = {}
         self._dispatchers: dict[str, TaskDispatcher] = {}
         self._upload_tokens: dict[str, CancelToken] = {}
         #: Stopped tasks retrying what their last upload left behind.
@@ -572,14 +605,14 @@ class MobileDevice:
         """Attempt to upload the buffer; on transport loss the buffer is
         retained and retried at the next upload tick (store-and-forward).
 
-        A record taken at or after ``held_from`` (the tick at this upload
+        A row taken at or after ``held_from`` (the tick at this upload
         instant) stays for the next upload.
         """
         assert self._hive is not None
         buffer = self._buffers.get(task.name)
         if not buffer:
             return
-        n = len(buffer) - (buffer[-1].time >= held_from)
+        n = len(buffer) - (buffer[-1][0] >= held_from)
         if not n:
             return
         batch = buffer[:n]
@@ -600,18 +633,22 @@ class MobileDevice:
         else:
             stats.uploads_failed += 1
 
-    def _deliver_upload(self, task: SensingTask, batch: list[SensorRecord]) -> None:
-        """Hand a delivered batch to the Hive's ingest gateway.
+    def _deliver_upload(self, task: SensingTask, batch: list[Row]) -> None:
+        """Hand a delivered batch to the Hive's ingest gateway, as one
+        :class:`~repro.store.columns.UploadChunk`.
 
         A gateway that sheds the whole batch (``reject`` backpressure)
-        is the server-side analogue of a lost upload: the records go
-        back to the front of the buffer and ride the next upload tick
-        (a stopped task's next drain), so backpressure costs freshness,
+        is the server-side analogue of a lost upload: the rows go back
+        to the front of the buffer and ride the next upload tick (a
+        stopped task's next drain), so backpressure costs freshness,
         not data.
         """
         assert self._hive is not None
         accepted = self._hive.receive_upload(
-            self.device_id, self.user, task.name, batch
+            self.device_id,
+            self.user,
+            task.name,
+            UploadChunk.of(self.device_id, self.user, task.name, batch),
         )
         if accepted == 0 and batch:
             stats = self._stats.get(task.name)

@@ -111,6 +111,11 @@ class PrivacyFilterChain(PrivacyFilter):
     def __init__(self, filters: list[PrivacyFilter]):
         self._filters = filters
 
+    @property
+    def reads_samples(self) -> bool:
+        """Whether a filter looks at a sample's values, not only its time."""
+        return any(not isinstance(f, QuietHoursFilter) for f in self._filters)
+
     def apply(self, values: Sample, time: float) -> Sample | None:
         current: Sample | None = values
         for privacy_filter in self._filters:

@@ -25,7 +25,7 @@ from repro.apisense.tasks import SensingTask
 from repro.errors import PlatformError
 from repro.simulation import Simulator
 from repro.store import DatasetStore, IngestPipeline
-from repro.store.columns import RecordBatch, group_rows
+from repro.store.columns import RecordBatch, UploadChunk
 from repro.streams import StreamEngine
 
 from typing import TYPE_CHECKING
@@ -258,11 +258,17 @@ class Hive:
     # ------------------------------------------------------------------
 
     def receive_upload(
-        self, device_id: str, user: str, task_name: str, records: list[SensorRecord]
+        self,
+        device_id: str,
+        user: str,
+        task_name: str,
+        records: "UploadChunk | list[SensorRecord]",
     ) -> int:
         """Accept an upload batch into the ingest pipeline.
 
-        The batch lands in the pipeline's shard buffer for this (task,
+        ``records`` is a device's :class:`~repro.store.columns.UploadChunk`
+        or a record list (a gateway client's upload).  The batch lands in
+        the pipeline's shard buffer for this (task,
         user) pair; the pipeline's next flush appends it to the columnar
         store and routes it onward to the owning Honeycomb (uploads that
         coalesce into the same flush window arrive as one batch).
@@ -284,7 +290,7 @@ class Hive:
         stats.records += accepted
         if (
             stats.first_record_time is None
-            and records
+            and len(records)
             and accepted == len(records)
             and self.pipeline.stats.dropped == dropped_before
         ):
@@ -292,7 +298,11 @@ class Hive:
             # sheds records (reject) or drop-oldest evicts any — possibly
             # this batch's own head — the shed records' times must not be
             # recorded as collected.
-            stats.first_record_time = min(r.time for r in records)
+            stats.first_record_time = (
+                float(records.time.min())
+                if isinstance(records, UploadChunk)
+                else min(r.time for r in records)
+            )
 
         # A migrated device's first upload can land before (or without)
         # its user state: enrol the user on first contact.
@@ -307,15 +317,15 @@ class Hive:
         """Hand one pipeline flush, split per task, to each task's owner.
 
         Fires after the store append: owners count the records and fire
-        their hooks, and read the data back from the store.
+        their hooks, and read the data back from the store.  Each owner
+        gets its task's rows of the batch, as records built only if a
+        hook reads them.
         """
-        for rows in group_rows(batch.task_index):
+        for rows in batch.task_groups:
             task_name = batch.tasks[batch.task_index[rows[0]]]
             owner = self._task_owner.get(task_name)
             if owner is not None:
-                owner.receive_dataset(
-                    task_name, [batch.records[row] for row in rows.tolist()]
-                )
+                owner.receive_dataset(task_name, batch.select(rows))
 
     # ------------------------------------------------------------------
     # Privacy tier (secure aggregation)

@@ -9,7 +9,7 @@ scientist consumes it.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -89,11 +89,18 @@ class Honeycomb:
         """Read a task's data from ``store`` too (a Hive adopting it)."""
         self._sources[self._known(task_name)][store] = None
 
-    def receive_dataset(self, task_name: str, records: list[SensorRecord]) -> None:
-        """Count one routed flush and fire hooks; the store keeps the data."""
+    def receive_dataset(self, task_name: str, records: Sequence[SensorRecord]) -> None:
+        """Count one routed flush and fire hooks; the store keeps the data.
+
+        Hooks get the flush's records as a list: a device upload's are
+        rebuilt from its rows (values ``gps`` and ``value`` only), and
+        only when a hook is registered.
+        """
         self._routed[self._known(task_name)] += len(records)
-        for hook in self._hooks:
-            hook(task_name, records)
+        if self._hooks:
+            records = list(records)
+            for hook in self._hooks:
+                hook(task_name, records)
 
     def _known(self, task_name: str) -> str:
         if task_name not in self._tasks:

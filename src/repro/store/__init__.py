@@ -12,9 +12,11 @@ halves that make that scale:
   columnar segments (numpy ``time/lat/lon/value/user`` arrays) sharded
   by ``hash(task, user)``, with segment sealing, compaction, and
   O(shard) time-range / bbox / per-user scans;
-- :func:`~repro.store.columns.columnize` — one flush as a
-  :class:`~repro.store.columns.RecordBatch` of columns, built once and
-  shared by the store, the router and every flush listener;
+- :func:`~repro.store.columns.batch_of` — one flush as a
+  :class:`~repro.store.columns.RecordBatch` of columns, built once from
+  device upload chunks (:class:`~repro.store.columns.UploadChunk`) and
+  record lists, and shared by the store, the router and every flush
+  listener;
 - :class:`~repro.store.aggregates.StoreAggregates` — streaming per-task
   views (record counts, spatial coverage cells, freshness/lag
   percentiles) maintained incrementally at flush time;
@@ -27,7 +29,7 @@ The Hive routes every upload through an ingest pipeline into its store;
 """
 
 from repro.store.aggregates import StoreAggregates, TaskAggregate
-from repro.store.columns import RecordBatch, columnize
+from repro.store.columns import RecordBatch, UploadChunk, batch_of, columnize
 from repro.store.dataset_store import (
     ColumnarBatch,
     CompactionReport,
@@ -55,6 +57,8 @@ __all__ = [
     "StoreAggregates",
     "StoreStats",
     "TaskAggregate",
+    "UploadChunk",
+    "batch_of",
     "columnize",
     "merge_segments",
     "shard_of",

@@ -262,7 +262,7 @@ class DatasetStore:
         the freshness/lag aggregates; ``None`` (bulk loads) skips them.
         Returns the number of records appended.
         """
-        batch = columnize(records)
+        batch = records if isinstance(records, RecordBatch) else columnize(records)
         if not len(batch):
             return 0
         timed = self.obs.registry.enabled
@@ -273,12 +273,21 @@ class DatasetStore:
             user_id = np.array(
                 [self._intern_user(user) for user in batch.users], dtype=np.int64
             )[batch.user_index]
-            shards = self._route(batch) if shard is None else shard
-            # One contiguous column run per (shard, task) partition.
-            n_tasks = len(batch.tasks)
-            keys = shards * n_tasks + batch.task_index
-            for rows in group_rows(keys):
-                shard_id, task_code = divmod(int(keys[rows[0]]), n_tasks)
+            # One contiguous column run per (shard, task) partition; a
+            # flush on one shard shares the batch's task groups.
+            if shard is None:
+                n_tasks = len(batch.tasks)
+                keys = self._route(batch) * n_tasks + batch.task_index
+                groups = [
+                    (*divmod(int(keys[rows[0]]), n_tasks), rows)
+                    for rows in group_rows(keys)
+                ]
+            else:
+                groups = [
+                    (shard, int(batch.task_index[rows[0]]), rows)
+                    for rows in batch.task_groups
+                ]
+            for shard_id, task_code, rows in groups:
                 task = batch.tasks[task_code]
                 time, lat, lon = batch.time[rows], batch.lat[rows], batch.lon[rows]
                 users = user_id[rows]

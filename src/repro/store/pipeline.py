@@ -20,12 +20,16 @@ decides what gives:
   drained at most one buffer-capacity per flush (lossless, trades
   memory and freshness for data).
 
-At flush time the batch is columnized once
-(:func:`~repro.store.columns.columnize`), appended to the
+A shard buffer holds what was admitted as it came — device upload
+chunks (:class:`~repro.store.columns.UploadChunk`) and record lists,
+each routed whole: a chunk is one (task, user), so one shard — and a
+record count, which the policies account against; ``drop-oldest``
+slices the head part.  At flush time one builder
+(:func:`~repro.store.columns.batch_of`) turns the flushed parts into a
+:class:`~repro.store.columns.RecordBatch`, which is appended to the
 :class:`~repro.store.dataset_store.DatasetStore` (which updates the
-streaming aggregates) and handed, as the same
-:class:`~repro.store.columns.RecordBatch`, to every registered listener
-— the Hive's Honeycomb routing above all.
+streaming aggregates) and handed, as the same batch, to every
+registered listener — the Hive's Honeycomb routing above all.
 """
 
 from __future__ import annotations
@@ -33,29 +37,34 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from repro import obs as _obs
 from repro.errors import StoreError
 from repro.obs.instruments import PipelineInstruments
 from repro.simulation import Simulator
-from repro.store.columns import RecordBatch, columnize
+from repro.store.columns import RecordBatch, UploadChunk, batch_of
 from repro.store.dataset_store import DatasetStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.apisense.device import SensorRecord
 
+#: What the gateway admits: one device upload as columns, or a record
+#: list (a gateway client's upload, a replay).
+Upload = Union[UploadChunk, "Sequence[SensorRecord]"]
+
 #: Backpressure policies, in the order the paper-style gateway offers them.
 POLICIES = ("drop-oldest", "reject", "spill")
 
 #: Listener signature: receives one shard flush as a
-#: :class:`~repro.store.columns.RecordBatch` — a sequence of the flushed
-#: records (``len``, iteration and indexing give ``SensorRecord``\ s in
-#: record order) that also carries their ``time/lat/lon/value`` columns
-#: and task/user codes.  The pipeline columnizes a flush once
-#: (:func:`~repro.store.columns.columnize`, the one reader of
-#: ``SensorRecord.values``) and the store, the router and every
-#: listener share that batch; treat it as read-only.  Whatever a
+#: :class:`~repro.store.columns.RecordBatch` — the flush's
+#: ``time/lat/lon/value`` columns and task/user codes, and a sequence of
+#: its records (``len``, iteration and indexing give ``SensorRecord``
+#: objects in row order, an upload chunk's rebuilt from its rows on
+#: first read).
+#: The pipeline builds a flush's batch once
+#: (:func:`~repro.store.columns.batch_of`) and the store, the router and
+#: every listener share it; treat it as read-only.  Whatever a
 #: consumer folds per task, pane or user, it observes a flush's records
 #: in record order.
 #:
@@ -109,14 +118,49 @@ class PipelineStats:
         return self.rejected + self.dropped
 
 
+class _Parts:
+    """Admitted uploads in order, and how many records they hold."""
+
+    __slots__ = ("parts", "size")
+
+    def __init__(self) -> None:
+        self.parts: deque[Upload] = deque()
+        self.size = 0
+
+    def push(self, part: Upload) -> None:
+        if len(part):
+            self.parts.append(part)
+            self.size += len(part)
+
+    def pop(self, n: int) -> list[Upload]:
+        """Remove and return the oldest ``n`` records (slicing a part)."""
+        if n == self.size:  # all of it
+            taken = list(self.parts)
+            self.parts.clear()
+            self.size = 0
+            return taken
+        taken = []
+        self.size -= n
+        while n:
+            head = self.parts[0]
+            if len(head) <= n:
+                taken.append(self.parts.popleft())
+                n -= len(head)
+            else:
+                taken.append(head[:n])
+                self.parts[0] = head[n:]
+                n = 0
+        return taken
+
+
 class _ShardBuffer:
     """Bounded buffer + spill queue + pending-flush flag of one shard."""
 
     __slots__ = ("buffer", "spill", "pending")
 
     def __init__(self) -> None:
-        self.buffer: deque[SensorRecord] = deque()
-        self.spill: deque[SensorRecord] = deque()
+        self.buffer = _Parts()
+        self.spill = _Parts()
         self.pending = False
 
 
@@ -176,12 +220,12 @@ class IngestPipeline:
     @property
     def buffered(self) -> int:
         """Records currently waiting in bounded buffers."""
-        return sum(len(s.buffer) for s in self._shards)
+        return sum(s.buffer.size for s in self._shards)
 
     @property
     def backlog(self) -> int:
         """Records parked in spill queues (``spill`` policy only)."""
-        return sum(len(s.spill) for s in self._shards)
+        return sum(s.spill.size for s in self._shards)
 
     @property
     def unaccounted(self) -> int:
@@ -205,53 +249,61 @@ class IngestPipeline:
     # Ingest path
     # ------------------------------------------------------------------
 
-    def admit(self, records: Sequence[SensorRecord], **span_attrs) -> int:
-        """:meth:`submit` behind the traced gate: a sampled batch's records
-        carry its trace id downstream (the lineage travels with the data)
-        and submit inside an ``ingest.admit`` span tagged ``span_attrs``.
-        An empty batch takes no sampling slot."""
-        if not records:
+    def admit(self, records: Upload, **span_attrs) -> int:
+        """:meth:`submit` behind the traced gate: a sampled upload carries
+        its trace id downstream (the lineage travels with the data: once
+        on a chunk, on each record of a list) and submits inside an
+        ``ingest.admit`` span tagged ``span_attrs``.  An empty upload
+        takes no sampling slot."""
+        if not len(records):
             return 0
         trace_id = self._tracer.new_trace()
         if trace_id is None:
             return self.submit(records)
-        records = [replace(r, trace_id=trace_id) for r in records]
+        if isinstance(records, UploadChunk):
+            records = replace(records, trace_id=trace_id)
+            times = records.time.tolist()
+        else:
+            records = [replace(r, trace_id=trace_id) for r in records]
+            times = [r.time for r in records]
         with self._tracer.span(
             "ingest.admit", trace_id=trace_id, **span_attrs, batch=len(records)
         ) as span:
-            span.add_records({trace_id: [r.time for r in records]})
+            span.add_records({trace_id: times})
             return self.submit(records)
 
-    def submit(self, records: Sequence[SensorRecord]) -> int:
-        """Offer a batch to the gateway; returns how many were accepted.
+    def submit(self, records: Upload) -> int:
+        """Offer an upload to the gateway; returns how many were accepted.
 
-        Records are routed to their shard buffers; a full buffer invokes
-        the backpressure policy.  Device upload batches are homogeneous
-        (one task, one user → one shard) but heterogeneous batches are
-        handled too.
+        The upload is routed to its shard buffer; a full buffer invokes
+        the backpressure policy.  A device upload chunk is one task and
+        one user, so one shard, routed with one hash; a record list may
+        mix pairs and is split per shard.
         """
-        if not records:
+        if not len(records):
             return 0
         self.stats.submitted += len(records)
-        # One hash per distinct (task, user), not per record.
-        pairs = {(record.task, record.user) for record in records}
-        route = {pair: self.store.shard_of(*pair) for pair in pairs}
-        by_shard: dict[int, list[SensorRecord]] = {}
-        for record in records:
-            by_shard.setdefault(route[record.task, record.user], []).append(record)
-        accepted = 0
-        for shard_id, batch in by_shard.items():
-            accepted += self._enqueue(shard_id, batch)
+        if isinstance(records, UploadChunk):
+            accepted = self._enqueue(self.store.shard_of(records.task, records.user), records)
+        else:
+            # One hash per distinct (task, user), not per record.
+            pairs = {(record.task, record.user) for record in records}
+            route = {pair: self.store.shard_of(*pair) for pair in pairs}
+            by_shard: dict[int, list[SensorRecord]] = {}
+            for record in records:
+                by_shard.setdefault(route[record.task, record.user], []).append(record)
+            accepted = 0
+            for shard_id, batch in by_shard.items():
+                accepted += self._enqueue(shard_id, batch)
         self.stats.accepted += accepted
         return accepted
 
-    def _enqueue(self, shard_id: int, batch: list[SensorRecord]) -> int:
+    def _enqueue(self, shard_id: int, batch: Upload) -> int:
         shard = self._shards[shard_id]
-        free = self.buffer_capacity - len(shard.buffer)
-        accepted = 0
+        buffer = shard.buffer
+        free = self.buffer_capacity - buffer.size
         if len(batch) <= free:
-            shard.buffer.extend(batch)
-            accepted = len(batch)
+            buffer.push(batch)
         elif self.policy == "reject":
             # Admission control: all-or-nothing, the whole batch bounces.
             self.stats.rejected += len(batch)
@@ -263,29 +315,24 @@ class IngestPipeline:
             # record counts as accepted and every evicted record (from
             # the buffer or the head) as dropped, keeping the counters
             # one-per-record: accepted = flushed + dropped + in flight.
-            keep = batch
             if len(batch) >= self.buffer_capacity:
-                evicted = len(shard.buffer) + len(batch) - self.buffer_capacity
-                self.stats.dropped += evicted
-                shard.buffer.clear()
-                keep = batch[-self.buffer_capacity :]
+                self.stats.dropped += buffer.size + len(batch) - self.buffer_capacity
+                buffer.pop(buffer.size)
+                buffer.push(batch[len(batch) - self.buffer_capacity :])
             else:
                 overflow = len(batch) - free
-                for _ in range(overflow):
-                    shard.buffer.popleft()
+                buffer.pop(overflow)
                 self.stats.dropped += overflow
-            shard.buffer.extend(keep)
-            accepted = len(batch)
+                buffer.push(batch)
         else:  # spill
-            head, tail = batch[:free], batch[free:]
-            shard.buffer.extend(head)
-            shard.spill.extend(tail)
+            tail = batch[free:]
+            buffer.push(batch[:free])
+            shard.spill.push(tail)
             self.stats.spilled += len(tail)
-            accepted = len(batch)
-        if accepted and not shard.pending:
+        if not shard.pending:
             shard.pending = True
             self._sim.schedule(self.flush_delay, lambda s=shard_id: self._flush(s))
-        return accepted
+        return len(batch)
 
     # ------------------------------------------------------------------
     # Flush path
@@ -294,25 +341,22 @@ class IngestPipeline:
     def _flush(self, shard_id: int, rearm: bool = True) -> None:
         shard = self._shards[shard_id]
         shard.pending = False
-        records = list(shard.buffer)
-        shard.buffer.clear()
+        parts = shard.buffer.pop(shard.buffer.size)
         # Drain at most one buffer-capacity of spill per flush so one
         # overloaded shard cannot stall the simulator in a single event.
-        drain = min(len(shard.spill), self.buffer_capacity)
-        for _ in range(drain):
-            records.append(shard.spill.popleft())
-        if shard.spill and rearm:
+        parts += shard.spill.pop(min(shard.spill.size, self.buffer_capacity))
+        if shard.spill.size and rearm:
             shard.pending = True
             self._sim.schedule(self.flush_delay, lambda s=shard_id: self._flush(s))
-        if not records:
+        if not parts:
             return
-        self.stats.flushes += 1
-        self.stats.flushed_records += len(records)
-        self.stats.largest_flush = max(self.stats.largest_flush, len(records))
         timed = self.obs.registry.enabled
         started = time.perf_counter() if timed else 0.0
-        batch = columnize(records)
-        with self._tracer.span("ingest.flush", shard=shard_id, batch=len(records)) as span:
+        batch = batch_of(parts)
+        self.stats.flushes += 1
+        self.stats.flushed_records += len(batch)
+        self.stats.largest_flush = max(self.stats.largest_flush, len(batch))
+        with self._tracer.span("ingest.flush", shard=shard_id, batch=len(batch)) as span:
             if span.span is not None:
                 span.add_records(batch.traced_keys())
             self.store.append(batch, ingest_time=self._sim.now, shard=shard_id)
@@ -336,7 +380,7 @@ class IngestPipeline:
         """
         total = 0
         for shard_id, shard in enumerate(self._shards):
-            while shard.buffer or shard.spill:
+            while shard.buffer.size or shard.spill.size:
                 before = self.stats.flushed_records
                 self._flush(shard_id, rearm=False)
                 total += self.stats.flushed_records - before

@@ -222,7 +222,7 @@ class StreamEngine:
         self.stats.records_seen += len(records)
         if not self._views or not len(records):
             return  # nothing materialized; stay free for idle deployments
-        batch = columnize(records)
+        batch = records if isinstance(records, RecordBatch) else columnize(records)
         time = batch.time
         self._max_event_time = max(self._max_event_time, float(time.max()))
         live = np.flatnonzero(time >= self._closed_pane * self.pane_seconds)

@@ -7,7 +7,7 @@ below is the same policy written as an ordinary script
 (``ctx.save(ctx.read_all())``), which keeps one event per tick.  The
 same deployment runs once with each, and everything the platform
 computes must be identical — stored columns, closed windows, every
-device's counters, handler stats, buffered records, final battery bytes
+device's counters, handler stats, buffered rows, final battery bytes
 and RNG states, the transport's and the gateway's counters — while the
 grid run processes fewer simulator events.
 
@@ -260,10 +260,7 @@ def run_world(scenario: dict, script) -> dict:
                 handlers(device),
                 struct.pack("<d", device.battery.level(now)),
                 device._rng.bit_generator.state,
-                {
-                    name: [(r.time, r.values) for r in buffer]
-                    for name, buffer in device._buffers.items()
-                },
+                dict(device._buffers),  # (time, lat, lon, value) rows
             )
         )
     out["transport"] = repr(

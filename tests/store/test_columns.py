@@ -65,3 +65,49 @@ class TestGroupRows:
 
     def test_single_code_is_one_group_of_every_row(self):
         assert [g.tolist() for g in group_rows(np.zeros(4, dtype=np.int64))] == [[0, 1, 2, 3]]
+
+
+class TestBatchOf:
+    def chunk(self, user, task, times, trace_id=None):
+        from repro.store.columns import UploadChunk
+
+        rows = [(t, 44.8, -0.6, t / 10) for t in times]
+        chunk = UploadChunk.of(f"dev-{user}", user, task, rows)
+        return dataclasses.replace(chunk, trace_id=trace_id)
+
+    def test_parts_keep_their_order_and_names_their_first_appearance(self):
+        from repro.store.columns import batch_of
+
+        listed = [
+            make_record(user="c", task="t2", time=3.0),
+            make_record(user="a", task="t1", time=4.0),
+        ]
+        batch = batch_of(
+            [
+                self.chunk("b", "t1", [1.0, 2.0], trace_id=5),
+                listed,
+                self.chunk("a", "t3", [5.0]),
+            ]
+        )
+        assert batch.time.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert (batch.tasks, batch.task_index.tolist()) == (["t1", "t2", "t3"], [0, 0, 1, 0, 2])
+        assert (batch.users, batch.user_index.tolist()) == (["b", "c", "a"], [0, 0, 1, 2, 2])
+        assert batch.trace_id.tolist() == [5, 5, -1, -1, -1]
+        records = list(batch)
+        assert records[2:4] == listed
+        assert [r.values["value"] for r in records[:2]] == [0.1, 0.2]
+        assert (records[0].device_id, records[0].trace_id) == ("dev-b", 5)
+        assert [r.time for r in batch.select(np.array([4, 0]))] == [5.0, 1.0]
+
+    def test_a_chunk_reads_as_records_that_columnize_to_its_rows(self):
+        from repro.store.columns import UploadChunk
+
+        nan = float("nan")
+        chunk = UploadChunk.of(
+            "d", "u", "t", [(1.0, 44.8, -0.6, nan), (2.0, nan, nan, 3.5)]
+        )
+        assert [r.values for r in chunk][1] == {"value": 3.5}
+        assert len(chunk[1:]) == 1 and chunk[1:].time.tolist() == [2.0]
+        again = columnize(list(chunk))
+        assert again.lat.tobytes() == chunk.rows[:, 1].tobytes()
+        assert again.value.tobytes() == chunk.rows[:, 3].tobytes()

@@ -368,3 +368,68 @@ class TestBackpressureAccounting:
         assert pipeline.stats.dropped == 0 and pipeline.stats.rejected == 0
         assert store.n_records == pipeline.stats.accepted == 72
         assert pipeline.unaccounted == 0
+
+
+def upload_chunks() -> list:
+    """Device uploads of 1-9 rows from three users over two tasks; some
+    rows have no fix or no value."""
+    from repro.store.columns import UploadChunk
+
+    nan = float("nan")
+    chunks = []
+    for k in range(18):
+        user, task = f"u{k % 3}", ("a", "b")[k % 2]
+        rows = [
+            (
+                100.0 * k + i,
+                nan if (k + i) % 5 == 0 else 44.8 + 0.001 * i,
+                nan if (k + i) % 5 == 0 else -0.6 + 0.001 * k,
+                nan if (k + i) % 4 == 0 else 0.5 * i,
+            )
+            for i in range(1 + (k * 7) % 9)
+        ]
+        chunks.append(UploadChunk.of(f"dev-{user}", user, task, rows))
+    return chunks
+
+
+class TestUploadChunks:
+    """A device's column chunk takes the record list's path record for
+    record: the same accounting under every policy (drop-oldest slicing
+    a head chunk, spill splitting one), the same flushes and the same
+    stored columns as the chunk's own records."""
+
+    def run(self, sim, policy, capacity, form):
+        store, pipeline = build(sim, policy=policy, capacity=capacity, n_shards=2)
+        flushes = []
+        pipeline.add_listener(
+            lambda batch: flushes.append(
+                (batch.tasks, batch.users, batch.task_index.tolist(), batch.user_index.tolist())
+            )
+        )
+        accepted = []
+        for k, chunk in enumerate(upload_chunks()):
+            chunked = form == "chunks" or (form == "mixed" and k % 3)
+            accepted.append(pipeline.submit(chunk if chunked else chunk.records))
+            assert pipeline.unaccounted == 0
+            if k % 4 == 3:
+                sim.run_until(sim.now + 1.0)
+        pipeline.flush_all()
+        columns = {
+            task: b"".join(
+                getattr(scan, column).tobytes() for column in ("time", "lat", "lon", "value")
+            )
+            + repr(scan.user_names()).encode()
+            for task in store.tasks
+            for scan in [store.scan(task)]
+        }
+        return accepted, pipeline.stats, flushes, columns
+
+    @pytest.mark.parametrize("policy", ["drop-oldest", "reject", "spill"])
+    @pytest.mark.parametrize("capacity", [6, 64])
+    def test_chunks_store_what_their_records_store(self, sim, policy, capacity):
+        from repro.simulation import Simulator
+
+        lists = self.run(Simulator(), policy, capacity, "lists")
+        assert lists[1].flushed_records > 0
+        assert self.run(Simulator(), policy, capacity, "chunks") == lists
+        assert self.run(Simulator(), policy, capacity, "mixed") == lists
