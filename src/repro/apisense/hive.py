@@ -268,10 +268,10 @@ class Hive:
 
         ``records`` is a device's :class:`~repro.store.columns.UploadChunk`
         or a record list (a gateway client's upload).  The batch lands in
-        the pipeline's shard buffer for this (task,
-        user) pair; the pipeline's next flush appends it to the columnar
-        store and routes it onward to the owning Honeycomb (uploads that
-        coalesce into the same flush window arrive as one batch).
+        the pipeline's shard buffer for this (task, user) pair; the
+        pipeline's next flush appends it to the columnar store and routes
+        it onward to the owning Honeycomb (uploads that coalesce into the
+        same flush window arrive as one batch).
 
         Records the ingest gateway sheds (``reject`` backpressure) are
         neither counted nor rewarded — only admitted records enter the
@@ -290,7 +290,7 @@ class Hive:
         stats.records += accepted
         if (
             stats.first_record_time is None
-            and len(records)
+            and records
             and accepted == len(records)
             and self.pipeline.stats.dropped == dropped_before
         ):

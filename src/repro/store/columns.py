@@ -64,7 +64,7 @@ def _rows_array(rows: Sequence[Row]) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class UploadChunk(Sequence):
+class UploadChunk:
     """One device upload as columns: one device, task and user.
 
     ``rows`` is ``(n, 4)`` float64, the device's ``(time, lat, lon,
@@ -196,15 +196,8 @@ class _Selection(Sequence):
     def __len__(self) -> int:
         return len(self._rows)
 
-    def __getitem__(self, index):
-        records = self._batch.records
-        if isinstance(index, slice):
-            return [records[row] for row in self._rows[index].tolist()]
-        return records[int(self._rows[index])]
-
-    def __iter__(self) -> Iterator[SensorRecord]:
-        records = self._batch.records
-        return (records[row] for row in self._rows.tolist())
+    def __getitem__(self, index: int) -> SensorRecord:
+        return self._batch.records[int(self._rows[index])]
 
 
 def batch_of(parts: "Iterable[list[SensorRecord] | UploadChunk]") -> RecordBatch:
@@ -227,8 +220,8 @@ def batch_of(parts: "Iterable[list[SensorRecord] | UploadChunk]") -> RecordBatch
             run = list(run)
             sizes = [len(chunk) for chunk in run]
             rows += [chunk.rows for chunk in run]
-            task_index.append(np.repeat(_chunk_codes([c.task for c in run], tasks), sizes))
-            user_index.append(np.repeat(_chunk_codes([c.user for c in run], users), sizes))
+            task_index.append(np.repeat(_codes([c.task for c in run], tasks), sizes))
+            user_index.append(np.repeat(_codes([c.user for c in run], users), sizes))
         else:
             records = list(chain.from_iterable(run))
             rows.append(_rows_array([row_of(r.time, r.values) for r in records]))
@@ -262,11 +255,6 @@ def _codes(names: list[str], table: dict[str, int]) -> np.ndarray:
     for name in dict.fromkeys(names):
         table.setdefault(name, len(table))
     return np.fromiter(map(table.__getitem__, names), np.int64, len(names))
-
-
-def _chunk_codes(names: list[str], table: dict[str, int]) -> np.ndarray:
-    """``_codes`` of one name per chunk."""
-    return np.array([table.setdefault(name, len(table)) for name in names], np.int64)
 
 
 def group_rows(codes: np.ndarray) -> list[np.ndarray]:

@@ -61,8 +61,7 @@ POLICIES = ("drop-oldest", "reject", "spill")
 #: ``time/lat/lon/value`` columns and task/user codes, and a sequence of
 #: its records (``len``, iteration and indexing give ``SensorRecord``
 #: objects in row order, an upload chunk's rebuilt from its rows on
-#: first read).
-#: The pipeline builds a flush's batch once
+#: first read).  The pipeline builds a flush's batch once
 #: (:func:`~repro.store.columns.batch_of`) and the store, the router and
 #: every listener share it; treat it as read-only.  Whatever a
 #: consumer folds per task, pane or user, it observes a flush's records
@@ -128,9 +127,8 @@ class _Parts:
         self.size = 0
 
     def push(self, part: Upload) -> None:
-        if len(part):
-            self.parts.append(part)
-            self.size += len(part)
+        self.parts.append(part)
+        self.size += len(part)
 
     def pop(self, n: int) -> list[Upload]:
         """Remove and return the oldest ``n`` records (slicing a part)."""
@@ -255,7 +253,7 @@ class IngestPipeline:
         on a chunk, on each record of a list) and submits inside an
         ``ingest.admit`` span tagged ``span_attrs``.  An empty upload
         takes no sampling slot."""
-        if not len(records):
+        if not records:
             return 0
         trace_id = self._tracer.new_trace()
         if trace_id is None:
@@ -280,18 +278,23 @@ class IngestPipeline:
         one user, so one shard, routed with one hash; a record list may
         mix pairs and is split per shard.
         """
-        if not len(records):
+        if not records:
             return 0
         self.stats.submitted += len(records)
         if isinstance(records, UploadChunk):
-            accepted = self._enqueue(self.store.shard_of(records.task, records.user), records)
+            shard_id = self.store.shard_of(records.task, records.user)
+            accepted = self._enqueue(shard_id, records)
         else:
-            # One hash per distinct (task, user), not per record.
+            # One hash per distinct (task, user), not per record; a list
+            # of one pair (one user's upload) is routed whole.
             pairs = {(record.task, record.user) for record in records}
             route = {pair: self.store.shard_of(*pair) for pair in pairs}
             by_shard: dict[int, list[SensorRecord]] = {}
-            for record in records:
-                by_shard.setdefault(route[record.task, record.user], []).append(record)
+            if len(route) == 1:
+                by_shard[route.popitem()[1]] = list(records)
+            else:
+                for record in records:
+                    by_shard.setdefault(route[record.task, record.user], []).append(record)
             accepted = 0
             for shard_id, batch in by_shard.items():
                 accepted += self._enqueue(shard_id, batch)
@@ -326,7 +329,8 @@ class IngestPipeline:
                 buffer.push(batch)
         else:  # spill
             tail = batch[free:]
-            buffer.push(batch[:free])
+            if free:
+                buffer.push(batch[:free])
             shard.spill.push(tail)
             self.stats.spilled += len(tail)
         if not shard.pending:

@@ -5,7 +5,8 @@ A kept sample is one ``(time, lat, lon, value)`` row in its task's
 device buffer and an upload is one ``UploadChunk`` of those rows: a
 scriptless campaign builds no ``SensorRecord`` and no ``GeoPoint`` on
 the sample path, never columnizes a record list, and routes each upload
-with one ``shard_of`` call.  A flush groups its rows by task once for
+with one ``shard_of`` call; a gateway client's record lists are read in
+one pass per flush.  A flush groups its rows by task once for
 the store and the router, and once more by (task, pane) for the stream
 engine.
 """
@@ -26,10 +27,11 @@ from repro.apisense.device import SensorRecord
 from repro.apisense.tasks import SensingTask
 from repro.geo.point import GeoPoint
 from repro.mobility.generator import GeneratorConfig, MobilityGenerator
-from repro.store import DatasetStore
+from repro.store import DatasetStore, IngestPipeline
 from repro.streams import WindowSpec
 from repro.units import DAY, HOUR
 from tests.conftest import Calls
+from tests.store.conftest import make_records
 
 #: The modules that call the counted functions by a name of their own.
 MODULES = (
@@ -101,3 +103,16 @@ def test_a_flush_groups_its_rows_by_task_once_for_store_and_router(monkeypatch, 
     # One task grouping shared by the store and the router, one (task,
     # pane) grouping in the stream engine's fold.
     assert calls["group_rows"] == 2 * pipeline.flushes > 0
+
+
+def test_record_lists_are_read_in_one_pass_per_flush(monkeypatch, calls, sim):
+    """A gateway client's record lists are columnized per flush, over
+    their concatenation, not per upload."""
+    pipeline = IngestPipeline(sim, DatasetStore(n_shards=2), flush_delay=1.0)
+    shim_everywhere(calls, monkeypatch, "_rows_array")
+    for user in range(40):
+        pipeline.submit(make_records(6, user=f"u{user}", t0=10.0 * user))
+    sim.run()
+
+    assert pipeline.stats.flushed_records == 240
+    assert calls["rows_array"] == pipeline.stats.flushes == 2
