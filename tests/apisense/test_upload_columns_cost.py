@@ -4,11 +4,11 @@ buffer to the segment.
 A kept sample is one ``(time, lat, lon, value)`` row in its task's
 device buffer and an upload is one ``UploadChunk`` of those rows: a
 scriptless campaign builds no ``SensorRecord`` and no ``GeoPoint`` on
-the sample path, never columnizes a record list, and routes each upload
-with one ``shard_of`` call; a gateway client's record lists are read in
-one pass per flush.  A flush groups its rows by task once for
-the store and the router, and once more by (task, pane) for the stream
-engine.
+the sample path, traced or not, never columnizes a record list, and
+routes each upload with one ``shard_of`` call.  A gateway client's
+record lists are read in one pass per flush.  A flush groups its rows
+by task once for the store and the router, and once more by (task,
+pane) for the stream engine.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import repro.store.columns
 import repro.store.dataset_store
 import repro.store.pipeline
 import repro.streams.engine
+from repro import obs
 from repro.apisense.campaign import Campaign, CampaignConfig
 from repro.apisense.device import SensorRecord
 from repro.apisense.tasks import SensingTask
@@ -70,10 +71,20 @@ def scriptless_campaign(sensors: tuple[str, ...]) -> tuple[Campaign, SensingTask
     return campaign, task
 
 
+@pytest.fixture()
+def traced(request):
+    """Every upload traced (the stamp is once per chunk) or none."""
+    obs.reset(metrics=True, tracing=request.param)
+    obs.configure(sample_rate=1.0)
+    yield request.param
+    obs.reset(metrics=True, tracing=False)
+
+
 # Not "network" or "accelerometer": those sensors read the device's
 # position themselves (a GeoPoint per read, the sensor's own physics).
+@pytest.mark.parametrize("traced", [False, True], indirect=True)
 @pytest.mark.parametrize("sensors", [("gps",), ("gps", "battery")])
-def test_a_sample_is_a_row_and_an_upload_is_one_chunk(monkeypatch, calls, sensors):
+def test_a_sample_is_a_row_and_an_upload_is_one_chunk(monkeypatch, calls, sensors, traced):
     campaign, task = scriptless_campaign(sensors)
     built = Calls()
     built.shim(monkeypatch, SensorRecord, "__init__")
@@ -90,6 +101,8 @@ def test_a_sample_is_a_row_and_an_upload_is_one_chunk(monkeypatch, calls, sensor
     assert sum(points.values()) == 0
     assert calls["columnize"] == 0
     assert calls["shard_of"] == stats.uploads > 0
+    admitted = campaign.hive.obs_context.tracer.log.spans("ingest.admit")
+    assert len(admitted) == (stats.uploads if traced else 0)
 
 
 def test_a_flush_groups_its_rows_by_task_once_for_store_and_router(monkeypatch, calls):
