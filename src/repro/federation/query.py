@@ -33,9 +33,8 @@ from repro.privacy.secure_aggregation import (
     SecureAggregationSession,
     histogram_components,
 )
-from repro.store.aggregates import TaskAggregate
 from repro.store.dataset_store import ColumnarBatch, DatasetStore
-from repro.store.quantiles import QuantileSketch, reading
+from repro.store.summary import Summary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.federation.router import FederationRouter
@@ -59,7 +58,7 @@ class FederatedTaskAggregate:
     lag_p50: float
     lag_p95: float
     lag_p99: float
-    per_member: Mapping[str, TaskAggregate] = field(default_factory=dict)
+    per_member: Mapping[str, Summary] = field(default_factory=dict)
 
     @property
     def n_users(self) -> int:
@@ -230,67 +229,37 @@ class FederatedDataset:
     # ------------------------------------------------------------------
 
     def aggregate(self, task: str) -> FederatedTaskAggregate:
-        """Merge the members' streaming aggregates for one task.
+        """Merge the members' all-time summaries of one task.
 
-        Counts, user sets, coverage cells, time bounds and lag means
-        merge exactly; percentiles are the worst member's (see module
-        docstring).  Raises :class:`StoreError` when no member has data
-        for the task.
+        :meth:`~repro.store.summary.Summary.merge`, the fold that also
+        assembles windows, merges every field exactly: users by name,
+        cells by union, lag percentiles off the summed sketch buckets.
+        Raises :class:`StoreError` when no member has data for the task.
         """
-        per_member: dict[str, TaskAggregate] = {}
-        cell_degs: set[float] = set()
-        for name, store in self._stores.items():
-            aggregate = store.aggregates.get(task)
-            if aggregate is not None:
-                per_member[name] = aggregate
-                cell_degs.add(aggregate.cell_deg)
+        summaries = {name: store.aggregates.get(task) for name, store in self._stores.items()}
+        per_member = {name: s for name, s in summaries.items() if s is not None}
         if not per_member:
             raise StoreError(f"no aggregates for unknown task {task!r}")
+        cell_degs = {self._stores[name].aggregates.cell_deg for name in per_member}
         if len(cell_degs) > 1:
             raise StoreError(
                 f"members disagree on coverage cell size for {task!r}: "
                 f"{sorted(cell_degs)}; coverage cells cannot be merged"
             )
-
-        users: set[str] = set()
-        cells: set[tuple[int, int]] = set()
-        first_time: float | None = None
-        last_time: float | None = None
-        lag_sum = 0.0
-        lag_count = 0
-        for name, aggregate in per_member.items():
-            table = self._stores[name].users
-            users.update(table[uid] for uid in aggregate.user_ids)
-            cells.update(aggregate.cells)
-            if aggregate.first_time is not None:
-                first_time = (
-                    aggregate.first_time
-                    if first_time is None
-                    else min(first_time, aggregate.first_time)
-                )
-            if aggregate.last_time is not None:
-                last_time = (
-                    aggregate.last_time
-                    if last_time is None
-                    else max(last_time, aggregate.last_time)
-                )
-            lag_sum += aggregate.lag_sum
-            lag_count += aggregate.lag_count
-
-        lags = QuantileSketch.merge([a.lag_sketch for a in per_member.values()])
+        merged = Summary.merge(per_member.values())
         return FederatedTaskAggregate(
             task=task,
-            records=sum(a.records for a in per_member.values()),
-            gps_records=sum(a.gps_records for a in per_member.values()),
-            users=frozenset(users),
-            coverage_cells=len(cells),
-            first_time=first_time,
-            last_time=last_time,
-            lag_mean=lag_sum / lag_count if lag_count else 0.0,
-            lag_max=max(a.lag_max for a in per_member.values()),
-            lag_p50=reading(lags, 0.50),
-            lag_p95=reading(lags, 0.95),
-            lag_p99=reading(lags, 0.99),
+            records=merged.records,
+            gps_records=merged.gps_records,
+            users=frozenset(merged.user_counts),
+            coverage_cells=merged.coverage_cells,
+            first_time=merged.first_time,
+            last_time=merged.last_time,
+            lag_mean=merged.lag_mean,
+            lag_max=merged.lag_max,
+            lag_p50=merged.lag_p50,
+            lag_p95=merged.lag_p95,
+            lag_p99=merged.lag_p99,
             per_member=per_member,
         )
 

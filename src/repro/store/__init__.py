@@ -17,9 +17,12 @@ halves that make that scale:
   device upload chunks (:class:`~repro.store.columns.UploadChunk`) and
   record lists, and shared by the store, the router and every flush
   listener;
-- :class:`~repro.store.aggregates.StoreAggregates` — streaming per-task
-  views (record counts, spatial coverage cells, freshness/lag
-  percentiles) maintained incrementally at flush time;
+- :class:`~repro.store.summary.Summary` — one task's counts, users,
+  coverage cells, values and freshness/lag percentiles over a span of
+  event time: the store's all-time aggregate per task
+  (:class:`~repro.store.summary.StoreAggregates`) and the stream
+  engine's pane, both folded at flush time from columns each flush
+  derives once;
 - :class:`~repro.store.quantiles.QuantileSketch` — the one
   relative-error, exactly-mergeable quantile sketch behind every
   percentile the store, the streams and the federation report.
@@ -28,7 +31,6 @@ The Hive routes every upload through an ingest pipeline into its store;
 ``python -m repro store`` exposes the same machinery from the shell.
 """
 
-from repro.store.aggregates import StoreAggregates, TaskAggregate
 from repro.store.columns import RecordBatch, UploadChunk, batch_of, columnize
 from repro.store.dataset_store import (
     ColumnarBatch,
@@ -41,6 +43,7 @@ from repro.store.dataset_store import (
 from repro.store.pipeline import POLICIES, IngestPipeline, PipelineStats
 from repro.store.quantiles import QuantileSketch
 from repro.store.segment import Segment, SegmentBuilder, merge_segments
+from repro.store.summary import StoreAggregates, Summary
 
 __all__ = [
     "ColumnarBatch",
@@ -56,7 +59,7 @@ __all__ = [
     "ShardStats",
     "StoreAggregates",
     "StoreStats",
-    "TaskAggregate",
+    "Summary",
     "UploadChunk",
     "batch_of",
     "columnize",

@@ -17,11 +17,11 @@ from its rows), built only when something reads them.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, groupby
 from numbers import Real
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -32,6 +32,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.geo.grid import SpatialGrid
 
 NAN = float("nan")
+
+#: The packed cell of a row without a fix (:meth:`RecordBatch.cells`);
+#: a fix packs to it only at cell sizes under 4e-8 degrees.
+NO_CELL = np.iinfo(np.int64).min
 
 #: One sample: ``(time, lat, lon, value)``.
 Row = tuple[float, float, float, float]
@@ -124,6 +128,11 @@ class RecordBatch(Sequence):
     without a scalar.  ``task_index``/``user_index`` index ``tasks``/
     ``users``, the batch's distinct names in first-appearance order.
     ``parts`` are what the batch was built from, in row order.
+
+    The columns more than one tier derives from a flush (the ingest
+    lags at a clock reading, the cell of every fix at a cell size or
+    grid) are computed once per batch, by whichever tier reads them
+    first, and shared by the rest.
     """
 
     parts: tuple
@@ -135,6 +144,7 @@ class RecordBatch(Sequence):
     task_index: np.ndarray
     users: list[str]
     user_index: np.ndarray
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.time)
@@ -162,6 +172,27 @@ class RecordBatch(Sequence):
         """:func:`group_rows` of ``task_index``: the rows of each task,
         shared by the store's append and the Hive's router."""
         return group_rows(self.task_index)
+
+    def _derive(self, key: tuple, make: Callable[[], np.ndarray]) -> np.ndarray:
+        if key not in self._derived:
+            self._derived[key] = make()
+        return self._derived[key]
+
+    def lags(self, now: float) -> np.ndarray:
+        """Each row's ingest lag at clock reading ``now`` (0 for a future row)."""
+        return self._derive(("lags", now), lambda: np.maximum(0.0, now - self.time))
+
+    def cells(self, cell_deg: float, grid: "SpatialGrid | None" = None) -> np.ndarray:
+        """Each row's packed cell (:func:`cells_of`), :data:`NO_CELL`
+        without a fix."""
+
+        def make() -> np.ndarray:
+            fix = ~np.isnan(self.lat)
+            keys = np.full(len(self), NO_CELL)
+            keys[fix] = cells_of(self.lat[fix], self.lon[fix], cell_deg, grid)
+            return keys
+
+        return self._derive(("cells", cell_deg, id(grid)), make)
 
     @cached_property
     def trace_id(self) -> np.ndarray:
@@ -272,12 +303,18 @@ def group_rows(codes: np.ndarray) -> list[np.ndarray]:
 
 def cells_of(
     lat: np.ndarray, lon: np.ndarray, cell_deg: float, grid: "SpatialGrid | None" = None
-) -> Iterator[tuple[int, int]]:
-    """``(row, col)`` of every fix: ``grid`` cells (clamped to its area)
-    when given, else the global ``cell_deg`` lat/lon quantization."""
+) -> np.ndarray:
+    """The cell of every fix, ``(row, col)`` packed in one int64
+    (:func:`unpack_cells`): ``grid`` cells (clamped to its area) when
+    given, else the global ``cell_deg`` lat/lon quantization."""
     if grid is not None:
         rows, cols = grid.cells_of(lat, lon)
     else:
         rows = np.floor(lat / cell_deg).astype(np.int64)
         cols = np.floor(lon / cell_deg).astype(np.int64)
-    return zip(rows.tolist(), cols.tolist())
+    return (rows << 32) | (cols & 0xFFFFFFFF)
+
+
+def unpack_cells(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)`` of packed cells: the high and the low 32 bits."""
+    return keys >> 32, (keys << 32) >> 32

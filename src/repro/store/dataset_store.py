@@ -11,8 +11,10 @@ shard and time-range/bbox scans prune whole segments by metadata.
 Writes go through :meth:`DatasetStore.append` (typically called by the
 :class:`~repro.store.pipeline.IngestPipeline` at flush time with the
 flush's :class:`~repro.store.columns.RecordBatch` and its shard; a plain
-record list is columnized and routed on entry), which also feeds the
-streaming :class:`~repro.store.aggregates.StoreAggregates`.
+record list is columnized and routed on entry), which also folds every
+flush, late records included, into each task's all-time
+:class:`~repro.store.summary.Summary` (:class:`~repro.store.summary.
+StoreAggregates`).
 Sealed segments are immutable; :meth:`DatasetStore.compact` merges a
 partition's sealed segments into one time-sorted run.
 """
@@ -29,9 +31,9 @@ import numpy as np
 from repro import obs as _obs
 from repro.errors import StoreError
 from repro.obs.instruments import StoreInstruments
-from repro.store.aggregates import StoreAggregates, TaskAggregate
 from repro.store.columns import RecordBatch, columnize, group_rows
 from repro.store.segment import Segment, SegmentBuilder, merge_segments
+from repro.store.summary import StoreAggregates, Summary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.apisense.device import SensorRecord
@@ -288,15 +290,13 @@ class DatasetStore:
                     for rows in batch.task_groups
                 ]
             for shard_id, task_code, rows in groups:
-                task = batch.tasks[task_code]
-                time, lat, lon = batch.time[rows], batch.lat[rows], batch.lon[rows]
-                users = user_id[rows]
                 target = self._shards[shard_id]
-                target.partition(task).append_columns(
-                    time, lat, lon, batch.value[rows], users
+                target.partition(batch.tasks[task_code]).append_columns(
+                    batch.time[rows], batch.lat[rows], batch.lon[rows],
+                    batch.value[rows], user_id[rows],
                 )
                 target.records += len(rows)
-                self.aggregates.update(task, time, lat, lon, users, ingest_time)
+            self.aggregates.park(batch, user_id, self._user_table, ingest_time)
         self.obs.records_appended.inc(len(batch))
         if timed:
             self.obs.append_seconds.observe(_time.perf_counter() - started)
@@ -492,6 +492,6 @@ class DatasetStore:
             per_shard=per_shard,
         )
 
-    def aggregate(self, task: str) -> TaskAggregate:
-        """The streaming aggregate view of one task."""
+    def aggregate(self, task: str) -> Summary:
+        """The all-time summary of one task."""
         return self.aggregates.task(task)

@@ -91,6 +91,13 @@ class QuantileSketch:
             raise StoreError(f"observations must be one-dimensional: {chunk.shape}")
         if not np.isfinite(chunk).all():
             raise StoreError("observations must be finite")
+        self.extend_finite(chunk)
+
+    def extend_finite(self, chunk: np.ndarray) -> None:
+        """:meth:`extend` by a one-dimensional float64 array the caller
+        has already checked finite: parked as it is, a view included."""
+        if not len(chunk):
+            return
         self._pending.append(chunk)
         self._pending_len += len(chunk)
         if self._pending_len >= PENDING_LIMIT:

@@ -73,9 +73,10 @@ class Segment:
 class SegmentBuilder:
     """The open (mutable) segment of one partition.
 
-    Pre-allocates ``capacity`` rows and fills them by slice assignment;
-    running min/max metadata is maintained per batch so converting the
-    builder into a scan view is O(1).
+    Pre-allocates ``capacity`` rows and fills them by slice assignment.
+    Appends copy rows and nothing else: the pruning metadata is computed
+    over the filled rows when a scan view or the sealed segment is asked
+    for, and kept until the next append.
     """
 
     def __init__(self, capacity: int):
@@ -88,12 +89,7 @@ class SegmentBuilder:
         self._lon = np.empty(capacity, dtype=np.float64)
         self._value = np.empty(capacity, dtype=np.float64)
         self._user_id = np.empty(capacity, dtype=np.int64)
-        self._t_min = np.inf
-        self._t_max = -np.inf
-        self._lat_min = np.nan
-        self._lat_max = np.nan
-        self._lon_min = np.nan
-        self._lon_max = np.nan
+        self._bounds: tuple[float, ...] | None = None
 
     @property
     def remaining(self) -> int:
@@ -126,52 +122,30 @@ class SegmentBuilder:
         self._value[at : at + n] = value[start:stop]
         self._user_id[at : at + n] = user_id[start:stop]
         self.size += n
+        self._bounds = None
 
-        self._t_min = min(self._t_min, float(np.min(time[start:stop])))
-        self._t_max = max(self._t_max, float(np.max(time[start:stop])))
-        chunk_lat = lat[start:stop]
-        if not np.all(np.isnan(chunk_lat)):
-            chunk_lon = lon[start:stop]
-            self._lat_min = np.fmin(self._lat_min, np.nanmin(chunk_lat))
-            self._lat_max = np.fmax(self._lat_max, np.nanmax(chunk_lat))
-            self._lon_min = np.fmin(self._lon_min, np.nanmin(chunk_lon))
-            self._lon_max = np.fmax(self._lon_max, np.nanmax(chunk_lon))
+    def _segment(self, sealed: bool, copy: bool) -> Segment:
+        n = self.size
+        if self._bounds is None:
+            lat, lon = self._lat[:n], self._lon[:n]
+            fixes = not np.isnan(lat).all()
+            self._bounds = (
+                float(self._time[:n].min()) if n else np.inf,
+                float(self._time[:n].max()) if n else -np.inf,
+                *((np.nanmin(lat), np.nanmax(lat), np.nanmin(lon), np.nanmax(lon))
+                  if fixes else (np.nan,) * 4),
+            )
+        columns = (self._time, self._lat, self._lon, self._value, self._user_id)
+        columns = [c[:n].copy() if copy else c[:n] for c in columns]
+        return Segment(*columns, *self._bounds, sealed=sealed)
 
     def as_segment(self) -> Segment:
         """A zero-copy scan view over the rows written so far."""
-        n = self.size
-        return Segment(
-            time=self._time[:n],
-            lat=self._lat[:n],
-            lon=self._lon[:n],
-            value=self._value[:n],
-            user_id=self._user_id[:n],
-            t_min=self._t_min,
-            t_max=self._t_max,
-            lat_min=self._lat_min,
-            lat_max=self._lat_max,
-            lon_min=self._lon_min,
-            lon_max=self._lon_max,
-            sealed=False,
-        )
+        return self._segment(sealed=False, copy=False)
 
     def seal(self) -> Segment:
         """Freeze the builder into an immutable right-sized segment."""
-        n = self.size
-        segment = Segment(
-            time=self._time[:n].copy(),
-            lat=self._lat[:n].copy(),
-            lon=self._lon[:n].copy(),
-            value=self._value[:n].copy(),
-            user_id=self._user_id[:n].copy(),
-            t_min=self._t_min,
-            t_max=self._t_max,
-            lat_min=self._lat_min,
-            lat_max=self._lat_max,
-            lon_min=self._lon_min,
-            lon_max=self._lon_max,
-            sealed=True,
-        )
+        segment = self._segment(sealed=True, copy=True)
         for array in (segment.time, segment.lat, segment.lon, segment.value, segment.user_id):
             array.setflags(write=False)
         return segment

@@ -2,14 +2,18 @@
 
 :class:`StreamEngine` taps the ingest path through
 :meth:`repro.store.pipeline.IngestPipeline.add_listener` — every flushed
-batch is absorbed **once, at flush time, O(batch)**; reading a view
-never re-scans the columnar store.  State lives in per-task **panes**
-(tumbling slices of event time, one per registered slide granularity's
-GCD — the engine's ``pane_seconds``):
+batch is absorbed **once, O(batch)**; reading a view never re-scans the
+columnar store.  State lives in per-task **panes** (tumbling slices of
+event time, one per registered slide granularity's GCD — the engine's
+``pane_seconds``):
 
 - every record lands in exactly one pane (count, per-user activity,
-  geo cell, value/lag quantile sketches): a flush's columns are bucketed by
-  (task, pane) with numpy and each group is folded in one call,
+  geo cell, value/lag quantile sketches).  A pane is a
+  :class:`~repro.store.summary.Summary`, the store's aggregate type.  A
+  flush's live rows are parked, keyed by (task, pane), with the
+  columns the flush derives once (cells, lags); before any window
+  closes, one :func:`~repro.store.summary.fold` takes every parked
+  flush — the same numpy calls however many panes or flushes, and
   whatever the number of registered windowed views;
 - when the event-time watermark passes a pane boundary, every view
   whose window closes there is assembled by merging its panes into a
@@ -40,7 +44,8 @@ from repro import obs as _obs
 from repro.errors import StreamError
 from repro.obs.instruments import StreamInstruments
 from repro.geo.grid import SpatialGrid
-from repro.store.columns import RecordBatch, cells_of, columnize, group_rows
+from repro.store.columns import RecordBatch, columnize
+from repro.store.summary import PENDING_ROWS, Columns, Parked
 from repro.streams.queries import AlertLog, ContinuousQuery, StreamAlert
 from repro.streams.views import PaneStats, WindowSnapshot, snapshot_from_panes
 from repro.streams.windows import WindowSpec
@@ -52,6 +57,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 
 #: Observer invoked with every freshly closed window snapshot.
 WindowCallback = Callable[[WindowSnapshot], None]
+
+#: A parked row's key is ``task code * _TASK_STRIDE + pane index``.
+_TASK_STRIDE = 1 << 40
+
+
+def _intern(name: str, codes: dict[str, int], names: list[str]) -> int:
+    """``name``'s code in a table that only grows."""
+    if name not in codes:
+        codes[name] = len(names)
+        names.append(name)
+    return codes[name]
 
 
 @dataclass
@@ -102,8 +118,15 @@ class StreamEngine:
         self.history = history
         self._views: dict[str, WindowSpec] = {}
         self._queries: dict[str, list[ContinuousQuery]] = {}
-        self._panes: dict[str, dict[int, PaneStats]] = {}
+        self._pane_stats: dict[str, dict[int, PaneStats]] = {}
         self._tasks: set[str] = set()
+        #: Live rows of the flushes since the last fold (:meth:`_fold`),
+        #: coded by the engine's own task and user tables.
+        self._parked = Parked()
+        self._task_codes: dict[str, int] = {}
+        self._task_names: list[str] = []
+        self._user_codes: dict[str, int] = {}
+        self._user_names: list[str] = []
         self._history: dict[tuple[str, str], "list[WindowSnapshot]"] = {}
         self._window_callbacks: list[WindowCallback] = []
         self._closed_pane = 0  # panes [0, _closed_pane) are closed
@@ -178,6 +201,7 @@ class StreamEngine:
 
     @property
     def tasks(self) -> list[str]:
+        self._fold_pending()
         return sorted(self._tasks)
 
     @property
@@ -215,9 +239,9 @@ class StreamEngine:
         """Absorb one flushed batch into the open panes — O(batch).
 
         The pipeline hands over the flush's :class:`~repro.store.columns.
-        RecordBatch`; a plain record list is columnized on entry.  Each
-        (task, pane) group of the batch is folded into its pane in one
-        call, the group's records in record order.
+        RecordBatch`; a plain record list is columnized on entry.  Late
+        rows are counted and the live ones parked (:meth:`_fold`) for the
+        next fold into their (task, pane) panes.
         """
         self.stats.records_seen += len(records)
         if not self._views or not len(records):
@@ -234,36 +258,53 @@ class StreamEngine:
         self._close_ready_panes()
 
     def _fold(self, batch: RecordBatch, live: np.ndarray) -> None:
-        """Fold the batch's ``live`` rows into their (task, pane) panes."""
+        """Park the batch's ``live`` rows, keyed by (task, pane), for the
+        next fold into their panes."""
+        rows = live if len(live) < len(batch) else slice(None)  # a view when all are live
+        tasks = np.array([_intern(t, self._task_codes, self._task_names) for t in batch.tasks])
+        users = np.array([_intern(u, self._user_codes, self._user_names) for u in batch.users])
+        time = batch.time[rows]
+        keys = tasks[batch.task_index[rows]] * _TASK_STRIDE + (time // self.pane_seconds).astype(np.int64)
+        lags = None if self._sim is None else batch.lags(self._sim.now)[rows]
+        self._parked.park(keys, Columns(
+            time,
+            batch.value[rows],
+            batch.cells(self.cell_deg, self.grid)[rows],
+            lags,
+            users[batch.user_index[rows]],
+            self._user_names,
+        ))
+        if self._tracer.enabled:
+            ids = batch.trace_id[rows]
+            traced = ids >= 0
+            for tid, t, key in zip(ids[traced].tolist(), time[traced].tolist(), keys[traced].tolist()):
+                code, i = divmod(key, _TASK_STRIDE)
+                pane_traces = self._traced_panes.setdefault((self._task_names[code], i), {})
+                pane_traces.setdefault(tid, []).append(t)
+        if self._parked.rows >= PENDING_ROWS:
+            self._fold_pending()
+
+    def _fold_pending(self) -> None:
+        """Fold every parked row into its pane: one keyed fold for all
+        the flushes since the last one."""
         pane = self.pane_seconds
-        pane_index = (batch.time // pane).astype(np.int64)
-        lags = None if self._sim is None else np.maximum(0.0, self._sim.now - batch.time)
-        fix = ~np.isnan(batch.lat)
-        has_value = np.isfinite(batch.value)  # NaN, ±inf: a record, not a value
-        tracing = self._tracer.enabled
-        keys = batch.task_index * (int(pane_index.max()) + 1) + pane_index
-        for rows in group_rows(keys[live]):
-            rows = live[rows]
-            task = batch.tasks[batch.task_index[rows[0]]]
-            index = int(pane_index[rows[0]])
+
+        def pane_of(key: int) -> PaneStats:
+            code, i = divmod(key, _TASK_STRIDE)
+            task = self._task_names[code]
             self._tasks.add(task)
-            panes = self._panes.setdefault(task, {})
-            stats = panes.get(index)
-            if stats is None:
-                stats = panes[index] = PaneStats(index * pane, (index + 1) * pane)
-            counts = np.bincount(batch.user_index[rows])
-            users = np.flatnonzero(counts)
-            located = rows[fix[rows]]
-            stats.update_columns(
-                [batch.users[code] for code in users.tolist()],
-                counts[users].tolist(),
-                cells_of(batch.lat[located], batch.lon[located], self.cell_deg, self.grid),
-                batch.value[rows[has_value[rows]]],
-                None if lags is None else lags[rows],
-            )
-            for tid, times in (batch.traced_keys(rows) if tracing else {}).items():
-                pane_traces = self._traced_panes.setdefault((task, index), {})
-                pane_traces.setdefault(tid, []).extend(times)
+            panes = self._pane_stats.setdefault(task, {})
+            if i not in panes:
+                panes[i] = PaneStats(i * pane, (i + 1) * pane)
+            return panes[i]
+
+        self._parked.fold(pane_of)
+
+    @property
+    def _panes(self) -> dict[str, dict[int, PaneStats]]:
+        """The open panes of every task, parked rows folded in."""
+        self._fold_pending()
+        return self._pane_stats
 
     def advance_watermark(self, event_time: float) -> None:
         """Declare event time reached ``event_time`` without records.
@@ -313,6 +354,7 @@ class StreamEngine:
 
     def _close_through(self, pane_index: int) -> None:
         """Process every pane boundary up to ``pane_index * pane_seconds``."""
+        self._fold_pending()
         max_size = max(spec.size for spec in self._views.values())
         for index in range(self._closed_pane + 1, pane_index + 1):
             boundary = index * self.pane_seconds
@@ -322,7 +364,7 @@ class StreamEngine:
                     self._emit_windows(view_name, spec, boundary)
             # Drop panes no future window can include.
             horizon = boundary + self.pane_seconds - max_size
-            for task, panes in self._panes.items():
+            for task, panes in self._pane_stats.items():
                 stale = [i for i, p in panes.items() if p.end <= horizon]
                 for i in stale:
                     del panes[i]
@@ -338,7 +380,7 @@ class StreamEngine:
         timed = self.obs.registry.enabled
         started = _time.perf_counter() if timed else 0.0
         for task in sorted(self._tasks):
-            panes = self._panes.get(task, {})
+            panes = self._pane_stats.get(task, {})
             span = [panes[i] for i in range(first_pane, last_pane) if i in panes]
             snapshot = snapshot_from_panes(task, view_name, start, end, span)
             if self._tracer.enabled:

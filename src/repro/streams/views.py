@@ -20,57 +20,17 @@ would have built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Any, Mapping, Sequence
 
 from repro.errors import StreamError
 from repro.store.quantiles import QuantileSketch, reading
+from repro.store.summary import CellIndex, Summary
 
-CellIndex = tuple[int, int]
 
-
-class PaneStats:
-    """Accumulated statistics of one task over one pane of the stream."""
-
-    __slots__ = ("start", "end", "records", "value_count", "value_sum",
-                 "user_counts", "cells", "value_sketch", "lag_sketch")
-
-    def __init__(self, start: float, end: float):
-        self.start = start
-        self.end = end
-        self.records = 0
-        self.value_count = 0
-        self.value_sum = 0.0
-        self.user_counts: dict[str, int] = {}
-        self.cells: set[CellIndex] = set()
-        self.value_sketch = QuantileSketch()
-        self.lag_sketch = QuantileSketch()
-
-    def update_columns(
-        self,
-        users: Sequence[str],
-        counts: Sequence[int],
-        cells: Iterable[CellIndex],
-        values: np.ndarray,
-        lags: np.ndarray | None,
-    ) -> None:
-        """Absorb one flush's records of this pane, column by column.
-
-        ``users``/``counts`` are the distinct contributors and how many
-        records each brought, ``cells`` the cell of every record with a
-        fix, ``values`` the finite scalar values and ``lags`` every
-        record's ingest lag (``None``: untracked).
-        """
-        self.records += sum(counts)
-        for user, count in zip(users, counts):
-            self.user_counts[user] = self.user_counts.get(user, 0) + count
-        self.cells.update(cells)
-        self.value_count += len(values)
-        self.value_sum += float(values.sum())
-        self.value_sketch.extend(values)
-        if lags is not None:
-            self.lag_sketch.extend(lags)
+#: A pane's state: one task's :class:`~repro.store.summary.Summary` over
+#: the pane's ``[start, end)``, the same type as the store's all-time
+#: aggregate, filled by the same :func:`~repro.store.summary.fold`.
+PaneStats = Summary
 
 
 @dataclass(frozen=True)
@@ -96,6 +56,12 @@ class WindowSnapshot:
     #: aggregates.
     value_count: int = 0
     value_sum: float = 0.0
+    #: The rest of the panes' :class:`~repro.store.summary.Summary`.
+    gps_records: int = 0
+    lag_sum: float = 0.0
+    lag_max: float = 0.0
+    first_time: float | None = None
+    last_time: float | None = None
 
     @property
     def duration(self) -> float:
@@ -179,41 +145,30 @@ def window_text(window: Mapping[str, Any]) -> str:
     )
 
 
-def _fold_window(
-    task: str,
-    view: str,
-    start: float,
-    end: float,
-    parts: Sequence[tuple[int, int, float, Mapping[str, int],
-                          "frozenset[CellIndex] | set[CellIndex]",
-                          QuantileSketch, QuantileSketch]],
-) -> WindowSnapshot:
-    """The one fold both assembly paths share.
-
-    ``parts`` are ``(records, value_count, value_sum, user_counts,
-    cells, value_sketch, lag_sketch)`` tuples — pane slices of one
-    engine or same-window snapshots of federation members.  Keeping a
-    single fold, every part of it exact, is what makes pane assembly and
-    cross-hive merging agree: merged members == monolithic engine.
-    """
-    user_counts: dict[str, int] = {}
-    cells: set[CellIndex] = set()
-    for _records, _vc, _vs, part_users, part_cells, _vq, _lq in parts:
-        for user, count in part_users.items():
-            user_counts[user] = user_counts.get(user, 0) + count
-        cells |= part_cells
+def _snapshot(task: str, view: str, start: float, end: float, parts) -> WindowSnapshot:
+    """The one fold both assembly paths share: :meth:`Summary.merge` of
+    pane slices of one engine or of same-window snapshots of federation
+    members.  Every part of it is exact, which is what makes pane
+    assembly and cross-hive merging agree: merged members == monolithic
+    engine."""
+    merged = Summary.merge(parts)
     return WindowSnapshot(
         task=task,
         view=view,
         start=start,
         end=end,
-        records=sum(records for records, *_rest in parts),
-        user_counts=user_counts,
-        cells=frozenset(cells),
-        value_sketch=QuantileSketch.merge([part[5] for part in parts] or [QuantileSketch()]),
-        lag_sketch=QuantileSketch.merge([part[6] for part in parts] or [QuantileSketch()]),
-        value_count=sum(part[1] for part in parts),
-        value_sum=sum(part[2] for part in parts),
+        records=merged.records,
+        user_counts=merged.user_counts,
+        cells=frozenset(merged.cells),
+        value_sketch=merged.value_sketch,
+        lag_sketch=merged.lag_sketch,
+        value_count=merged.value_count,
+        value_sum=merged.value_sum,
+        gps_records=merged.gps_records,
+        lag_sum=merged.lag_sum,
+        lag_max=merged.lag_max,
+        first_time=merged.first_time,
+        last_time=merged.last_time,
     )
 
 
@@ -230,17 +185,7 @@ def snapshot_from_panes(
     records) — dashboards and ``rate_below`` queries depend on empty
     windows being observable.
     """
-    return _fold_window(
-        task,
-        view,
-        start,
-        end,
-        [
-            (p.records, p.value_count, p.value_sum, p.user_counts, p.cells,
-             p.value_sketch, p.lag_sketch)
-            for p in panes
-        ],
-    )
+    return _snapshot(task, view, start, end, panes)
 
 
 def merge_snapshots(snapshots: Sequence[WindowSnapshot]) -> WindowSnapshot:
@@ -262,14 +207,4 @@ def merge_snapshots(snapshots: Sequence[WindowSnapshot]) -> WindowSnapshot:
                 f"{(head.task, head.view, head.start, head.end)} vs "
                 f"{(other.task, other.view, other.start, other.end)}"
             )
-    return _fold_window(
-        head.task,
-        head.view,
-        head.start,
-        head.end,
-        [
-            (s.records, s.value_count, s.value_sum, s.user_counts, s.cells,
-             s.value_sketch, s.lag_sketch)
-            for s in snapshots
-        ],
-    )
+    return _snapshot(head.task, head.view, head.start, head.end, snapshots)

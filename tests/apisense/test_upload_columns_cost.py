@@ -7,8 +7,9 @@ scriptless campaign builds no ``SensorRecord`` and no ``GeoPoint`` on
 the sample path, traced or not, never columnizes a record list, and
 routes each upload with one ``shard_of`` call.  A gateway client's
 record lists are read in one pass per flush.  A flush groups its rows
-by task once for the store and the router, and once more by (task,
-pane) for the stream engine.
+by task once for the store's segments and the router; the store's
+all-time summaries and the stream engine's panes fold parked flushes
+many at a time.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import repro.apisense.hive
 import repro.store.columns
 import repro.store.dataset_store
 import repro.store.pipeline
+import repro.store.summary
 import repro.streams.engine
 from repro import obs
 from repro.apisense.campaign import Campaign, CampaignConfig
@@ -108,14 +110,16 @@ def test_a_sample_is_a_row_and_an_upload_is_one_chunk(monkeypatch, calls, sensor
 def test_a_flush_groups_its_rows_by_task_once_for_store_and_router(monkeypatch, calls):
     campaign, task = scriptless_campaign(("gps",))
     shim_everywhere(calls, monkeypatch, "group_rows")
+    calls.shim(monkeypatch, repro.store.summary, "fold")
 
     campaign.run()
 
     pipeline = campaign.hive.pipeline.stats
     assert campaign.hive.streams.stats.records_seen == pipeline.flushed_records > 0
-    # One task grouping shared by the store and the router, one (task,
-    # pane) grouping in the stream engine's fold.
-    assert calls["group_rows"] == 2 * pipeline.flushes > 0
+    # One task grouping shared by the store's segments and the router;
+    # the store and the stream engine park flushes and fold many at once.
+    assert calls["group_rows"] == pipeline.flushes > 0
+    assert 0 < calls["fold"] < pipeline.flushes
 
 
 def test_record_lists_are_read_in_one_pass_per_flush(monkeypatch, calls, sim):

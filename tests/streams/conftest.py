@@ -46,17 +46,19 @@ def replay(sim: Simulator, pipeline: IngestPipeline, records, batch: int = 20) -
 
 
 def fill_pane(stats: PaneStats, users, cells=(), values=(), lags=None) -> PaneStats:
-    """Fold per-record rows into a pane the way the engine does: as columns.
+    """Fold per-record rows into a pane's fields.
 
     ``cells``/``values`` may be shorter than ``users`` or hold ``None``
     (no fix / no scalar); ``lags`` is per record or ``None`` (untracked).
     """
-    names, counts = np.unique(list(users), return_counts=True)
-    stats.update_columns(
-        names.tolist(),
-        counts.tolist(),
-        [cell for cell in cells if cell is not None],
-        np.array([v for v in values if v is not None], dtype=np.float64),
-        None if lags is None else np.array(lags, dtype=np.float64),
-    )
+    for user in users:
+        stats.user_counts[user] = stats.user_counts.get(user, 0) + 1
+    stats.records += len(users)
+    stats.cells.update(cell for cell in cells if cell is not None)
+    finite = np.array([v for v in values if v is not None], dtype=np.float64)
+    stats.value_count += len(finite)
+    stats.value_sum += float(finite.sum())
+    stats.value_sketch.extend(finite)
+    if lags is not None:
+        stats.lag_sketch.extend(np.array(lags, dtype=np.float64))
     return stats
