@@ -21,7 +21,7 @@ too are what one store holding every record would report.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -42,27 +42,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation import FaultInjector
 
 
-@dataclass(frozen=True)
-class FederatedTaskAggregate:
-    """Streaming aggregates of one task, merged across members."""
+class FederatedTaskAggregate(Summary):
+    """One task's all-time summaries merged across members
+    (:meth:`~repro.store.summary.Summary.merge`); ``per_member`` holds
+    each member's own."""
 
-    task: str
-    records: int
-    gps_records: int
-    users: frozenset[str]
-    coverage_cells: int
-    first_time: float | None
-    last_time: float | None
-    lag_mean: float
-    lag_max: float
-    lag_p50: float
-    lag_p95: float
-    lag_p99: float
-    per_member: Mapping[str, Summary] = field(default_factory=dict)
+    __slots__ = ("per_member",)
 
     @property
-    def n_users(self) -> int:
-        return len(self.users)
+    def users(self) -> frozenset[str]:
+        return frozenset(self.user_counts)
 
     def to_text(self) -> str:
         lines = [
@@ -246,22 +235,9 @@ class FederatedDataset:
                 f"members disagree on coverage cell size for {task!r}: "
                 f"{sorted(cell_degs)}; coverage cells cannot be merged"
             )
-        merged = Summary.merge(per_member.values())
-        return FederatedTaskAggregate(
-            task=task,
-            records=merged.records,
-            gps_records=merged.gps_records,
-            users=frozenset(merged.user_counts),
-            coverage_cells=merged.coverage_cells,
-            first_time=merged.first_time,
-            last_time=merged.last_time,
-            lag_mean=merged.lag_mean,
-            lag_max=merged.lag_max,
-            lag_p50=merged.lag_p50,
-            lag_p95=merged.lag_p95,
-            lag_p99=merged.lag_p99,
-            per_member=per_member,
-        )
+        merged = FederatedTaskAggregate.merge(per_member.values(), task=task)
+        merged.per_member = per_member
+        return merged
 
     # ------------------------------------------------------------------
     # Secure aggregate path (the privacy tier)

@@ -178,8 +178,11 @@ class RecordBatch(Sequence):
             self._derived[key] = make()
         return self._derived[key]
 
-    def lags(self, now: float) -> np.ndarray:
-        """Each row's ingest lag at clock reading ``now`` (0 for a future row)."""
+    def lags(self, now: float | None) -> np.ndarray:
+        """Each row's ingest lag at clock reading ``now`` (0 for a future
+        row; NaN, untracked, without a clock)."""
+        if now is None:
+            return self._derive(("lags", now), lambda: np.full(len(self), NAN))
         return self._derive(("lags", now), lambda: np.maximum(0.0, now - self.time))
 
     def cells(self, cell_deg: float, grid: "SpatialGrid | None" = None) -> np.ndarray:
@@ -251,13 +254,13 @@ def batch_of(parts: "Iterable[list[SensorRecord] | UploadChunk]") -> RecordBatch
             run = list(run)
             sizes = [len(chunk) for chunk in run]
             rows += [chunk.rows for chunk in run]
-            task_index.append(np.repeat(_codes([c.task for c in run], tasks), sizes))
-            user_index.append(np.repeat(_codes([c.user for c in run], users), sizes))
+            task_index.append(np.repeat(codes_of([c.task for c in run], tasks), sizes))
+            user_index.append(np.repeat(codes_of([c.user for c in run], users), sizes))
         else:
             records = list(chain.from_iterable(run))
             rows.append(_rows_array([row_of(r.time, r.values) for r in records]))
-            task_index.append(_codes([r.task for r in records], tasks))
-            user_index.append(_codes([r.user for r in records], users))
+            task_index.append(codes_of([r.task for r in records], tasks))
+            user_index.append(codes_of([r.user for r in records], users))
     columns = np.concatenate(rows).T.copy() if rows else np.empty((4, 0))
     time, lat, lon, value = columns
     return RecordBatch(
@@ -281,8 +284,9 @@ def columnize(records: "Iterable[SensorRecord] | UploadChunk") -> RecordBatch:
     return batch_of([records if isinstance(records, UploadChunk) else list(records)])
 
 
-def _codes(names: list[str], table: dict[str, int]) -> np.ndarray:
-    """Each name's code in ``table``, new names coded in order of appearance."""
+def codes_of(names: list[str], table: dict[str, int]) -> np.ndarray:
+    """Each name's code in ``table``, new names coded in order of
+    appearance (``list(table)`` names the codes)."""
     for name in dict.fromkeys(names):
         table.setdefault(name, len(table))
     return np.fromiter(map(table.__getitem__, names), np.int64, len(names))

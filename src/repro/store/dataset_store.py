@@ -31,7 +31,7 @@ import numpy as np
 from repro import obs as _obs
 from repro.errors import StoreError
 from repro.obs.instruments import StoreInstruments
-from repro.store.columns import RecordBatch, columnize, group_rows
+from repro.store.columns import RecordBatch, codes_of, columnize, group_rows
 from repro.store.segment import Segment, SegmentBuilder, merge_segments
 from repro.store.summary import StoreAggregates, Summary
 
@@ -208,8 +208,8 @@ class DatasetStore:
         self.n_shards = n_shards
         self.segment_capacity = segment_capacity
         self._shards = [_Shard(i, segment_capacity) for i in range(n_shards)]
-        self._user_ids: dict[str, int] = {}
-        self._user_table: list[str] = []
+        #: Interned user ids; ``list(self._users)`` is the id -> user table.
+        self._users: dict[str, int] = {}
         self.aggregates = StoreAggregates(cell_deg=coverage_cell_deg)
         obs = obs or _obs.default()
         self.obs = StoreInstruments(obs.registry)
@@ -222,16 +222,9 @@ class DatasetStore:
     def shard_of(self, task: str, user: str) -> int:
         return shard_of(task, user, self.n_shards)
 
-    def _intern_user(self, user: str) -> int:
-        uid = self._user_ids.get(user)
-        if uid is None:
-            uid = self._user_ids[user] = len(self._user_table)
-            self._user_table.append(user)
-        return uid
-
     @property
     def users(self) -> list[str]:
-        return list(self._user_table)
+        return list(self._users)
 
     @property
     def tasks(self) -> list[str]:
@@ -272,9 +265,7 @@ class DatasetStore:
         with self._tracer.span("store.append", batch=len(batch)) as span:
             if span.span is not None:
                 span.add_records(batch.traced_keys())
-            user_id = np.array(
-                [self._intern_user(user) for user in batch.users], dtype=np.int64
-            )[batch.user_index]
+            user_id = codes_of(batch.users, self._users)[batch.user_index]
             # One contiguous column run per (shard, task) partition; a
             # flush on one shard shares the batch's task groups.
             if shard is None:
@@ -296,7 +287,7 @@ class DatasetStore:
                     batch.value[rows], user_id[rows],
                 )
                 target.records += len(rows)
-            self.aggregates.park(batch, user_id, self._user_table, ingest_time)
+            self.aggregates.park(batch, user_id, self._users, ingest_time)
         self.obs.records_appended.inc(len(batch))
         if timed:
             self.obs.append_seconds.observe(_time.perf_counter() - started)
@@ -354,7 +345,7 @@ class DatasetStore:
         box = self._unpack_bbox(bbox)
         if user is not None:
             shards: Iterable[_Shard] = (self._shards[self.shard_of(task, user)],)
-            want_uid = self._user_ids.get(user)
+            want_uid = self._users.get(user)
             if want_uid is None:
                 return self._empty_batch()
         else:
@@ -404,7 +395,7 @@ class DatasetStore:
             lon=np.concatenate([p[2] for p in pieces]),
             value=np.concatenate([p[3] for p in pieces]),
             user_id=np.concatenate([p[4] for p in pieces]),
-            user_table=tuple(self._user_table),
+            user_table=tuple(self._users),
         )
 
     def scan_time(self, task: str, t0: float, t1: float) -> ColumnarBatch:
@@ -433,7 +424,7 @@ class DatasetStore:
             lon=empty,
             value=empty,
             user_id=np.empty(0, dtype=np.int64),
-            user_table=tuple(self._user_table),
+            user_table=tuple(self._users),
         )
 
     # ------------------------------------------------------------------
@@ -488,7 +479,7 @@ class DatasetStore:
             segments=sum(s.segments for s in per_shard),
             sealed_segments=sum(s.sealed_segments for s in per_shard),
             tasks=len(self.tasks),
-            users=len(self._user_table),
+            users=len(self._users),
             per_shard=per_shard,
         )
 

@@ -124,58 +124,43 @@ class SegmentBuilder:
         self.size += n
         self._bounds = None
 
-    def _segment(self, sealed: bool, copy: bool) -> Segment:
+    def _columns(self) -> list[np.ndarray]:
         n = self.size
-        if self._bounds is None:
-            lat, lon = self._lat[:n], self._lon[:n]
-            fixes = not np.isnan(lat).all()
-            self._bounds = (
-                float(self._time[:n].min()) if n else np.inf,
-                float(self._time[:n].max()) if n else -np.inf,
-                *((np.nanmin(lat), np.nanmax(lat), np.nanmin(lon), np.nanmax(lon))
-                  if fixes else (np.nan,) * 4),
-            )
-        columns = (self._time, self._lat, self._lon, self._value, self._user_id)
-        columns = [c[:n].copy() if copy else c[:n] for c in columns]
-        return Segment(*columns, *self._bounds, sealed=sealed)
+        return [c[:n] for c in (self._time, self._lat, self._lon, self._value, self._user_id)]
 
     def as_segment(self) -> Segment:
         """A zero-copy scan view over the rows written so far."""
-        return self._segment(sealed=False, copy=False)
+        columns = self._columns()
+        if self._bounds is None:
+            self._bounds = _bounds(*columns[:3])
+        return Segment(*columns, *self._bounds, sealed=False)
 
     def seal(self) -> Segment:
         """Freeze the builder into an immutable right-sized segment."""
-        segment = self._segment(sealed=True, copy=True)
-        for array in (segment.time, segment.lat, segment.lon, segment.value, segment.user_id):
-            array.setflags(write=False)
-        return segment
+        return _sealed([column.copy() for column in self._columns()])
+
+
+def _bounds(time: np.ndarray, lat: np.ndarray, lon: np.ndarray) -> tuple[float, ...]:
+    """A segment's pruning metadata over its rows: the time span, then
+    the extent of its fixes (NaN without one)."""
+    span = (float(time.min()), float(time.max())) if len(time) else (np.inf, -np.inf)
+    if np.isnan(lat).all():
+        return (*span, np.nan, np.nan, np.nan, np.nan)
+    return (*span, np.nanmin(lat), np.nanmax(lat), np.nanmin(lon), np.nanmax(lon))
+
+
+def _sealed(columns: list[np.ndarray]) -> Segment:
+    """An immutable segment of ``COLUMNS``-ordered columns it owns."""
+    for column in columns:
+        column.setflags(write=False)
+    return Segment(*columns, *_bounds(*columns[:3]), sealed=True)
 
 
 def merge_segments(segments: list[Segment]) -> Segment:
     """Compact several sealed segments into one, sorted by time."""
     if not segments:
         raise StoreError("cannot merge an empty segment list")
-    time = np.concatenate([s.time for s in segments])
-    order = np.argsort(time, kind="stable")
-    lat = np.concatenate([s.lat for s in segments])[order]
-    lon = np.concatenate([s.lon for s in segments])[order]
-    # min/max over the per-segment extents, ignoring all-NaN (GPS-less)
-    # segments; the merge is all-NaN only when every input is.
-    with_fix = [s for s in segments if not np.isnan(s.lat_min)]
-    merged = Segment(
-        time=time[order],
-        lat=lat,
-        lon=lon,
-        value=np.concatenate([s.value for s in segments])[order],
-        user_id=np.concatenate([s.user_id for s in segments])[order],
-        t_min=min(s.t_min for s in segments),
-        t_max=max(s.t_max for s in segments),
-        lat_min=min(s.lat_min for s in with_fix) if with_fix else float("nan"),
-        lat_max=max(s.lat_max for s in with_fix) if with_fix else float("nan"),
-        lon_min=min(s.lon_min for s in with_fix) if with_fix else float("nan"),
-        lon_max=max(s.lon_max for s in with_fix) if with_fix else float("nan"),
-        sealed=True,
-    )
-    for array in (merged.time, merged.lat, merged.lon, merged.value, merged.user_id):
-        array.setflags(write=False)
-    return merged
+    order = np.argsort(np.concatenate([s.time for s in segments]), kind="stable")
+    return _sealed([
+        np.concatenate([getattr(s, name) for s in segments])[order] for name in COLUMNS
+    ])

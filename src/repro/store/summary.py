@@ -1,33 +1,25 @@
-"""One summary type: the store's per-task aggregates and the stream's panes.
+"""One summary type for the store's per-task aggregates and the stream's panes.
 
 A :class:`Summary` counts one task's records over a span of event time:
-records, contributing users by name, GPS fixes and their distinct cells,
-finite scalar values (count, sum, quantile sketch), ingest lags (sum,
-max, quantile sketch) and the first and last record time.  The store
-keeps one per task for all time (:class:`StoreAggregates`, reading it is
-O(1) however much was ingested); the stream engine keeps one per (task,
-pane).  Both are filled by :func:`fold` and combined by
-:meth:`Summary.merge`: counts and sums add, user counts add, cells
-union and sketch buckets add, so a merge is exact.
-
-:func:`fold` reads a flush's derived columns (:class:`~repro.store.
-columns.RecordBatch`: fix and finite masks, lags, packed cells), which
-are computed once per flush whoever reads them, and reduces them by key
-over the whole batch: one stable sort of the rows by key, then
-sort-and-diff for the distinct (key, user) and (key, cell) pairs.  So a
-flush costs the same numpy calls however many summaries it touches;
-what is left per summary is plain Python arithmetic on the reductions.
+records, users by name, fixes and their distinct cells, finite values
+(count, sum, sketch), ingest lags (sum, max, sketch) and the time span.
+The store keeps one per task for all time (:class:`StoreAggregates`),
+the stream engine one per (task, pane).  Both park each flush's rows
+(:class:`Parked`) with the columns the flush derives once, fold many
+flushes at a time with one keyed :func:`fold`, and combine summaries
+with :meth:`Summary.merge` — counts, sums, user counts and sketch
+buckets add and cells union, so every merge is exact.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import StoreError
-from repro.store.columns import NO_CELL, RecordBatch, unpack_cells
+from repro.store.columns import NO_CELL, RecordBatch, codes_of, unpack_cells
 from repro.store.quantiles import QuantileSketch, reading
 
 CellIndex = tuple[int, int]
@@ -57,8 +49,6 @@ class Summary:
         self.lag_sketch = QuantileSketch()
         self.first_time: float | None = None
         self.last_time: float | None = None
-
-    # -- readings ----------------------------------------------------------
 
     @property
     def n_users(self) -> int:
@@ -102,20 +92,12 @@ class Summary:
             f"lag mean/p50/p95 {self.lag_mean:.1f}/{self.lag_p50:.1f}/{self.lag_p95:.1f}s"
         )
 
-    # -- merge -------------------------------------------------------------
-
     @classmethod
-    def merge(
-        cls,
-        parts: Iterable,
-        start: float = -math.inf,
-        end: float = math.inf,
-        task: str = "",
-    ) -> "Summary":
+    def merge(cls, parts: Iterable, task: str = "") -> "Summary":
         """One summary of ``parts`` — summaries, or anything with their
         fields (a window snapshot) — every field merged exactly."""
         parts = list(parts)
-        merged = cls(start, end, task)
+        merged = cls(task=task)
         for part in parts:
             merged.records += part.records
             merged.gps_records += part.gps_records
@@ -146,11 +128,12 @@ class Columns(NamedTuple):
     value: np.ndarray
     #: Packed cells (:meth:`RecordBatch.cells`), ``NO_CELL`` without a fix.
     cells: np.ndarray
-    #: Ingest lags, NaN where untracked; ``None``: none tracked.
-    lags: np.ndarray | None
-    #: Each row's user, as an index into ``names``.
+    #: Ingest lags, NaN where untracked.
+    lags: np.ndarray
+    #: Each row's user as a code of ``names``, a table that only grows
+    #: and whose ``list()`` is its names in code order.
     users: np.ndarray
-    names: Sequence[str]
+    names: Sequence[str] | Mapping[str, int]
 
 
 def fold(
@@ -184,27 +167,22 @@ def fold(
     value = columns.value[order]
     finite = np.isfinite(value)
     values = value[finite]
-    value_counts = np.bincount(group[finite], minlength=n).tolist()
-    for summary, value_sum in zip(owners, _sums(values, piece[finite], pieces)):
+    lag = columns.lags[order]
+    tracked = np.isfinite(lag)
+    lags = lag[tracked]
+    for summary, value_sum, lag_sum in zip(
+        owners, _sums(values, piece[finite], pieces), _sums(lags, piece[tracked], pieces)
+    ):
         summary.value_sum += value_sum
-    if columns.lags is None:
-        lag_counts, lag_maxes = [0] * n, [0.0] * n
-    else:
-        lag = columns.lags[order]
-        tracked = np.isfinite(lag)
-        lags = lag[tracked]
-        lag_counts = np.bincount(group[tracked], minlength=n).tolist()
-        lag_maxes = np.fmax.reduceat(lag, starts).tolist()
-        for summary, lag_sum in zip(owners, _sums(lags, piece[tracked], pieces)):
-            summary.lag_sum += lag_sum
+        summary.lag_sum += lag_sum
     value_at = lag_at = 0
     for summary, records, fixes, n_values, n_lags, lag_max, first, last in zip(
         summaries,
         np.bincount(group).tolist(),
         np.bincount(group[fix], minlength=n).tolist(),
-        value_counts,
-        lag_counts,
-        lag_maxes,
+        np.bincount(group[finite], minlength=n).tolist(),
+        np.bincount(group[tracked], minlength=n).tolist(),
+        np.fmax.reduceat(lag, starts).tolist(),
         np.minimum.reduceat(time, starts).tolist(),
         np.maximum.reduceat(time, starts).tolist(),
     ):
@@ -220,8 +198,8 @@ def fold(
             summary.lag_sketch.extend_finite(lags[lag_at : lag_at + n_lags])
             lag_at += n_lags
 
-    names = columns.names
-    pairs, counts = _distinct(group * len(names) + columns.users[order])
+    names = list(columns.names)
+    pairs, counts = np.unique(group * len(names) + columns.users[order], return_counts=True)
     for pair, count in zip(pairs.tolist(), counts.tolist()):
         g, user = divmod(pair, len(names))
         user_counts = summaries[g].user_counts
@@ -245,16 +223,6 @@ def _heads(*columns: np.ndarray) -> np.ndarray:
     return head
 
 
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ``keys``, ascending, and how often each occurs."""
-    keys = np.sort(keys)
-    starts = _heads(keys).nonzero()[0]
-    counts = np.empty_like(starts)
-    counts[:-1] = starts[1:] - starts[:-1]
-    counts[-1:] = len(keys) - starts[-1:]
-    return keys[starts], counts
-
-
 def _sums(values: np.ndarray, group: np.ndarray, n: int) -> list[float]:
     """Per group of ``n`` (``group`` ascending), the ``.sum()`` of its
     ``values``.
@@ -276,45 +244,34 @@ PENDING_ROWS = 4096
 
 
 class Parked:
-    """Flushes kept as columns until one :func:`fold` takes them all:
-    the numpy calls are paid once per fold, not once per flush.
-
-    ``users`` must index one table, ``names``, that only grows.
-    """
+    """Flushes kept as :class:`Columns` until one :func:`fold` takes them
+    all: a fold's numpy calls are paid once for many flushes."""
 
     def __init__(self) -> None:
         self._parts: list[tuple[np.ndarray, Columns]] = []
         self.rows = 0
 
     def park(self, keys: np.ndarray, columns: Columns) -> None:
-        """Keep rows of one flush and the key of each (non-negative)."""
+        """Keep the rows of one flush and each row's (non-negative) key."""
         self._parts.append((keys, columns))
         self.rows += len(keys)
 
     def fold(self, summary_of: Callable[[int], Summary]) -> None:
-        """:func:`fold` every parked row into ``summary_of(key)``, flush
-        after flush, and forget them."""
+        """Fold every parked row into ``summary_of(key)``, flush after flush."""
         if not self._parts:
             return
         parts, self._parts, self.rows = self._parts, [], 0
         keys = np.concatenate([keys for keys, _ in parts])
-        flush = np.repeat(np.arange(len(parts)), [len(keys) for keys, _ in parts])
-        tracked = parts[0][1].lags is not None
-        columns = Columns(
-            *(np.concatenate([c[i] for _, c in parts]) for i in range(3)),
-            np.concatenate([c.lags for _, c in parts]) if tracked else None,
-            np.concatenate([c.users for _, c in parts]),
-            parts[-1][1].names,
-        )
-        fold(columns, keys, flush, summary_of)
+        flushes = np.repeat(np.arange(len(parts)), [len(keys) for keys, _ in parts])
+        columns = [np.concatenate(column) for column in zip(*(c[:5] for _, c in parts))]
+        fold(Columns(*columns, parts[-1][1].names), keys, flushes, summary_of)
 
 
 class StoreAggregates:
-    """The all-time :class:`Summary` of every task of one store.
+    """The all-time :class:`Summary` of each task of one store.
 
-    A flush is :class:`Parked`, every row including late ones, and
-    folded when the aggregates are next read or :data:`PENDING_ROWS`
-    rows wait.
+    Every row of a flush, late ones included, is :class:`Parked`, and
+    folded when the aggregates are read or :data:`PENDING_ROWS` wait.
     """
 
     def __init__(self, cell_deg: float = 0.005):
@@ -327,45 +284,41 @@ class StoreAggregates:
 
     @property
     def tasks(self) -> list[str]:
-        self._fold()
-        return list(self._per_task)
+        return list(self._folded())
 
     def task(self, name: str) -> Summary:
-        self._fold()
-        if name not in self._per_task:
+        summary = self._folded().get(name)
+        if summary is None:
             raise StoreError(f"no aggregates for unknown task {name!r}")
-        return self._per_task[name]
+        return summary
 
     def get(self, name: str) -> Summary | None:
-        self._fold()
-        return self._per_task.get(name)
+        return self._folded().get(name)
 
     def park(
         self,
         batch: RecordBatch,
         users: np.ndarray,
-        names: Sequence[str],
+        names: Mapping[str, int],
         ingest_time: float | None,
     ) -> None:
-        """Park every row of a flush: ``users`` indexes each row's user
-        in ``names``; ``ingest_time`` is the clock at flush (``None``, a
-        bulk load, tracks no lag)."""
-        codes = [self._codes.setdefault(task, len(self._codes)) for task in batch.tasks]
-        lags = np.full(len(batch), np.nan) if ingest_time is None else batch.lags(ingest_time)
+        """Park a flush: ``users`` codes each row's user in ``names``;
+        ``ingest_time`` is the clock at flush (``None``: no lag)."""
         self._parked.park(
-            np.array(codes)[batch.task_index],
-            Columns(batch.time, batch.value, batch.cells(self.cell_deg), lags, users, names),
+            codes_of(batch.tasks, self._codes)[batch.task_index],
+            Columns(batch.time, batch.value, batch.cells(self.cell_deg),
+                    batch.lags(ingest_time), users, names),
         )
         if self._parked.rows >= PENDING_ROWS:
-            self._fold()
+            self._folded()
 
-    def _fold(self) -> None:
+    def _folded(self) -> dict[str, Summary]:
         tasks = list(self._codes)
 
         def summary_of(code: int) -> Summary:
-            name = tasks[code]
-            if name not in self._per_task:
-                self._per_task[name] = Summary(task=name)
-            return self._per_task[name]
+            if tasks[code] not in self._per_task:
+                self._per_task[tasks[code]] = Summary(task=tasks[code])
+            return self._per_task[tasks[code]]
 
         self._parked.fold(summary_of)
+        return self._per_task

@@ -44,7 +44,7 @@ from repro import obs as _obs
 from repro.errors import StreamError
 from repro.obs.instruments import StreamInstruments
 from repro.geo.grid import SpatialGrid
-from repro.store.columns import RecordBatch, columnize
+from repro.store.columns import RecordBatch, codes_of, columnize
 from repro.store.summary import PENDING_ROWS, Columns, Parked
 from repro.streams.queries import AlertLog, ContinuousQuery, StreamAlert
 from repro.streams.views import PaneStats, WindowSnapshot, snapshot_from_panes
@@ -61,13 +61,6 @@ WindowCallback = Callable[[WindowSnapshot], None]
 #: A parked row's key is ``task code * _TASK_STRIDE + pane index``.
 _TASK_STRIDE = 1 << 40
 
-
-def _intern(name: str, codes: dict[str, int], names: list[str]) -> int:
-    """``name``'s code in a table that only grows."""
-    if name not in codes:
-        codes[name] = len(names)
-        names.append(name)
-    return codes[name]
 
 
 @dataclass
@@ -124,9 +117,7 @@ class StreamEngine:
         #: coded by the engine's own task and user tables.
         self._parked = Parked()
         self._task_codes: dict[str, int] = {}
-        self._task_names: list[str] = []
         self._user_codes: dict[str, int] = {}
-        self._user_names: list[str] = []
         self._history: dict[tuple[str, str], "list[WindowSnapshot]"] = {}
         self._window_callbacks: list[WindowCallback] = []
         self._closed_pane = 0  # panes [0, _closed_pane) are closed
@@ -261,25 +252,26 @@ class StreamEngine:
         """Park the batch's ``live`` rows, keyed by (task, pane), for the
         next fold into their panes."""
         rows = live if len(live) < len(batch) else slice(None)  # a view when all are live
-        tasks = np.array([_intern(t, self._task_codes, self._task_names) for t in batch.tasks])
-        users = np.array([_intern(u, self._user_codes, self._user_names) for u in batch.users])
+        tasks = codes_of(batch.tasks, self._task_codes)[batch.task_index[rows]]
+        users = codes_of(batch.users, self._user_codes)[batch.user_index[rows]]
         time = batch.time[rows]
-        keys = tasks[batch.task_index[rows]] * _TASK_STRIDE + (time // self.pane_seconds).astype(np.int64)
-        lags = None if self._sim is None else batch.lags(self._sim.now)[rows]
+        keys = tasks * _TASK_STRIDE + (time // self.pane_seconds).astype(np.int64)
+        lags = batch.lags(None if self._sim is None else self._sim.now)
         self._parked.park(keys, Columns(
             time,
             batch.value[rows],
             batch.cells(self.cell_deg, self.grid)[rows],
-            lags,
-            users[batch.user_index[rows]],
-            self._user_names,
+            lags[rows],
+            users,
+            self._user_codes,
         ))
         if self._tracer.enabled:
             ids = batch.trace_id[rows]
             traced = ids >= 0
+            names = list(self._task_codes)
             for tid, t, key in zip(ids[traced].tolist(), time[traced].tolist(), keys[traced].tolist()):
                 code, i = divmod(key, _TASK_STRIDE)
-                pane_traces = self._traced_panes.setdefault((self._task_names[code], i), {})
+                pane_traces = self._traced_panes.setdefault((names[code], i), {})
                 pane_traces.setdefault(tid, []).append(t)
         if self._parked.rows >= PENDING_ROWS:
             self._fold_pending()
@@ -288,10 +280,11 @@ class StreamEngine:
         """Fold every parked row into its pane: one keyed fold for all
         the flushes since the last one."""
         pane = self.pane_seconds
+        names = list(self._task_codes)
 
         def pane_of(key: int) -> PaneStats:
             code, i = divmod(key, _TASK_STRIDE)
-            task = self._task_names[code]
+            task = names[code]
             self._tasks.add(task)
             panes = self._pane_stats.setdefault(task, {})
             if i not in panes:

@@ -1,7 +1,7 @@
 """Windowed materialized views: pane state and window snapshots.
 
-The engine keeps one :class:`PaneStats` per (task, pane) and folds each
-flush's columns into it at flush time; every registered windowed view is
+The engine keeps one :class:`PaneStats` per (task, pane) and folds the
+flushes' columns into it before windows close; every registered view is
 assembled *at window close* by merging the panes it spans into a
 :class:`WindowSnapshot`.  A snapshot is therefore a real materialized
 view — record rate, geo-cell coverage, per-user activity, and value
@@ -19,12 +19,11 @@ would have built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.errors import StreamError
-from repro.store.quantiles import QuantileSketch, reading
-from repro.store.summary import CellIndex, Summary
+from repro.store.quantiles import reading
+from repro.store.summary import Summary
 
 
 #: A pane's state: one task's :class:`~repro.store.summary.Summary` over
@@ -33,35 +32,18 @@ from repro.store.summary import CellIndex, Summary
 PaneStats = Summary
 
 
-@dataclass(frozen=True)
-class WindowSnapshot:
-    """One closed window of one task's windowed view.
+class WindowSnapshot(Summary):
+    """One closed window of one task's windowed view: the merged
+    :class:`~repro.store.summary.Summary` of the panes it spans.
 
     Aggregate readings are plain attributes/properties; the mergeable
-    state (``user_counts``, ``cells``, sketches) rides along so member
-    snapshots can be folded across a federation.
+    state (``user_counts``, ``cells``, sketches, ``value_count`` and
+    ``value_sum``, which the federation's *secure* window fold
+    aggregates) rides along so member snapshots can be folded across a
+    federation.
     """
 
-    task: str
-    view: str
-    start: float
-    end: float
-    records: int
-    user_counts: Mapping[str, int]
-    cells: frozenset[CellIndex]
-    value_sketch: QuantileSketch
-    lag_sketch: QuantileSketch
-    #: Additive scalar-value state: records carrying a finite scalar
-    #: value and their sum — what the federation's *secure* window fold
-    #: aggregates.
-    value_count: int = 0
-    value_sum: float = 0.0
-    #: The rest of the panes' :class:`~repro.store.summary.Summary`.
-    gps_records: int = 0
-    lag_sum: float = 0.0
-    lag_max: float = 0.0
-    first_time: float | None = None
-    last_time: float | None = None
+    __slots__ = ("view",)
 
     @property
     def duration(self) -> float:
@@ -76,14 +58,6 @@ class WindowSnapshot:
     def rate(self) -> float:
         """Record rate over the window, in records/second."""
         return self.records / self.duration if self.duration else 0.0
-
-    @property
-    def n_users(self) -> int:
-        return len(self.user_counts)
-
-    @property
-    def coverage_cells(self) -> int:
-        return len(self.cells)
 
     def top_users(self, k: int = 5) -> tuple[tuple[str, int], ...]:
         """The ``k`` most active users of the window, most active first."""
@@ -151,25 +125,9 @@ def _snapshot(task: str, view: str, start: float, end: float, parts) -> WindowSn
     members.  Every part of it is exact, which is what makes pane
     assembly and cross-hive merging agree: merged members == monolithic
     engine."""
-    merged = Summary.merge(parts)
-    return WindowSnapshot(
-        task=task,
-        view=view,
-        start=start,
-        end=end,
-        records=merged.records,
-        user_counts=merged.user_counts,
-        cells=frozenset(merged.cells),
-        value_sketch=merged.value_sketch,
-        lag_sketch=merged.lag_sketch,
-        value_count=merged.value_count,
-        value_sum=merged.value_sum,
-        gps_records=merged.gps_records,
-        lag_sum=merged.lag_sum,
-        lag_max=merged.lag_max,
-        first_time=merged.first_time,
-        last_time=merged.last_time,
-    )
+    snapshot = WindowSnapshot.merge(parts, task=task)
+    snapshot.view, snapshot.start, snapshot.end = view, start, end
+    return snapshot
 
 
 def snapshot_from_panes(

@@ -97,7 +97,7 @@ class ReferenceStore(DatasetStore):
         user_id = np.empty(n, dtype=np.int64)
         for i, record in enumerate(records):
             time[i] = record.time
-            user_id[i] = self._intern_user(record.user)
+            user_id[i] = self._users.setdefault(record.user, len(self._users))
             gps = record.values.get("gps")
             if isinstance(gps, GeoPoint):
                 lat[i] = gps.lat
