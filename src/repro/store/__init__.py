@@ -21,8 +21,8 @@ halves that make that scale:
   coverage cells, values and freshness/lag percentiles over a span of
   event time: the store's all-time aggregate per task
   (:class:`~repro.store.summary.StoreAggregates`) and the stream
-  engine's pane, both folded at flush time from columns each flush
-  derives once;
+  engine's pane, both folded many flushes at a time from columns each
+  flush derives once;
 - :class:`~repro.store.quantiles.QuantileSketch` — the one
   relative-error, exactly-mergeable quantile sketch behind every
   percentile the store, the streams and the federation report.

@@ -11,8 +11,8 @@ shard and time-range/bbox scans prune whole segments by metadata.
 Writes go through :meth:`DatasetStore.append` (typically called by the
 :class:`~repro.store.pipeline.IngestPipeline` at flush time with the
 flush's :class:`~repro.store.columns.RecordBatch` and its shard; a plain
-record list is columnized and routed on entry), which also folds every
-flush, late records included, into each task's all-time
+record list is columnized and routed on entry), which also parks every
+flush, late records included, for each task's all-time
 :class:`~repro.store.summary.Summary` (:class:`~repro.store.summary.
 StoreAggregates`).
 Sealed segments are immutable; :meth:`DatasetStore.compact` merges a
@@ -287,7 +287,7 @@ class DatasetStore:
                     batch.value[rows], user_id[rows],
                 )
                 target.records += len(rows)
-            self.aggregates.park(batch, user_id, self._users, ingest_time)
+            self.aggregates.park(batch, ingest_time)
         self.obs.records_appended.inc(len(batch))
         if timed:
             self.obs.append_seconds.observe(_time.perf_counter() - started)

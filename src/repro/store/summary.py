@@ -14,7 +14,7 @@ buckets add and cells union, so every merge is exact.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,10 +130,9 @@ class Columns(NamedTuple):
     cells: np.ndarray
     #: Ingest lags, NaN where untracked.
     lags: np.ndarray
-    #: Each row's user as a code of ``names``, a table that only grows
-    #: and whose ``list()`` is its names in code order.
+    #: Each row's user, as an index into ``names``.
     users: np.ndarray
-    names: Sequence[str] | Mapping[str, int]
+    names: Sequence[str]
 
 
 def fold(
@@ -175,10 +174,18 @@ def fold(
     ):
         summary.value_sum += value_sum
         summary.lag_sum += lag_sum
-    value_at = lag_at = 0
-    for summary, records, fixes, n_values, n_lags, lag_max, first, last in zip(
+    bounds = [*starts.tolist(), len(key)]
+    names = columns.names
+    pairs, user_counts = np.unique(group * len(names) + columns.users[order], return_counts=True)
+    by_group, users = np.divmod(pairs, len(names))
+    users, user_counts = list(map(names.__getitem__, users.tolist())), user_counts.tolist()
+    cell_rows, cell_cols = (axis.tolist() for axis in unpack_cells(cells[fix]))
+    value_at = lag_at = cell_at = user_at = 0
+    for summary, start, stop, n_users, fixes, n_values, n_lags, lag_max, first, last in zip(
         summaries,
-        np.bincount(group).tolist(),
+        bounds,
+        bounds[1:],
+        np.bincount(by_group, minlength=n).tolist(),
         np.bincount(group[fix], minlength=n).tolist(),
         np.bincount(group[finite], minlength=n).tolist(),
         np.bincount(group[tracked], minlength=n).tolist(),
@@ -186,8 +193,14 @@ def fold(
         np.minimum.reduceat(time, starts).tolist(),
         np.maximum.reduceat(time, starts).tolist(),
     ):
-        summary.records += records
+        summary.records += stop - start
+        counts = summary.user_counts
+        for user, count in zip(users[user_at : user_at + n_users], user_counts[user_at:]):
+            counts[user] = counts.get(user, 0) + count
+        user_at += n_users
         summary.gps_records += fixes
+        summary.cells.update(zip(cell_rows[cell_at : cell_at + fixes], cell_cols[cell_at : cell_at + fixes]))
+        cell_at += fixes
         summary._span(first, last)
         if n_values:
             summary.value_count += n_values
@@ -197,21 +210,6 @@ def fold(
             summary.lag_max = max(summary.lag_max, lag_max)
             summary.lag_sketch.extend_finite(lags[lag_at : lag_at + n_lags])
             lag_at += n_lags
-
-    names = list(columns.names)
-    pairs, counts = np.unique(group * len(names) + columns.users[order], return_counts=True)
-    for pair, count in zip(pairs.tolist(), counts.tolist()):
-        g, user = divmod(pair, len(names))
-        user_counts = summaries[g].user_counts
-        user_counts[names[user]] = user_counts.get(names[user], 0) + count
-
-    fixed, cells = group[fix], cells[fix]
-    by_cell = np.lexsort((cells, fixed))
-    fixed, cells = fixed[by_cell], cells[by_cell]
-    first = _heads(fixed, cells).nonzero()[0]
-    cell_rows, cell_cols = unpack_cells(cells[first])
-    for g, row, col in zip(fixed[first].tolist(), cell_rows.tolist(), cell_cols.tolist()):
-        summaries[g].cells.add((row, col))
 
 
 def _heads(*columns: np.ndarray) -> np.ndarray:
@@ -261,10 +259,16 @@ class Parked:
         if not self._parts:
             return
         parts, self._parts, self.rows = self._parts, [], 0
+        sizes = [len(keys) for keys, _ in parts]
         keys = np.concatenate([keys for keys, _ in parts])
-        flushes = np.repeat(np.arange(len(parts)), [len(keys) for keys, _ in parts])
-        columns = [np.concatenate(column) for column in zip(*(c[:5] for _, c in parts))]
-        fold(Columns(*columns, parts[-1][1].names), keys, flushes, summary_of)
+        flushes = np.repeat(np.arange(len(parts)), sizes)
+        *columns, users = (np.concatenate(column) for column in zip(*(c[:5] for _, c in parts)))
+        # Each flush codes its users by its own table: recode them by one.
+        table: dict[str, int] = {}
+        recode = codes_of([name for _, c in parts for name in c.names], table)
+        offsets = np.cumsum([0] + [len(c.names) for _, c in parts[:-1]])
+        users = recode[users + np.repeat(offsets, sizes)]
+        fold(Columns(*columns, users, list(table)), keys, flushes, summary_of)
 
 
 class StoreAggregates:
@@ -295,19 +299,13 @@ class StoreAggregates:
     def get(self, name: str) -> Summary | None:
         return self._folded().get(name)
 
-    def park(
-        self,
-        batch: RecordBatch,
-        users: np.ndarray,
-        names: Mapping[str, int],
-        ingest_time: float | None,
-    ) -> None:
-        """Park a flush: ``users`` codes each row's user in ``names``;
-        ``ingest_time`` is the clock at flush (``None``: no lag)."""
+    def park(self, batch: RecordBatch, ingest_time: float | None) -> None:
+        """Park a flush; ``ingest_time`` is the clock at flush (``None``:
+        a bulk load, which tracks no lag)."""
         self._parked.park(
             codes_of(batch.tasks, self._codes)[batch.task_index],
             Columns(batch.time, batch.value, batch.cells(self.cell_deg),
-                    batch.lags(ingest_time), users, names),
+                    batch.lags(ingest_time), batch.user_index, batch.users),
         )
         if self._parked.rows >= PENDING_ROWS:
             self._folded()

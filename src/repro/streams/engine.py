@@ -113,11 +113,10 @@ class StreamEngine:
         self._queries: dict[str, list[ContinuousQuery]] = {}
         self._pane_stats: dict[str, dict[int, PaneStats]] = {}
         self._tasks: set[str] = set()
-        #: Live rows of the flushes since the last fold (:meth:`_fold`),
-        #: coded by the engine's own task and user tables.
+        #: Live rows of the flushes since the last fold (:meth:`_fold`);
+        #: their tasks coded by the engine's own table.
         self._parked = Parked()
         self._task_codes: dict[str, int] = {}
-        self._user_codes: dict[str, int] = {}
         self._history: dict[tuple[str, str], "list[WindowSnapshot]"] = {}
         self._window_callbacks: list[WindowCallback] = []
         self._closed_pane = 0  # panes [0, _closed_pane) are closed
@@ -253,7 +252,6 @@ class StreamEngine:
         next fold into their panes."""
         rows = live if len(live) < len(batch) else slice(None)  # a view when all are live
         tasks = codes_of(batch.tasks, self._task_codes)[batch.task_index[rows]]
-        users = codes_of(batch.users, self._user_codes)[batch.user_index[rows]]
         time = batch.time[rows]
         keys = tasks * _TASK_STRIDE + (time // self.pane_seconds).astype(np.int64)
         lags = batch.lags(None if self._sim is None else self._sim.now)
@@ -262,8 +260,8 @@ class StreamEngine:
             batch.value[rows],
             batch.cells(self.cell_deg, self.grid)[rows],
             lags[rows],
-            users,
-            self._user_codes,
+            batch.user_index[rows],
+            batch.users,
         ))
         if self._tracer.enabled:
             ids = batch.trace_id[rows]
