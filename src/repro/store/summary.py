@@ -194,13 +194,14 @@ def fold(
         np.maximum.reduceat(time, starts).tolist(),
     ):
         summary.records += stop - start
-        counts = summary.user_counts
-        for user, count in zip(users[user_at : user_at + n_users], user_counts[user_at:]):
+        counts, end = summary.user_counts, user_at + n_users
+        for user, count in zip(users[user_at:end], user_counts[user_at:end]):
             counts[user] = counts.get(user, 0) + count
-        user_at += n_users
+        user_at = end
         summary.gps_records += fixes
-        summary.cells.update(zip(cell_rows[cell_at : cell_at + fixes], cell_cols[cell_at : cell_at + fixes]))
-        cell_at += fixes
+        end = cell_at + fixes
+        summary.cells.update(zip(cell_rows[cell_at:end], cell_cols[cell_at:end]))
+        cell_at = end
         summary._span(first, last)
         if n_values:
             summary.value_count += n_values
