@@ -112,14 +112,16 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class SensorRecord:
-    """One sample as a record: what a gateway client may upload, and
-    what a Honeycomb hook reads.
+    """One sample as a record: what a gateway client may upload (and
+    a replay feeds the gateway).
 
     Carries both the device id (platform routing) and the user id (data
     attribution), so endpoints never need to resolve devices through a
     specific Hive — which is what lets federated deployments route data
-    across communities.  A device keeps and uploads rows, not records
-    (:class:`~repro.store.columns.UploadChunk`).
+    across communities.  A record list becomes upload chunks at the
+    gateway (:func:`~repro.store.columns.chunks_of`); a device keeps and
+    uploads rows, not records (:class:`~repro.store.columns.UploadChunk`),
+    and no tier past the gateway builds one.
     """
 
     device_id: str
@@ -127,10 +129,10 @@ class SensorRecord:
     task: str
     time: float
     values: Mapping[str, object]
-    #: Observability lineage: set by the ingest gateway when the upload
-    #: is traced (see :mod:`repro.obs.tracing`).  ``None`` — the vast
-    #: majority of records — means untraced; comparisons and hashing
-    #: still work upload-batch-wide because the id is per-upload.
+    #: Observability lineage (see :mod:`repro.obs.tracing`), carried
+    #: onto the record's upload chunk; the gateway stamps a sampled
+    #: upload's chunks itself.  ``None`` — the vast majority of
+    #: records — means untraced.
     trace_id: int | None = None
 
 

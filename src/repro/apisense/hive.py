@@ -25,7 +25,7 @@ from repro.apisense.tasks import SensingTask
 from repro.errors import PlatformError
 from repro.simulation import Simulator
 from repro.store import DatasetStore, IngestPipeline
-from repro.store.columns import RecordBatch, UploadChunk
+from repro.store.columns import RecordBatch, TaskRows, UploadChunk, chunks_of
 from repro.streams import StreamEngine
 
 from typing import TYPE_CHECKING
@@ -266,12 +266,15 @@ class Hive:
     ) -> int:
         """Accept an upload batch into the ingest pipeline.
 
-        ``records`` is a device's :class:`~repro.store.columns.UploadChunk`
-        or a record list (a gateway client's upload).  The batch lands in
-        the pipeline's shard buffer for this (task, user) pair; the
-        pipeline's next flush appends it to the columnar store and routes
-        it onward to the owning Honeycomb (uploads that coalesce into the
-        same flush window arrive as one batch).
+        ``records`` is an :class:`~repro.store.columns.UploadChunk` (a
+        device's, or a wire upload's) or a record list (a gateway
+        client's upload, a replay), which becomes chunks at the
+        pipeline's gate (:func:`~repro.store.columns.chunks_of`).  The
+        chunks land in the
+        pipeline's shard buffer for their (task, user) pair; the
+        pipeline's next flush appends them to the columnar store and
+        routes them onward to the owning Honeycomb (uploads that
+        coalesce into the same flush window arrive as one batch).
 
         Records the ingest gateway sheds (``reject`` backpressure) are
         neither counted nor rewarded — only admitted records enter the
@@ -297,11 +300,10 @@ class Hive:
             # Only a fully-*retained* batch pins the time: when the gate
             # sheds records (reject) or drop-oldest evicts any — possibly
             # this batch's own head — the shed records' times must not be
-            # recorded as collected.
-            stats.first_record_time = (
-                float(records.time.min())
-                if isinstance(records, UploadChunk)
-                else min(r.time for r in records)
+            # recorded as collected.  (Once per task: a record list is
+            # read into rows a second time here.)
+            stats.first_record_time = float(
+                min(row[0] for chunk in chunks_of(records) for row in chunk.rows)
             )
 
         # A migrated device's first upload can land before (or without)
@@ -318,14 +320,14 @@ class Hive:
 
         Fires after the store append: owners count the records and fire
         their hooks, and read the data back from the store.  Each owner
-        gets its task's rows of the batch, as records built only if a
-        hook reads them.
+        gets its task's rows of the batch (:class:`~repro.store.columns.
+        TaskRows`), as columns built only if a hook reads them.
         """
-        for rows in batch.task_groups:
-            task_name = batch.tasks[batch.task_index[rows[0]]]
+        for code, rows in batch.task_groups:
+            task_name = batch.tasks[code]
             owner = self._task_owner.get(task_name)
             if owner is not None:
-                owner.receive_dataset(task_name, batch.select(rows))
+                owner.receive_dataset(task_name, TaskRows(batch, rows))
 
     # ------------------------------------------------------------------
     # Privacy tier (secure aggregation)

@@ -9,21 +9,22 @@ scientist consumes it.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from repro.apisense.device import SensorRecord
 from repro.apisense.hive import Hive
 from repro.apisense.tasks import SensingTask
 from repro.apisense.vetting import dry_run_task
 from repro.errors import PlatformError, TaskValidationError
 from repro.geo.trajectory import Trajectory
 from repro.mobility.dataset import MobilityDataset
-from repro.store import DatasetStore
+from repro.store import ColumnarBatch, DatasetStore
+from repro.store.columns import TaskRows
 
-#: Hook signature: receives (task_name, batch) for each flush routed here.
-DatasetHook = Callable[[str, list[SensorRecord]], None]
+#: Hook signature: receives (task_name, columns) for each flush routed
+#: here: the task's rows of the flush, the shape a store scan returns.
+DatasetHook = Callable[[str, ColumnarBatch], None]
 
 
 class Honeycomb:
@@ -89,18 +90,18 @@ class Honeycomb:
         """Read a task's data from ``store`` too (a Hive adopting it)."""
         self._sources[self._known(task_name)][store] = None
 
-    def receive_dataset(self, task_name: str, records: Sequence[SensorRecord]) -> None:
+    def receive_dataset(self, task_name: str, rows: TaskRows) -> None:
         """Count one routed flush and fire hooks; the store keeps the data.
 
-        Hooks get the flush's records as a list: a device upload's are
-        rebuilt from its rows (values ``gps`` and ``value`` only), and
-        only when a hook is registered.
+        Hooks get the task's rows of the flush as a
+        :class:`~repro.store.ColumnarBatch`, built only when a hook is
+        registered.
         """
-        self._routed[self._known(task_name)] += len(records)
+        self._routed[self._known(task_name)] += len(rows)
         if self._hooks:
-            records = list(records)
+            columns = rows.columns()
             for hook in self._hooks:
-                hook(task_name, records)
+                hook(task_name, columns)
 
     def _known(self, task_name: str) -> str:
         if task_name not in self._tasks:

@@ -33,7 +33,8 @@ from repro.privacy.secure_aggregation import (
     SecureAggregationSession,
     histogram_components,
 )
-from repro.store.dataset_store import ColumnarBatch, DatasetStore
+from repro.store.columns import ColumnarBatch
+from repro.store.dataset_store import DatasetStore
 from repro.store.summary import Summary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

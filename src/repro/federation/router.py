@@ -45,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.apisense.device import MobileDevice, SensorRecord
     from repro.apisense.honeycomb import Honeycomb
     from repro.apisense.transport import Transport
+    from repro.store.columns import UploadChunk
 
 
 @dataclass(frozen=True)
@@ -505,7 +506,7 @@ class FederationRouter:
         device_id: str,
         user: str,
         task_name: str,
-        records: list["SensorRecord"],
+        records: "UploadChunk | list[SensorRecord]",
     ) -> tuple[str, int]:
         """Ingest an upload batch at the member owning ``device_id``.
 

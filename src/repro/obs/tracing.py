@@ -11,8 +11,8 @@ A *trace* follows one device upload through the platform's record path:
 
 Span context propagates *with the data*, not with the call stack: the
 record path is asynchronous (flushes are simulator events, window
-closes happen on watermark advance), so each traced
-:class:`~repro.apisense.device.SensorRecord` carries its ``trace_id``
+closes happen on watermark advance), so each traced upload chunk
+(:class:`~repro.store.columns.UploadChunk`) carries its ``trace_id``
 and downstream stages stamp the record keys they handled onto their
 spans (``records`` attr: ``{trace_id: [record times]}``). That makes the
 :class:`TraceLog` a *correctness* tool as well as a latency one —

@@ -4,9 +4,10 @@ Every message the server sends or receives is a plain dict of JSON-able
 values, so the in-process transport and the TCP binding carry the exact
 same protocol.  This module holds the conversions:
 
-- :func:`encode_record` / :func:`decode_record` — a
-  :class:`~repro.apisense.device.SensorRecord` as an upload-surface
-  payload row (``gps`` travels as a ``[lat, lon]`` pair);
+- :func:`encode_record` — a :class:`~repro.apisense.device.SensorRecord`
+  as an upload-surface payload row (``gps`` travels as a ``[lat, lon]``
+  pair), and :func:`decode_row` — a payload row straight into an upload
+  chunk's ``(time, lat, lon, value)`` row;
 - :func:`snapshot_digest` — the dashboard push for one closed
   :class:`~repro.streams.views.WindowSnapshot`.  A digest is the
   *comparable* projection of a snapshot (counts, users, coverage,
@@ -29,6 +30,7 @@ from typing import Any, Mapping
 from repro.apisense.device import SensorRecord
 from repro.errors import ServerError
 from repro.geo.point import GeoPoint
+from repro.store.columns import Row, row_of
 from repro.streams.queries import StreamAlert
 from repro.streams.views import WindowSnapshot
 
@@ -87,13 +89,13 @@ def encode_record(record: SensorRecord) -> dict[str, Any]:
     return {"time": record.time, "values": values}
 
 
-def decode_record(
-    row: Mapping[str, Any], device_id: str, user: str, task: str
-) -> SensorRecord:
-    """An upload payload row back into a :class:`SensorRecord`.
+def decode_row(row: Mapping[str, Any]) -> Row:
+    """An upload payload row as a ``(time, lat, lon, value)`` row
+    (:func:`~repro.store.columns.row_of`).
 
-    A two-element list/tuple under ``gps`` (or any ``*gps*`` key)
-    becomes a :class:`GeoPoint`; everything else passes through.
+    A two-element list/tuple of numbers under any key is a
+    :class:`GeoPoint` (and must be a valid one); the ``gps`` one gives
+    the position.
     """
     # Checked inline, not through wire_field: this runs once per record.
     if not isinstance(row, dict):
@@ -113,13 +115,7 @@ def decode_record(
             values[name] = GeoPoint(float(item[0]), float(item[1]))
         else:
             values[name] = item
-    return SensorRecord(
-        device_id=device_id,
-        user=user,
-        task=task,
-        time=float(time),
-        values=values,
-    )
+    return row_of(float(time), values)
 
 
 # ----------------------------------------------------------------------

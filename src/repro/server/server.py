@@ -67,7 +67,7 @@ from repro.server.protocol import (
     NUMBER,
     aggregate_digest,
     alert_digest,
-    decode_record,
+    decode_row,
     secure_aggregate_digest,
     snapshot_digest,
     wire_field,
@@ -79,6 +79,7 @@ from repro.server.transport import (
     Message,
     serve_tcp,
 )
+from repro.store.columns import UploadChunk
 from repro.streams.engine import StreamEngine
 from repro.streams.views import WindowSnapshot
 
@@ -424,10 +425,10 @@ class ReproServer:
         device_id = wire_field(payload, "device_id", str)
         user = wire_field(payload, "user", str)
         task = wire_field(payload, "task", str)
-        rows = wire_field(payload, "records", list)  # decode_record checks each row
+        rows = wire_field(payload, "records", list)  # decode_row checks each row
         if None in (device_id, user, task, rows):
             raise ServerError("upload payload lacks device_id, user, task or records")
-        records = [decode_record(row, device_id, user, task) for row in rows]
+        records = UploadChunk.of(device_id, user, task, [decode_row(row) for row in rows])
 
         pipelines = (
             [self._hive.pipeline]

@@ -14,9 +14,10 @@ halves that make that scale:
   O(shard) time-range / bbox / per-user scans;
 - :func:`~repro.store.columns.batch_of` — one flush as a
   :class:`~repro.store.columns.RecordBatch` of columns, built once from
-  device upload chunks (:class:`~repro.store.columns.UploadChunk`) and
-  record lists, and shared by the store, the router and every flush
-  listener;
+  upload chunks (:class:`~repro.store.columns.UploadChunk`: a device's
+  rows, a wire upload's, or a record list's, converted at the gateway
+  by :func:`~repro.store.columns.chunks_of`) and shared by the store,
+  the router and every flush listener;
 - :class:`~repro.store.summary.Summary` — one task's counts, users,
   coverage cells, values and freshness/lag percentiles over a span of
   event time: the store's all-time aggregate per task
@@ -31,9 +32,15 @@ The Hive routes every upload through an ingest pipeline into its store;
 ``python -m repro store`` exposes the same machinery from the shell.
 """
 
-from repro.store.columns import RecordBatch, UploadChunk, batch_of, columnize
-from repro.store.dataset_store import (
+from repro.store.columns import (
     ColumnarBatch,
+    RecordBatch,
+    UploadChunk,
+    batch_of,
+    chunks_of,
+    columnize,
+)
+from repro.store.dataset_store import (
     CompactionReport,
     DatasetStore,
     ShardStats,
@@ -62,6 +69,7 @@ __all__ = [
     "Summary",
     "UploadChunk",
     "batch_of",
+    "chunks_of",
     "columnize",
     "merge_segments",
     "shard_of",

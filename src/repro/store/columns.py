@@ -1,27 +1,28 @@
-"""One flush as columns, built once from whatever the uploads were.
+"""One flush as columns, built once from the upload chunks it holds.
 
-A sample is one ``(time, lat, lon, value)`` row (:func:`row_of`).  A
-device keeps its samples as rows and uploads them as one
-:class:`UploadChunk` (one device, task and user); a gateway client may
-upload :class:`~repro.apisense.device.SensorRecord` lists instead.  The
-ingest pipeline builds each shard flush once (:func:`batch_of`, the one
-batch builder: record lists are read by :func:`row_of` in one pass over
-their concatenation, chunks are concatenated) and hands the same
+A sample is one ``(time, lat, lon, value)`` row (:func:`row_of`) and an
+upload is one :class:`UploadChunk`: one task's and one user's rows.  A
+device keeps its samples as rows and uploads them as a chunk, the
+server decodes a wire upload straight into a chunk's rows, and a record
+list (:class:`~repro.apisense.device.SensorRecord` s from a gateway
+client or a replay) becomes chunks at the gateway (:func:`chunks_of`).
+The ingest pipeline builds each shard flush once (:func:`batch_of`, one
+row array over the flushed chunks) and hands the same
 :class:`RecordBatch` to the store, the Hive's router and every flush
-listener, so no tier downstream touches a record object to learn its
-time, position, scalar value, task or user.  Every column is in row
-order; the batch is also a sequence of its records (an upload's rebuilt
-from its rows), built only when something reads them.
+listener, so no tier past the gateway touches a record object.  Every
+column is in row order; a Honeycomb hook reads its task's rows of a
+flush as a :class:`ColumnarBatch` (:class:`TaskRows`), the shape a
+store scan returns.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, groupby
 from numbers import Real
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -61,73 +62,106 @@ def row_of(time: float, values: Mapping[str, object]) -> Row:
     return time, lat, lon, NAN
 
 
-def _rows_array(rows: Sequence[Row]) -> np.ndarray:
-    """``rows`` as one ``(n, 4)`` float64 array."""
-    flat = np.fromiter(chain.from_iterable(rows), np.float64, 4 * len(rows))
-    return flat.reshape(-1, 4)
+def _rows_array(rows: Iterable[Row], n: int) -> np.ndarray:
+    """``n`` rows as one ``(n, 4)`` float64 array."""
+    return np.fromiter(chain.from_iterable(rows), np.float64, 4 * n).reshape(n, 4)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class UploadChunk:
-    """One device upload as columns: one device, task and user.
+    """One upload: one device's, task's and user's ``(time, lat, lon,
+    value)`` rows, in the order they were taken.
 
-    ``rows`` is ``(n, 4)`` float64, the device's ``(time, lat, lon,
-    value)`` rows in the order it kept them.  The gateway stamps a
-    sampled upload's ``trace_id`` once, on the chunk.  As a sequence the
-    chunk reads as records (:class:`~repro.apisense.device.SensorRecord`)
-    rebuilt from its rows, values ``gps`` and ``value`` only, built on
-    first read.
+    ``rows`` is kept as it came (a device's buffered list, the rows the
+    gateway decoded); the flush builds one array over all its chunks.
+    The gateway stamps a sampled upload's ``trace_id`` once, on the
+    chunk.
     """
 
     device_id: str
     user: str
     task: str
-    rows: np.ndarray
+    rows: Sequence[Row]
     trace_id: int | None = None
 
     @classmethod
     def of(cls, device_id: str, user: str, task: str, rows: Sequence[Row]) -> "UploadChunk":
-        return cls(device_id, user, task, _rows_array(rows))
-
-    @property
-    def time(self) -> np.ndarray:
-        return self.rows[:, 0]
+        return cls(device_id, user, task, rows)
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return replace(self, rows=self.rows[index])
-        return self.records[index]
+    def split(self, n: int) -> tuple["UploadChunk", "UploadChunk"]:
+        """The chunks of the first ``n`` rows and of the rest."""
+        return replace(self, rows=self.rows[:n]), replace(self, rows=self.rows[n:])
 
-    def __iter__(self) -> Iterator[SensorRecord]:
-        return iter(self.records)
 
-    @cached_property
-    def records(self) -> list[SensorRecord]:
-        from repro.apisense.device import SensorRecord
+_run_of = attrgetter("device_id", "user", "task", "trace_id")
 
-        head = (self.device_id, self.user, self.task)
-        out = []
-        for time, lat, lon, value in self.rows.tolist():
-            values: dict[str, object] = {}
-            if lat == lat:
-                values["gps"] = GeoPoint(lat, lon)
-            if value == value:
-                values["value"] = value
-            out.append(SensorRecord(*head, time, values, self.trace_id))
-        return out
+
+def chunks_of(upload: "UploadChunk | Iterable[SensorRecord]") -> list[UploadChunk]:
+    """An upload as chunks, the one place the gateway tells the two apart:
+    a chunk is its own; a record list becomes one chunk per run of
+    consecutive records of one device, user, task and trace id, its rows
+    read by :func:`row_of`, so the chunks hold the records' rows in
+    order."""
+    match upload:
+        case UploadChunk():
+            return [upload]
+    records = list(upload)
+    keys = list(map(_run_of, records))
+    if keys and keys.count(keys[0]) == len(keys):  # one run: a device's upload
+        *head, trace_id = keys[0]
+        return [UploadChunk(*head, [row_of(r.time, r.values) for r in records], trace_id)]
+    return [
+        UploadChunk(*head, [row_of(r.time, r.values) for r in run], trace_id)
+        for (*head, trace_id), run in groupby(records, _run_of)
+    ]
+
+
+@dataclass
+class ColumnarBatch:
+    """The result of one scan, and what a Honeycomb hook reads of a
+    flush (:meth:`TaskRows.columns`): five parallel column arrays.
+
+    ``user_id`` indexes into ``user_table`` (the store's interning
+    table, a flush's user names); :meth:`user_names` decodes it when
+    string ids are needed.
+    """
+
+    time: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    value: np.ndarray
+    user_id: np.ndarray
+    user_table: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def user_names(self) -> list[str]:
+        return [self.user_table[i] for i in self.user_id.tolist()]
+
+    def rows(self) -> Iterator[tuple[str, float, float, float, float]]:
+        """Iterate ``(user, time, lat, lon, value)`` rows (CSV export)."""
+        for i in range(len(self.time)):
+            yield (
+                self.user_table[int(self.user_id[i])],
+                float(self.time[i]),
+                float(self.lat[i]),
+                float(self.lon[i]),
+                float(self.value[i]),
+            )
 
 
 @dataclass(frozen=True, eq=False)
-class RecordBatch(Sequence):
+class RecordBatch:
     """Rows of ``time/lat/lon/value`` columns plus task/user codes.
 
     ``lat``/``lon`` are NaN without a ``gps`` fix and ``value`` is NaN
     without a scalar.  ``task_index``/``user_index`` index ``tasks``/
     ``users``, the batch's distinct names in first-appearance order.
-    ``parts`` are what the batch was built from, in row order.
+    ``parts`` are the chunks the batch was built from, in row order.
 
     The columns more than one tier derives from a flush (the ingest
     lags at a clock reading, the cell of every fix at a cell size or
@@ -135,7 +169,7 @@ class RecordBatch(Sequence):
     first, and shared by the rest.
     """
 
-    parts: tuple
+    parts: tuple[UploadChunk, ...]
     time: np.ndarray
     lat: np.ndarray
     lon: np.ndarray
@@ -149,29 +183,14 @@ class RecordBatch(Sequence):
     def __len__(self) -> int:
         return len(self.time)
 
-    def __getitem__(self, index):
-        return self.records[index]
-
-    def __iter__(self) -> Iterator[SensorRecord]:
-        return iter(self.records)
-
     @cached_property
-    def records(self) -> list[SensorRecord]:
-        """The records of every row: a record list's own, an upload
-        chunk's rebuilt from its rows."""
-        if len(self.parts) == 1 and isinstance(self.parts[0], list):
-            return self.parts[0]
-        return [record for part in self.parts for record in part]
-
-    def select(self, rows: np.ndarray) -> Sequence[SensorRecord]:
-        """The records of ``rows``, built only when read."""
-        return _Selection(self, rows)
-
-    @cached_property
-    def task_groups(self) -> list[np.ndarray]:
-        """:func:`group_rows` of ``task_index``: the rows of each task,
-        shared by the store's append and the Hive's router."""
-        return group_rows(self.task_index)
+    def task_groups(self) -> list[tuple[int, "np.ndarray | slice"]]:
+        """``(task code, rows)`` of each task, shared by the store's
+        append and the Hive's router: every row as a slice when the
+        batch holds one task, else :func:`group_rows` of ``task_index``."""
+        if len(self.tasks) == 1:
+            return [(0, slice(None))]
+        return [(int(self.task_index[rows[0]]), rows) for rows in group_rows(self.task_index)]
 
     def _derive(self, key: tuple, make: Callable[[], np.ndarray]) -> np.ndarray:
         if key not in self._derived:
@@ -200,13 +219,8 @@ class RecordBatch(Sequence):
     @cached_property
     def trace_id(self) -> np.ndarray:
         """Per-row trace id, -1 when untraced (built when tracing asks)."""
-        ids = [
-            np.full(len(part), -1 if part.trace_id is None else part.trace_id)
-            if isinstance(part, UploadChunk)
-            else np.array([-1 if r.trace_id is None else r.trace_id for r in part])
-            for part in self.parts
-        ]
-        return np.concatenate([np.empty(0, np.int64), *ids]).astype(np.int64)
+        ids = [-1 if part.trace_id is None else part.trace_id for part in self.parts]
+        return np.repeat(np.array(ids, np.int64), [len(part) for part in self.parts])
 
     def traced_keys(self, rows: "np.ndarray | slice" = slice(None)) -> dict[int, list[float]]:
         """``{trace_id: [record times]}`` of the traced records (in ``rows``)."""
@@ -218,51 +232,42 @@ class RecordBatch(Sequence):
         return out
 
 
-class _Selection(Sequence):
-    """Some rows of a batch as a sequence of its records."""
+@dataclass(frozen=True, eq=False)
+class TaskRows:
+    """One task's rows of a flush, as the Hive routes them to the task's
+    owner: their count, and their columns built only when read."""
 
-    __slots__ = ("_batch", "_rows")
-
-    def __init__(self, batch: RecordBatch, rows: np.ndarray):
-        self._batch = batch
-        self._rows = rows
+    batch: RecordBatch
+    rows: "np.ndarray | slice"
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.batch.time[self.rows])
 
-    def __getitem__(self, index: int) -> SensorRecord:
-        return self._batch.records[int(self._rows[index])]
+    def columns(self) -> ColumnarBatch:
+        """The rows as a :class:`ColumnarBatch`, users named by the
+        flush's ``users``."""
+        batch, rows = self.batch, self.rows
+        return ColumnarBatch(
+            batch.time[rows], batch.lat[rows], batch.lon[rows], batch.value[rows],
+            batch.user_index[rows], tuple(batch.users),
+        )
 
 
-def batch_of(parts: "Iterable[list[SensorRecord] | UploadChunk]") -> RecordBatch:
-    """The one batch builder: ``parts`` as one :class:`RecordBatch`.
+def batch_of(chunks: Iterable[UploadChunk]) -> RecordBatch:
+    """The one batch builder: ``chunks`` as one :class:`RecordBatch`.
 
-    Rows come in part order.  Each run of consecutive record lists is
-    read in one pass over its concatenation (:func:`row_of` per record);
-    upload chunks are concatenated as they are.  Task and user codes
-    are assigned walking the rows, so names come in first-appearance
+    Rows come in chunk order, read into one array.  Task and user codes
+    are assigned walking the chunks, so names come in first-appearance
     order.
     """
-    parts = tuple(parts)
+    parts = tuple(chunks)
+    sizes = [len(chunk) for chunk in parts]
+    rows = _rows_array(chain.from_iterable(chunk.rows for chunk in parts), sum(sizes))
+    time, lat, lon, value = rows.T.copy()
     tasks: dict[str, int] = {}
     users: dict[str, int] = {}
-    rows: list[np.ndarray] = []
-    task_index: list[np.ndarray] = [np.empty(0, np.int64)]
-    user_index: list[np.ndarray] = [np.empty(0, np.int64)]
-    for kind, run in groupby(parts, type):
-        if kind is UploadChunk:
-            run = list(run)
-            sizes = [len(chunk) for chunk in run]
-            rows += [chunk.rows for chunk in run]
-            task_index.append(np.repeat(codes_of([c.task for c in run], tasks), sizes))
-            user_index.append(np.repeat(codes_of([c.user for c in run], users), sizes))
-        else:
-            records = list(chain.from_iterable(run))
-            rows.append(_rows_array([row_of(r.time, r.values) for r in records]))
-            task_index.append(codes_of([r.task for r in records], tasks))
-            user_index.append(codes_of([r.user for r in records], users))
-    columns = np.concatenate(rows).T.copy() if rows else np.empty((4, 0))
-    time, lat, lon, value = columns
+    task_index = np.repeat(codes_of([chunk.task for chunk in parts], tasks), sizes)
+    user_index = np.repeat(codes_of([chunk.user for chunk in parts], users), sizes)
     return RecordBatch(
         parts=parts,
         time=time,
@@ -270,18 +275,18 @@ def batch_of(parts: "Iterable[list[SensorRecord] | UploadChunk]") -> RecordBatch
         lon=lon,
         value=value,
         tasks=list(tasks),
-        task_index=np.concatenate(task_index),
+        task_index=task_index,
         users=list(users),
-        user_index=np.concatenate(user_index),
+        user_index=user_index,
     )
 
 
-def columnize(records: "Iterable[SensorRecord] | UploadChunk") -> RecordBatch:
-    """The batch of one record list or upload chunk (:func:`batch_of`);
+def columnize(records: "Iterable[SensorRecord] | RecordBatch") -> RecordBatch:
+    """The batch of a record list (:func:`chunks_of`, :func:`batch_of`);
     a :class:`RecordBatch` passes through."""
     if isinstance(records, RecordBatch):
         return records
-    return batch_of([records if isinstance(records, UploadChunk) else list(records)])
+    return batch_of(chunks_of(records))
 
 
 def codes_of(names: list[str], table: dict[str, int]) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 from repro import obs as _obs
 from repro.errors import StoreError
 from repro.obs.instruments import StoreInstruments
-from repro.store.columns import RecordBatch, codes_of, columnize, group_rows
+from repro.store.columns import ColumnarBatch, RecordBatch, codes_of, columnize, group_rows
 from repro.store.segment import Segment, SegmentBuilder, merge_segments
 from repro.store.summary import StoreAggregates, Summary
 
@@ -43,39 +43,6 @@ def shard_of(task: str, user: str, n_shards: int) -> int:
     """Deterministic shard routing (stable across processes and runs)."""
     key = f"{task}\x00{user}".encode()
     return zlib.crc32(key) % n_shards
-
-
-@dataclass
-class ColumnarBatch:
-    """The result of one scan: five parallel column arrays.
-
-    ``user_id`` indexes into ``user_table`` (the store's interning
-    table); :meth:`user_names` decodes it when string ids are needed.
-    """
-
-    time: np.ndarray
-    lat: np.ndarray
-    lon: np.ndarray
-    value: np.ndarray
-    user_id: np.ndarray
-    user_table: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.time)
-
-    def user_names(self) -> list[str]:
-        return [self.user_table[i] for i in self.user_id.tolist()]
-
-    def rows(self) -> Iterator[tuple[str, float, float, float, float]]:
-        """Iterate ``(user, time, lat, lon, value)`` rows (CSV export)."""
-        for i in range(len(self.time)):
-            yield (
-                self.user_table[int(self.user_id[i])],
-                float(self.time[i]),
-                float(self.lat[i]),
-                float(self.lon[i]),
-                float(self.value[i]),
-            )
 
 
 @dataclass(frozen=True)
@@ -276,17 +243,14 @@ class DatasetStore:
                     for rows in group_rows(keys)
                 ]
             else:
-                groups = [
-                    (shard, int(batch.task_index[rows[0]]), rows)
-                    for rows in batch.task_groups
-                ]
+                groups = [(shard, code, rows) for code, rows in batch.task_groups]
             for shard_id, task_code, rows in groups:
                 target = self._shards[shard_id]
+                time = batch.time[rows]
                 target.partition(batch.tasks[task_code]).append_columns(
-                    batch.time[rows], batch.lat[rows], batch.lon[rows],
-                    batch.value[rows], user_id[rows],
+                    time, batch.lat[rows], batch.lon[rows], batch.value[rows], user_id[rows]
                 )
-                target.records += len(rows)
+                target.records += len(time)
             self.aggregates.park(batch, ingest_time)
         self.obs.records_appended.inc(len(batch))
         if timed:

@@ -20,14 +20,15 @@ decides what gives:
   drained at most one buffer-capacity per flush (lossless, trades
   memory and freshness for data).
 
-A shard buffer holds what was admitted as it came — device upload
-chunks (:class:`~repro.store.columns.UploadChunk`) and record lists,
-each routed whole: a chunk is one (task, user), so one shard — and a
-record count, which the policies account against; ``drop-oldest``
-slices the head part.  At flush time one builder
-(:func:`~repro.store.columns.batch_of`) turns the flushed parts into a
-:class:`~repro.store.columns.RecordBatch`, which is appended to the
-:class:`~repro.store.dataset_store.DatasetStore` (which updates the
+A shard buffer holds the upload chunks it admitted
+(:class:`~repro.store.columns.UploadChunk`, one task and user, so one
+shard) and their row count, which the policies account against;
+``drop-oldest`` and ``spill`` split a chunk where they cut.  A record
+list becomes chunks on entry (:func:`~repro.store.columns.chunks_of`),
+and its share of each shard is admitted as one.  At flush time one
+builder (:func:`~repro.store.columns.batch_of`) turns the flushed chunks
+into a :class:`~repro.store.columns.RecordBatch`, which is appended to
+the :class:`~repro.store.dataset_store.DatasetStore` (which updates the
 streaming aggregates) and handed, as the same batch, to every
 registered listener — the Hive's Honeycomb routing above all.
 """
@@ -37,35 +38,26 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Sequence, Union
+from typing import Callable, Iterable
 
 from repro import obs as _obs
 from repro.errors import StoreError
 from repro.obs.instruments import PipelineInstruments
 from repro.simulation import Simulator
-from repro.store.columns import RecordBatch, UploadChunk, batch_of
+from repro.store.columns import RecordBatch, UploadChunk, batch_of, chunks_of
 from repro.store.dataset_store import DatasetStore
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
-    from repro.apisense.device import SensorRecord
-
-#: What the gateway admits: one device upload as columns, or a record
-#: list (a gateway client's upload, a replay).
-Upload = Union[UploadChunk, "Sequence[SensorRecord]"]
 
 #: Backpressure policies, in the order the paper-style gateway offers them.
 POLICIES = ("drop-oldest", "reject", "spill")
 
 #: Listener signature: receives one shard flush as a
 #: :class:`~repro.store.columns.RecordBatch` — the flush's
-#: ``time/lat/lon/value`` columns and task/user codes, and a sequence of
-#: its records (``len``, iteration and indexing give ``SensorRecord``
-#: objects in row order, an upload chunk's rebuilt from its rows on
-#: first read).  The pipeline builds a flush's batch once
+#: ``time/lat/lon/value`` columns and task/user codes, in row order.
+#: The pipeline builds a flush's batch once
 #: (:func:`~repro.store.columns.batch_of`) and the store, the router and
 #: every listener share it; treat it as read-only.  Whatever a
-#: consumer folds per task, pane or user, it observes a flush's records
-#: in record order.
+#: consumer folds per task, pane or user, it observes a flush's rows in
+#: row order.
 #:
 #: Delivery guarantee: listeners observe **every admitted record exactly
 #: once**, in flush batches, regardless of what triggered the flush —
@@ -118,20 +110,21 @@ class PipelineStats:
 
 
 class _Parts:
-    """Admitted uploads in order, and how many records they hold."""
+    """Admitted chunks in order, and how many rows they hold."""
 
     __slots__ = ("parts", "size")
 
-    def __init__(self) -> None:
-        self.parts: deque[Upload] = deque()
-        self.size = 0
+    def __init__(self, chunks: Iterable[UploadChunk] = ()) -> None:
+        self.parts: deque[UploadChunk] = deque(chunks)
+        self.size = sum(map(len, self.parts))
 
-    def push(self, part: Upload) -> None:
-        self.parts.append(part)
-        self.size += len(part)
+    def push(self, chunks: list[UploadChunk], size: int) -> None:
+        """Append ``chunks``, which hold ``size`` rows."""
+        self.parts.extend(chunks)
+        self.size += size
 
-    def pop(self, n: int) -> list[Upload]:
-        """Remove and return the oldest ``n`` records (slicing a part)."""
+    def pop(self, n: int) -> list[UploadChunk]:
+        """Remove and return the oldest ``n`` rows (splitting a chunk)."""
         if n == self.size:  # all of it
             taken = list(self.parts)
             self.parts.clear()
@@ -145,8 +138,8 @@ class _Parts:
                 taken.append(self.parts.popleft())
                 n -= len(head)
             else:
-                taken.append(head[:n])
-                self.parts[0] = head[n:]
+                first, self.parts[0] = head.split(n)
+                taken.append(first)
                 n = 0
         return taken
 
@@ -247,69 +240,63 @@ class IngestPipeline:
     # Ingest path
     # ------------------------------------------------------------------
 
-    def admit(self, records: Upload, **span_attrs) -> int:
+    def admit(self, *uploads, **span_attrs) -> int:
         """:meth:`submit` behind the traced gate: a sampled upload carries
-        its trace id downstream (the lineage travels with the data: once
-        on a chunk, on each record of a list) and submits inside an
-        ``ingest.admit`` span tagged ``span_attrs``.  An empty upload
-        takes no sampling slot."""
-        if not records:
+        its trace id downstream (the lineage travels with the data, once
+        on each chunk) and submits inside an ``ingest.admit`` span
+        tagged ``span_attrs``.  An empty upload takes no sampling slot."""
+        n = sum(map(len, uploads))
+        if not n:
             return 0
         trace_id = self._tracer.new_trace()
         if trace_id is None:
-            return self.submit(records)
-        if isinstance(records, UploadChunk):
-            records = replace(records, trace_id=trace_id)
-            times = records.time.tolist()
-        else:
-            records = [replace(r, trace_id=trace_id) for r in records]
-            times = [r.time for r in records]
+            return self.submit(*uploads)
+        chunks = [
+            replace(chunk, trace_id=trace_id) for upload in uploads for chunk in chunks_of(upload)
+        ]
         with self._tracer.span(
-            "ingest.admit", trace_id=trace_id, **span_attrs, batch=len(records)
+            "ingest.admit", trace_id=trace_id, **span_attrs, batch=n
         ) as span:
-            span.add_records({trace_id: times})
-            return self.submit(records)
+            span.add_records({trace_id: [row[0] for chunk in chunks for row in chunk.rows]})
+            return self.submit(*chunks)
 
-    def submit(self, records: Upload) -> int:
-        """Offer an upload to the gateway; returns how many were accepted.
+    def submit(self, *uploads) -> int:
+        """Offer uploads to the gateway; returns how many rows were accepted.
 
-        The upload is routed to its shard buffer; a full buffer invokes
-        the backpressure policy.  A device upload chunk is one task and
-        one user, so one shard, routed with one hash; a record list may
-        mix pairs and is split per shard.
+        Each upload is an :class:`~repro.store.columns.UploadChunk` or a
+        record list (:func:`~repro.store.columns.chunks_of`).  A chunk
+        is one task and one user, so one shard, and each (task, user) is
+        hashed once; the chunks' share of each shard is offered to its
+        buffer as one, and a full buffer invokes the backpressure policy.
         """
-        if not records:
+        chunks = [chunk for upload in uploads for chunk in chunks_of(upload)]
+        n = sum(map(len, chunks))
+        if not n:
             return 0
-        self.stats.submitted += len(records)
-        if isinstance(records, UploadChunk):
-            shard_id = self.store.shard_of(records.task, records.user)
-            accepted = self._enqueue(shard_id, records)
-        else:
-            # One hash per distinct (task, user), not per record; a list
-            # of one pair (one user's upload) is routed whole.
-            pairs = {(record.task, record.user) for record in records}
-            route = {pair: self.store.shard_of(*pair) for pair in pairs}
-            by_shard: dict[int, list[SensorRecord]] = {}
-            if len(route) == 1:
-                by_shard[route.popitem()[1]] = list(records)
-            else:
-                for record in records:
-                    by_shard.setdefault(route[record.task, record.user], []).append(record)
-            accepted = 0
-            for shard_id, batch in by_shard.items():
-                accepted += self._enqueue(shard_id, batch)
+        self.stats.submitted += n
+        route: dict[tuple[str, str], int] = {}
+        by_shard: dict[int, list[UploadChunk]] = {}
+        for chunk in chunks:
+            pair = chunk.task, chunk.user
+            if pair not in route:
+                route[pair] = self.store.shard_of(*pair)
+            by_shard.setdefault(route[pair], []).append(chunk)
+        accepted = 0
+        for shard_id, part in by_shard.items():
+            accepted += self._enqueue(shard_id, part)
         self.stats.accepted += accepted
         return accepted
 
-    def _enqueue(self, shard_id: int, batch: Upload) -> int:
+    def _enqueue(self, shard_id: int, chunks: list[UploadChunk]) -> int:
         shard = self._shards[shard_id]
         buffer = shard.buffer
+        n = sum(map(len, chunks))
         free = self.buffer_capacity - buffer.size
-        if len(batch) <= free:
-            buffer.push(batch)
+        if n <= free:
+            buffer.push(chunks, n)
         elif self.policy == "reject":
             # Admission control: all-or-nothing, the whole batch bounces.
-            self.stats.rejected += len(batch)
+            self.stats.rejected += n
             return 0
         elif self.policy == "drop-oldest":
             # The policy admits the whole batch and evicts the oldest
@@ -318,25 +305,24 @@ class IngestPipeline:
             # record counts as accepted and every evicted record (from
             # the buffer or the head) as dropped, keeping the counters
             # one-per-record: accepted = flushed + dropped + in flight.
-            if len(batch) >= self.buffer_capacity:
-                self.stats.dropped += buffer.size + len(batch) - self.buffer_capacity
+            incoming = _Parts(chunks)
+            if n >= self.buffer_capacity:
+                self.stats.dropped += buffer.size + n - self.buffer_capacity
                 buffer.pop(buffer.size)
-                buffer.push(batch[len(batch) - self.buffer_capacity :])
+                incoming.pop(n - self.buffer_capacity)
             else:
-                overflow = len(batch) - free
-                buffer.pop(overflow)
-                self.stats.dropped += overflow
-                buffer.push(batch)
+                self.stats.dropped += n - free
+                buffer.pop(n - free)
+            buffer.push(incoming.pop(incoming.size), min(n, self.buffer_capacity))
         else:  # spill
-            tail = batch[free:]
-            if free:
-                buffer.push(batch[:free])
-            shard.spill.push(tail)
-            self.stats.spilled += len(tail)
+            incoming = _Parts(chunks)
+            buffer.push(incoming.pop(free), free)
+            shard.spill.push(incoming.pop(n - free), n - free)
+            self.stats.spilled += n - free
         if not shard.pending:
             shard.pending = True
             self._sim.schedule(self.flush_delay, lambda s=shard_id: self._flush(s))
-        return len(batch)
+        return n
 
     # ------------------------------------------------------------------
     # Flush path

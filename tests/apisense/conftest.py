@@ -59,24 +59,24 @@ def device(small_population, sensor_suite) -> MobileDevice:
     return build_device(small_population, sensor_suite)
 
 
-def collect_records(honeycomb) -> list:
-    """Every record routed to ``honeycomb`` from now on, in arrival order."""
+def collect_rows(honeycomb) -> list:
+    """Every ``(user, time, lat, lon, value)`` row routed to ``honeycomb``
+    from now on, in arrival order, read from the hooks' columns."""
     seen: list = []
-    honeycomb.add_hook(lambda task_name, records: seen.extend(records))
+    honeycomb.add_hook(lambda task_name, columns: seen.extend(columns.rows()))
     return seen
 
 
-def trajectories_from_records(records) -> dict:
-    """One forgiving trajectory per user over the records' GPS fixes.
+def trajectories_from_rows(rows) -> dict:
+    """One forgiving trajectory per user over the rows' GPS fixes.
 
     Users come in first-arrival order: the reference a Honeycomb's
     mobility dataset is checked against.
     """
     per_user: dict[str, list[Record]] = {}
-    for record in records:
-        gps = record.values.get("gps")
-        if isinstance(gps, GeoPoint):
-            per_user.setdefault(record.user, []).append(Record(gps, record.time))
+    for user, time, lat, lon, _ in rows:
+        if lat == lat:  # NaN without a fix
+            per_user.setdefault(user, []).append(Record(GeoPoint(lat, lon), time))
     return {user: Trajectory.from_records(user, fixes) for user, fixes in per_user.items()}
 
 

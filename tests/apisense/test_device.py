@@ -99,15 +99,13 @@ class TestSamplingLoop:
         assert fake_hive.n_records == bound_device.stats[task.name].samples_taken
 
     def test_records_carry_gps_values(self, sim, fake_hive, bound_device):
-        from repro.geo.point import GeoPoint
-
         task = gps_task(end=2 * HOUR)
         bound_device.offer_task(task, 1.0)
         sim.run_until(task.end + task.upload_period)
-        for _, _, _, records in fake_hive.uploads:
-            for record in records:
-                assert isinstance(record.values["gps"], GeoPoint)
-                assert record.task == task.name
+        for _, _, _, chunk in fake_hive.uploads:
+            assert chunk.task == task.name
+            # Every row holds a gps fix (NaN without one).
+            assert all(lat == lat and lon == lon for _, lat, lon, _ in chunk.rows)
 
     def test_script_filters_and_errors_counted(self, sim, bound_device):
         calls = {"n": 0}

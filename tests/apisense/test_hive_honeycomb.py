@@ -5,6 +5,7 @@ import pytest
 from repro.apisense.honeycomb import Honeycomb
 from repro.apisense.tasks import SensingTask
 from repro.errors import PlatformError
+from repro.store import ColumnarBatch
 from repro.units import DAY, HOUR
 from tests.apisense.conftest import build_device
 
@@ -82,12 +83,16 @@ class TestTaskFlow:
     def test_hooks_fire_on_routing(self, sim, populated_hive):
         honeycomb = Honeycomb("lab", populated_hive)
         batches = []
-        honeycomb.add_hook(lambda name, records: batches.append((name, len(records))))
+        honeycomb.add_hook(lambda name, columns: batches.append((name, columns)))
         task = deploy_standard_task(sim, populated_hive, honeycomb)
         sim.run_until(task.end + task.upload_period + 10.0)
         if populated_hive.stats.per_task["mobility"].records > 0:
             assert batches
             assert all(name == "mobility" for name, _ in batches)
+            # Each hook call reads the flush's columns, as a scan returns them.
+            assert all(isinstance(columns, ColumnarBatch) for _, columns in batches)
+            hooked = sum(len(columns.time) for _, columns in batches)
+            assert hooked == honeycomb.n_records("mobility")
 
     def test_foreign_task_data_rejected(self, populated_hive):
         honeycomb = Honeycomb("lab", populated_hive)

@@ -711,11 +711,11 @@ class TestOneCopyPerRecord:
         task = v2_task(setup, end=HOUR, upload_period=HOUR)
         bound_device.offer_task(task, 1.0)
         sim.run_until(task.end + task.upload_period)
-        records = [r for *_, batch in fake_hive.uploads for r in batch]
+        rows = [row for *_, chunk in fake_hive.uploads for row in chunk.rows]
         # Each row was read at save time (uploads carry rows: the scalar
         # comes back as ``value``).
-        assert [r.values["value"] for r in records] == [r.time for r in records]
-        assert len(records) == 12
+        assert [value for *_, value in rows] == [time for time, *_ in rows]
+        assert len(rows) == 12
 
     @pytest.mark.parametrize("chain", ["blur", "field-drop"])
     def test_filters_never_write_to_the_scripts_mapping(
@@ -743,16 +743,16 @@ class TestOneCopyPerRecord:
         task = v2_task(setup, end=HOUR, upload_period=HOUR)
         device.offer_task(task, 1.0)
         sim.run_until(task.end + task.upload_period)
-        records = [r for *_, batch in fake_hive.uploads for r in batch]
-        assert len(records) == len(saved) == 12
+        rows = [row for *_, chunk in fake_hive.uploads for row in chunk.rows]
+        assert len(rows) == len(saved) == 12
         assert all(sample == as_saved for sample, as_saved in saved)
-        for record, (sample, _) in zip(records, saved):
-            assert record.values is not sample
+        for (_, lat, lon, value), (sample, _) in zip(rows, saved):
+            gps = sample["gps"]
             if chain == "blur":
-                assert record.values["gps"] != sample["gps"]
-                assert record.values["value"] == sample["battery"]
+                assert (lat, lon) != (gps.lat, gps.lon)
+                assert value == sample["battery"]
             else:
-                assert record.values == {"gps": sample["gps"]}
+                assert (lat, lon) == (gps.lat, gps.lon) and value != value
 
 
 class TestSensorRecordIsAValue:

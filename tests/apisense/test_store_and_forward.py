@@ -15,7 +15,7 @@ from repro.apisense.tasks import SensingTask
 from repro.apisense.transport import Transport
 from repro.simulation import Simulator
 from repro.units import HOUR
-from tests.apisense.conftest import build_device, collect_records
+from tests.apisense.conftest import build_device, collect_rows
 
 
 class ScriptedLossTransport(Transport):
@@ -275,7 +275,7 @@ class TestRetryOrdering:
         honeycomb = Honeycomb("lab", hive)
         honeycomb.deploy(TASK, recruitment=_Nobody())
         assert device.offer_task(TASK, acceptance_probability=1.0)
-        arrived = collect_records(honeycomb)
+        arrived = collect_rows(honeycomb)
 
         # Bounce the first upload (t=1800) off a full gateway.
         hive.community["filler"] = UserState(user="filler", motivation=0.5)
@@ -290,8 +290,8 @@ class TestRetryOrdering:
         # Arrival order at the Honeycomb (per this device) is the order
         # records were appended: the re-buffered first batch must
         # precede the second period's samples despite arriving later.
-        mine = [r for r in arrived if r.user == device.user]
-        times = [r.time for r in mine]
+        mine = [row for row in arrived if row[0] == device.user]
+        times = [row[1] for row in mine]
         assert times == sorted(times)
         assert len(mine) == stats.samples_taken > 0
         # The device buffer itself drained fully.

@@ -36,7 +36,7 @@ class RecordingHive:
         self.uploads: list[tuple[float, list[float]]] = []
 
     def receive_upload(self, device_id, user, task_name, records):
-        self.uploads.append((self._sim.now, [record.time for record in records]))
+        self.uploads.append((self._sim.now, [row[0] for row in records.rows]))
         return len(records)
 
 

@@ -2,7 +2,7 @@
 
 Members that adopted the task keep routing flushes to the owner; the
 owner's dataset is read from their stores and must equal, per user and
-bit for bit, the dataset assembled from the records its hooks saw —
+bit for bit, the dataset assembled from the rows its hooks saw —
 through a member failure and rejoin, and after a member left.
 """
 
@@ -11,8 +11,8 @@ from __future__ import annotations
 from repro.units import DAY, HOUR
 from tests.apisense.conftest import (
     assert_same_trajectories,
-    collect_records,
-    trajectories_from_records,
+    collect_rows,
+    trajectories_from_rows,
 )
 
 
@@ -24,21 +24,21 @@ def finish(router, sim) -> None:
 
 def test_failure_and_rejoin(deployed, sim):
     router, _, owner, task = deployed
-    seen = collect_records(owner)
+    seen = collect_rows(owner)
     router.schedule_failure("hive-1", at=2 * HOUR, duration=2 * HOUR)
     finish(router, sim)
-    expected = trajectories_from_records(seen)
+    expected = trajectories_from_rows(seen)
     assert expected
     assert_same_trajectories(owner.mobility_dataset(task.name), expected, ordered=False)
 
 
 def test_member_leaves_after_storing_data(deployed, sim):
     router, _, owner, task = deployed
-    seen = collect_records(owner)
+    seen = collect_rows(owner)
     sim.run_until(6 * HOUR)
     assert len(router.hive("hive-2").store.scan(task.name))
     router.leave("hive-2")
     finish(router, sim)
-    expected = trajectories_from_records(seen)
+    expected = trajectories_from_rows(seen)
     assert expected
     assert_same_trajectories(owner.mobility_dataset(task.name), expected, ordered=False)

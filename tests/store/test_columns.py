@@ -1,10 +1,20 @@
-"""Unit tests for the one reader of ``SensorRecord.values``: ``columnize``."""
+"""Unit tests for the one reader of ``SensorRecord.values`` (``chunks_of``,
+through ``columnize``) and the one batch builder, ``batch_of``."""
 
 import dataclasses
+from collections.abc import Sequence
 
 import numpy as np
 
-from repro.store.columns import RecordBatch, columnize, group_rows
+from repro.store.columns import (
+    RecordBatch,
+    TaskRows,
+    UploadChunk,
+    batch_of,
+    chunks_of,
+    columnize,
+    group_rows,
+)
 from tests.store.conftest import make_record, make_records
 
 
@@ -23,13 +33,11 @@ class TestColumnize:
         assert (batch.tasks, batch.task_index.tolist()) == (["t2", "t1"], [0, 1, 1])
         assert (batch.users, batch.user_index.tolist()) == (["b", "a"], [0, 1, 0])
 
-    def test_batch_is_a_sequence_of_its_records(self):
+    def test_a_batch_is_columns_not_records(self):
         records = make_records(5)
         batch = columnize(iter(records))
-        assert isinstance(batch, RecordBatch)
-        assert len(batch) == 5 and list(batch) == records
-        assert batch[1] is records[1] and batch[-2:] == records[-2:]
-        assert records[2] in batch
+        assert isinstance(batch, RecordBatch) and not isinstance(batch, Sequence)
+        assert len(batch) == 5 and batch.time.tolist() == [r.time for r in records]
 
     def test_a_batch_passes_through_and_empty_is_fine(self):
         batch = columnize(make_records(3))
@@ -69,45 +77,45 @@ class TestGroupRows:
 
 class TestBatchOf:
     def chunk(self, user, task, times, trace_id=None):
-        from repro.store.columns import UploadChunk
-
         rows = [(t, 44.8, -0.6, t / 10) for t in times]
-        chunk = UploadChunk.of(f"dev-{user}", user, task, rows)
-        return dataclasses.replace(chunk, trace_id=trace_id)
+        return UploadChunk(f"dev-{user}", user, task, rows, trace_id)
 
     def test_parts_keep_their_order_and_names_their_first_appearance(self):
-        from repro.store.columns import batch_of
-
         listed = [
-            make_record(user="c", task="t2", time=3.0),
-            make_record(user="a", task="t1", time=4.0),
+            make_record(user="c", task="t2", time=3.0, value=0.5),
+            make_record(user="a", task="t1", time=4.0, value=0.25),
         ]
         batch = batch_of(
             [
                 self.chunk("b", "t1", [1.0, 2.0], trace_id=5),
-                listed,
+                *chunks_of(listed),
                 self.chunk("a", "t3", [5.0]),
             ]
         )
         assert batch.time.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert batch.value.tolist() == [0.1, 0.2, 0.5, 0.25, 0.5]
         assert (batch.tasks, batch.task_index.tolist()) == (["t1", "t2", "t3"], [0, 0, 1, 0, 2])
         assert (batch.users, batch.user_index.tolist()) == (["b", "c", "a"], [0, 0, 1, 2, 2])
         assert batch.trace_id.tolist() == [5, 5, -1, -1, -1]
-        records = list(batch)
-        assert records[2:4] == listed
-        assert [r.values["value"] for r in records[:2]] == [0.1, 0.2]
-        assert (records[0].device_id, records[0].trace_id) == ("dev-b", 5)
-        assert [r.time for r in batch.select(np.array([4, 0]))] == [5.0, 1.0]
+        picked = TaskRows(batch, np.array([4, 0])).columns()
+        assert picked.time.tolist() == [5.0, 1.0] and picked.user_names() == ["a", "b"]
 
-    def test_a_chunk_reads_as_records_that_columnize_to_its_rows(self):
-        from repro.store.columns import UploadChunk
-
-        nan = float("nan")
-        chunk = UploadChunk.of(
-            "d", "u", "t", [(1.0, 44.8, -0.6, nan), (2.0, nan, nan, 3.5)]
-        )
-        assert [r.values for r in chunk][1] == {"value": 3.5}
-        assert len(chunk[1:]) == 1 and chunk[1:].time.tolist() == [2.0]
-        again = columnize(list(chunk))
-        assert again.lat.tobytes() == chunk.rows[:, 1].tobytes()
-        assert again.value.tobytes() == chunk.rows[:, 3].tobytes()
+    def test_a_record_list_becomes_one_chunk_per_run(self):
+        one, two, three, four = make_records(4, dt=1.0)
+        records = [
+            one,
+            dataclasses.replace(two, trace_id=7),
+            dataclasses.replace(three, trace_id=7),
+            dataclasses.replace(four, user="v"),
+        ]
+        chunks = chunks_of(records)
+        assert [(c.user, c.task, c.trace_id, len(c)) for c in chunks] == [
+            ("u0", "t", None, 1), ("u0", "t", 7, 2), ("v", "t", None, 1),
+        ]
+        again = columnize(records)
+        rows = np.array([row for chunk in chunks for row in chunk.rows])
+        assert again.lat.tobytes() == rows[:, 1].tobytes()
+        assert again.value.tobytes() == rows[:, 3].tobytes()
+        assert chunks_of(chunks[1]) == [chunks[1]]
+        head, tail = chunks[1].split(1)
+        assert (head.rows, tail.rows, tail.trace_id) == (chunks[1].rows[:1], chunks[1].rows[1:], 7)

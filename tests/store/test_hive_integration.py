@@ -11,7 +11,7 @@ from repro.errors import PlatformError
 from repro.simulation import Simulator
 from repro.store import DatasetStore, IngestPipeline
 from repro.units import DAY
-from tests.apisense.conftest import collect_records
+from tests.apisense.conftest import collect_rows
 from tests.store.conftest import make_records
 
 
@@ -55,13 +55,13 @@ class TestUploadRouting:
         hive = make_hive(sim)
         honeycomb = register_task(hive)
         batches = []
-        honeycomb.add_hook(lambda name, records: batches.append(len(records)))
+        honeycomb.add_hook(lambda name, columns: batches.append(columns.user_names()))
         hive.community.setdefault("u0", _user_state("u0"))
         # Two uploads of the same (task, user) inside one flush window.
         hive.receive_upload("dev-u0", "u0", "t", make_records(5, user="u0"))
         hive.receive_upload("dev-u0", "u0", "t", make_records(4, user="u0", t0=900.0))
         sim.run()
-        assert batches == [9]
+        assert batches == [["u0"] * 9]
 
     def test_custom_store_and_policy(self, sim):
         store = DatasetStore(n_shards=2, segment_capacity=64)
@@ -114,7 +114,7 @@ class TestHoneycombStoreReads:
                 end=2 * DAY,
             )
         )
-        seen = collect_records(honeycomb)
+        seen = collect_rows(honeycomb)
         report = campaign.run()
         return campaign, honeycomb, report, seen
 
@@ -125,7 +125,7 @@ class TestHoneycombStoreReads:
         assert campaign.hive.store.n_records == report.total_records
         view = honeycomb.dataset_view("study")
         assert len(view) == honeycomb.n_records("study") == len(seen)
-        hooked = {(r.user, r.time) for r in seen}
+        hooked = {(user, time) for user, time, *_ in seen}
         assert set(zip(view.user_names(), view.time.tolist())) == hooked
 
     def test_dataset_view_filters(self, small_population):

@@ -4,7 +4,15 @@ import pytest
 
 from repro.errors import StoreError
 from repro.store import DatasetStore, IngestPipeline
+from repro.store.columns import UploadChunk
 from tests.store.conftest import make_record, make_records
+
+
+def rows_of(batch) -> list:
+    """A flush's ``(user, time)`` rows."""
+    return list(zip(
+        [batch.users[code] for code in batch.user_index.tolist()], batch.time.tolist()
+    ))
 
 
 def build(sim, policy="spill", capacity=64, n_shards=1, flush_delay=0.5):
@@ -86,7 +94,7 @@ class TestBatching:
         (shard_a, user_a), (shard_b, user_b) = list(users.items())[:2]
         assert shard_a != shard_b
         flushes = []
-        pipeline.add_listener(lambda recs: flushes.append({r.user for r in recs}))
+        pipeline.add_listener(lambda batch: flushes.append(set(batch.users)))
         pipeline.submit(make_records(5, user=user_a))
         pipeline.submit(make_records(5, user=user_b))
         sim.run()
@@ -234,7 +242,7 @@ class TestFlushAll:
         _, timed = build(sim, policy="spill", capacity=10)
         timed_seen: list = []
         timed.set_router(lambda recs: None)
-        timed.add_listener(timed_seen.extend)
+        timed.add_listener(lambda batch: timed_seen.extend(rows_of(batch)))
         timed.submit(records)
         sim.run()
 
@@ -245,12 +253,13 @@ class TestFlushAll:
         order: list = []
         drained_seen: list = []
         drained.set_router(lambda recs: order.append("router"))
-        drained.add_listener(lambda recs: (order.append("observer"),
-                                           drained_seen.extend(recs)))
+        drained.add_listener(lambda batch: (order.append("observer"),
+                                            drained_seen.extend(rows_of(batch))))
         drained.submit(records)
         drained.flush_all()
 
-        assert drained_seen == timed_seen == records  # exactly once, in order
+        # Exactly once, in order.
+        assert drained_seen == timed_seen == [(r.user, r.time) for r in records]
         assert order[:2] == ["router", "observer"]  # router precedes listeners
         assert drained.stats.flushed_records == timed.stats.flushed_records == 40
 
@@ -296,8 +305,8 @@ class TestRouteOnce:
         assert isinstance(batch, RecordBatch)
         assert store_call[2] == {"ingest_time": sim.now, "shard": 0}
         assert router_call[1] is batch and listener_call[1] is batch
-        # A sequence of the flushed records, in record order, plus columns.
-        assert list(batch) == records and batch[0] is records[0] and len(batch) == 12
+        # The flushed records' rows, in record order.
+        assert batch.time.tolist() == [r.time for r in records] and len(batch) == 12
         assert batch.time.tolist() == [r.time for r in records]
 
 
@@ -370,11 +379,29 @@ class TestBackpressureAccounting:
         assert pipeline.unaccounted == 0
 
 
+class RecordedChunk(UploadChunk):
+    """A device upload that also reads as the record list a gateway
+    client would upload for the same rows."""
+
+    @property
+    def records(self) -> list:
+        from repro.apisense.device import SensorRecord
+        from repro.geo.point import GeoPoint
+
+        out = []
+        for time, lat, lon, value in self.rows:
+            values: dict = {}
+            if lat == lat:
+                values["gps"] = GeoPoint(lat, lon)
+            if value == value:
+                values["value"] = value
+            out.append(SensorRecord(self.device_id, self.user, self.task, time, values))
+        return out
+
+
 def upload_chunks() -> list:
     """Device uploads of 1-9 rows from three users over two tasks; some
     rows have no fix or no value."""
-    from repro.store.columns import UploadChunk
-
     nan = float("nan")
     chunks = []
     for k in range(18):
@@ -388,7 +415,7 @@ def upload_chunks() -> list:
             )
             for i in range(1 + (k * 7) % 9)
         ]
-        chunks.append(UploadChunk.of(f"dev-{user}", user, task, rows))
+        chunks.append(RecordedChunk.of(f"dev-{user}", user, task, rows))
     return chunks
 
 

@@ -27,9 +27,10 @@ from numbers import Real
 
 import numpy as np
 
+from repro.apisense.device import SensorRecord
 from repro.geo.point import GeoPoint
 from repro.store import DatasetStore, QuantileSketch
-from repro.store.columns import group_rows
+from repro.store.columns import RecordBatch, group_rows
 from repro.store.quantiles import reading
 from repro.streams import PaneStats, StreamEngine
 from tests.store.reference import ReferenceSketch
@@ -42,6 +43,25 @@ def scalar_of(values) -> float | None:
         if isinstance(item, Real):
             return float(item)
     return None
+
+
+def records_of(flush) -> list:
+    """The records the oracles walk: a record list's own, or one per row
+    of a flush's chunks (values ``gps`` and ``value``, what a row holds)."""
+    if not isinstance(flush, RecordBatch):
+        return list(flush)
+    records = []
+    for chunk in flush.parts:
+        for time, lat, lon, value in chunk.rows:
+            values: dict[str, object] = {}
+            if lat == lat:
+                values["gps"] = GeoPoint(float(lat), float(lon))
+            if value == value:
+                values["value"] = float(value)
+            records.append(SensorRecord(
+                chunk.device_id, chunk.user, chunk.task, float(time), values, chunk.trace_id
+            ))
+    return records
 
 
 def traced_keys(records) -> dict[int, list[float]]:
@@ -61,6 +81,7 @@ class ReferenceStore(DatasetStore):
         self.oracle_aggregates: dict[str, OracleAggregate] = {}
 
     def append(self, records, ingest_time=None, shard=None) -> int:
+        records = records_of(records)
         if not len(records):
             return 0
         with self._tracer.span("store.append", batch=len(records)) as span:
@@ -133,6 +154,7 @@ class ReferenceEngine(StreamEngine):
     """``on_flush`` assigns panes and cells record by record."""
 
     def on_flush(self, records) -> None:
+        records = records_of(records)
         self.stats.records_seen += len(records)
         if not self._views:
             return
