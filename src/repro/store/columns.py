@@ -86,6 +86,7 @@ class UploadChunk:
 
     @classmethod
     def of(cls, device_id: str, user: str, task: str, rows: Sequence[Row]) -> "UploadChunk":
+        """The chunk of ``rows`` as they were buffered (kept, not copied)."""
         return cls(device_id, user, task, rows)
 
     def __len__(self) -> int:
@@ -108,14 +109,9 @@ def chunks_of(upload: "UploadChunk | Iterable[SensorRecord]") -> list[UploadChun
     match upload:
         case UploadChunk():
             return [upload]
-    records = list(upload)
-    keys = list(map(_run_of, records))
-    if keys and keys.count(keys[0]) == len(keys):  # one run: a device's upload
-        *head, trace_id = keys[0]
-        return [UploadChunk(*head, [row_of(r.time, r.values) for r in records], trace_id)]
     return [
         UploadChunk(*head, [row_of(r.time, r.values) for r in run], trace_id)
-        for (*head, trace_id), run in groupby(records, _run_of)
+        for (*head, trace_id), run in groupby(upload, _run_of)
     ]
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Callable, Iterable
 
 from repro import obs as _obs
@@ -269,14 +270,9 @@ class IngestPipeline:
         hashed once; the chunks' share of each shard is offered to its
         buffer as one, and a full buffer invokes the backpressure policy.
         """
-        chunks = [chunk for upload in uploads for chunk in chunks_of(upload)]
-        n = sum(map(len, chunks))
-        if not n:
-            return 0
-        self.stats.submitted += n
         route: dict[tuple[str, str], int] = {}
         by_shard: dict[int, list[UploadChunk]] = {}
-        for chunk in chunks:
+        for chunk in chain.from_iterable(map(chunks_of, uploads)):
             pair = chunk.task, chunk.user
             if pair not in route:
                 route[pair] = self.store.shard_of(*pair)
@@ -291,6 +287,9 @@ class IngestPipeline:
         shard = self._shards[shard_id]
         buffer = shard.buffer
         n = sum(map(len, chunks))
+        if not n:
+            return 0
+        self.stats.submitted += n
         free = self.buffer_capacity - buffer.size
         if n <= free:
             buffer.push(chunks, n)
