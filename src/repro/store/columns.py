@@ -110,8 +110,8 @@ def chunks_of(upload: "UploadChunk | Iterable[SensorRecord]") -> list[UploadChun
         case UploadChunk():
             return [upload]
     return [
-        UploadChunk(*head, [row_of(r.time, r.values) for r in run], trace_id)
-        for (*head, trace_id), run in groupby(upload, _run_of)
+        UploadChunk(device, user, task, [row_of(r.time, r.values) for r in run], trace_id)
+        for (device, user, task, trace_id), run in groupby(upload, _run_of)
     ]
 
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Callable, Iterable
 
 from repro import obs as _obs
@@ -272,11 +271,12 @@ class IngestPipeline:
         """
         route: dict[tuple[str, str], int] = {}
         by_shard: dict[int, list[UploadChunk]] = {}
-        for chunk in chain.from_iterable(map(chunks_of, uploads)):
-            pair = chunk.task, chunk.user
-            if pair not in route:
-                route[pair] = self.store.shard_of(*pair)
-            by_shard.setdefault(route[pair], []).append(chunk)
+        for upload in uploads:
+            for chunk in chunks_of(upload):
+                pair = chunk.task, chunk.user
+                if pair not in route:
+                    route[pair] = self.store.shard_of(*pair)
+                by_shard.setdefault(route[pair], []).append(chunk)
         accepted = 0
         for shard_id, part in by_shard.items():
             accepted += self._enqueue(shard_id, part)
